@@ -303,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap for parallel sections")
 
     p = sub.add_parser("catalog", help="enumerate confusable-set structures")
     p.add_argument("kind", choices=["field", "ring"])
@@ -342,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", action="store_true", help="use the identity matrix instead of a random one")
     p.add_argument("--input-dist", default=None)
     p.add_argument("--max-carrier", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1, help="worker threads for the trials")
     common(p)
     p.set_defaults(func=cmd_blockcode)
 

@@ -10,6 +10,8 @@ independent oracle.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import AlphabetTooLarge
@@ -133,13 +135,35 @@ class FeasibleExpansion:
         }
 
 
+def _shape(seq) -> tuple[int, ...]:
+    """Relabel a sequence by first occurrence: (7, 2, 7, 5) -> (0, 1, 0, 2)."""
+    seen: dict = {}
+    return tuple(seen.setdefault(x, len(seen)) for x in seq)
+
+
 def find_expansion(f: FunctionTable, structure: ConfusableStructure):
     """Lexicographically-first feasible expansion over this structure, or None.
 
     map1 values are assigned in row order, then map2 in column order; carrier
-    elements are tried in ascending encoding.  Each map2 assignment fills a
-    column of cells, and the partial out_map prunes as soon as two labels
-    claim one set or one label claims two sets.
+    elements are tried in ascending encoding, so the first hit is the
+    lexicographically-first (map1, map2).  Two symmetries of every structure
+    cut the map1 search without changing that hit:
+
+    - translation: (map1 + c, map2 - c) has the same cell sums, hence the
+      same out_map, so the first hit has map1[0] = 0;
+    - scaling: each gamma in S* is a unit that fixes 0 and maps every
+      confusable set onto itself, so (gamma*map1, gamma*map2) is feasible
+      with the same out_map, and the first hit's map1[1] is the least
+      element of its S*-orbit.
+
+    Cell set indices come from a cell[a][b] table built once per call.  Two
+    cells hit the same set iff they carry the same label, so a map2 value can
+    fill column j only if its cells split the rows the way column j's labels
+    do.  A map1 prefix is dropped as soon as, for some split of the rows
+    placed so far, fewer map2 values produce it than there are columns whose
+    labels need it.  Across columns, the partial out_map prunes as soon as
+    two labels claim one set or one label claims two sets.  Every cut removes
+    only subtrees without a feasible expansion, so the hit is unchanged.
     """
     size = structure.size
     if f.m1 > size or f.m2 > size:
@@ -147,64 +171,90 @@ def find_expansion(f: FunctionTable, structure: ConfusableStructure):
             f"table is {f.m1}x{f.m2} but the carrier has only {size} elements"
         )
     add = structure.carrier.add
+    mul = structure.carrier.mul
     index_of = structure._index
-    outputs = f.outputs
+    cell = [[index_of[add(a, b)] for b in range(size)] for a in range(size)]
     m1, m2 = f.m1, f.m2
+    label_cols = [tuple(row[j] for row in f.outputs) for j in range(m2)]
+    label_shapes = [_shape(c) for c in label_cols]
+    orbit_minima = [
+        v for v in range(1, size) if all(mul(g, v) >= v for g in structure.randomizer)
+    ]
     map1 = [0] * m1
     map2 = [0] * m2
     used1 = set()
     used2 = set()
-    set_to_label: dict[int, int] = {}
-    label_to_set: dict[int, int] = {}
+    set_to_label = [None] * len(structure.sets)
+    label_to_set = [None] * f.output_count
+    # per column j: (v, distinct (set index, label) pairs of the column's cells)
+    candidates: list[list] = []
 
     def assign2(j: int) -> bool:
         if j == m2:
             return True
-        for v in range(size):
+        for v, pairs in candidates[j]:
             if v in used2:
                 continue
             added = []
-            ok = True
-            for i in range(m1):
-                idx = index_of[add(map1[i], v)]
-                label = outputs[i][j]
-                bound = set_to_label.get(idx)
+            for idx, label in pairs:
+                bound = set_to_label[idx]
                 if bound is None:
-                    if label_to_set.get(label) is not None:
-                        ok = False
+                    if label_to_set[label] is not None:
                         break
                     set_to_label[idx] = label
                     label_to_set[label] = idx
-                    added.append((idx, label))
+                    added.append(idx)
                 elif bound != label:
-                    ok = False
                     break
-            if ok:
+            else:
                 map2[j] = v
                 used2.add(v)
                 if assign2(j + 1):
                     return True
                 used2.discard(v)
-            for idx, label in added:
-                del set_to_label[idx]
-                del label_to_set[label]
+            for idx in added:
+                label_to_set[set_to_label[idx]] = None
+                set_to_label[idx] = None
         return False
 
-    def assign1(i: int) -> bool:
+    shape_of = functools.cache(_shape)  # columns repeat across map1 prefixes
+
+    # label shapes of each column restricted to rows 0..i, with multiplicity:
+    # columns that share a shape need that many distinct map2 values
+    prefix_need = [
+        Counter(sh[: i + 1] for sh in label_shapes) for i in range(m1)
+    ]
+
+    def assign1(i: int, prefix: list) -> bool:
+        """prefix[v]: set indices of column v's cells in rows 0..i-1."""
         if i == m1:
+            by_shape: dict = {}
+            for v, col in enumerate(prefix):
+                by_shape.setdefault(shape_of(col), []).append((v, col))
+            candidates[:] = [
+                [(v, tuple(dict.fromkeys(zip(col, labels)))) for v, col in by_shape.get(shape, ())]
+                for labels, shape in zip(label_cols, label_shapes)
+            ]
             return assign2(0)
-        for v in range(size):
+        need = prefix_need[i]
+        for v in orbit_minima if i == 1 else range(1, size):
             if v in used1:
+                continue
+            row = cell[v]
+            ext = [col + (row[b],) for b, col in enumerate(prefix)]
+            have = Counter(shape_of(col) for col in ext)
+            if any(have[sh] < k for sh, k in need.items()):
                 continue
             map1[i] = v
             used1.add(v)
-            if assign1(i + 1):
+            if assign1(i + 1, ext):
                 return True
             used1.discard(v)
         return False
 
-    if assign1(0):
-        return FeasibleExpansion(structure, tuple(map1), tuple(map2), dict(set_to_label))
+    if assign1(1, [(c,) for c in cell[0]]):
+        out_map = {idx: label for idx, label in enumerate(set_to_label) if label is not None}
+        return FeasibleExpansion(structure, tuple(map1), tuple(map2), out_map)
     return None
 
 

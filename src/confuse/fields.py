@@ -296,22 +296,6 @@ def _x_order_is_full(h, p, n) -> bool:
     return steps == q - 1
 
 
-def field_add(spec: FieldSpec, a: int, b: int) -> int:
-    return spec.add(a, b)
-
-
-def field_mul(spec: FieldSpec, a: int, b: int) -> int:
-    return spec.mul(a, b)
-
-
-def field_neg(spec: FieldSpec, a: int) -> int:
-    return spec.neg(a)
-
-
-def field_inv(spec: FieldSpec, a: int) -> int:
-    return spec.inv(a)
-
-
 def field_make(p: int, n: int, max_q: int = DEFAULT_MAX_Q) -> FieldSpec:
     """Canonical construction of F_{p^n}.
 

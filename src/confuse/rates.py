@@ -68,11 +68,6 @@ class Rate:
     def __hash__(self):
         return hash(self.terms)
 
-    def __le__(self, other: "Rate") -> bool:
-        # Comparison falls back to floats; only use for sanity ordering,
-        # never for pass/fail equality.
-        return self.value() <= other.value() + 1e-12
-
     def __repr__(self):
         if not self.terms:
             return "Rate(0)"

@@ -6,6 +6,7 @@ library's own search bookkeeping, so the two routes can disagree loudly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 
@@ -69,6 +70,41 @@ def feasible_partitions(structure, m1: int, m2: int) -> set[tuple[int, ...]]:
                     cells.append(index_of[add(a, b)])
             out.add(canonical_cell_partition(cells))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _first_map_pairs(structure, m1: int, m2: int) -> dict:
+    """Canonical cell partition -> the first (map1, map2) realizing it, over
+    injective map pairs in itertools.permutations order (map1 outer), which
+    is lexicographic in map1 + map2."""
+    size = structure.size
+    add = structure.carrier.add
+    index_of = structure._index
+    first: dict = {}
+    for map1 in itertools.permutations(range(size), m1):
+        for map2 in itertools.permutations(range(size), m2):
+            cells = [index_of[add(a, b)] for a in map1 for b in map2]
+            first.setdefault(canonical_cell_partition(cells), (map1, map2))
+    return first
+
+
+def brute_force_first_expansion(f, structure):
+    """The first feasible (map1, map2, out_map) in itertools.permutations
+    order, or None.  A map pair is feasible iff its cells hit sets in the same
+    pattern as the table's labels, so the table-independent scan is cached
+    per (structure, shape)."""
+    labels = [v for row in f.outputs for v in row]
+    pair = _first_map_pairs(structure, f.m1, f.m2).get(canonical_cell_partition(labels))
+    if pair is None:
+        return None
+    map1, map2 = pair
+    add = structure.carrier.add
+    out_map = {
+        structure._index[add(a, b)]: f.outputs[i][j]
+        for i, a in enumerate(map1)
+        for j, b in enumerate(map2)
+    }
+    return map1, map2, out_map
 
 
 def randomization_multiset_ok(carrier, randomizer, sets) -> bool:

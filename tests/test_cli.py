@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from confuse.cli import main
+from confuse.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -192,3 +192,15 @@ def test_identical_runs_identical_output_modulo_timestamp(capsys, tmp_path, equa
     _, out1, _ = run(capsys, "solve", "--table", equal3_path, "--json")
     _, out2, _ = run(capsys, "solve", "--table", equal3_path, "--json")
     assert canon(out1) == canon(out2)
+
+
+def test_jobs_flag_only_on_blockcode():
+    # only blockcode has a parallel section; the other commands reject --jobs
+    parser = build_parser()
+    assert parser.parse_args(["blockcode", "--table", "t.json", "--L", "4", "--jobs", "2"]).jobs == 2
+    for argv in (["catalog", "field", "--max", "4"], ["solve", "--table", "t.json"],
+                 ["verify", "--scheme", "s.json", "--table", "t.json"],
+                 ["crt-equal", "--m", "3"], ["baseline", "--table", "t.json"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--jobs", "2"])
+        assert not hasattr(parser.parse_args(argv), "jobs")

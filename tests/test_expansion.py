@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_expansion_exists
+from oracles import all_tables, brute_force_expansion_exists, brute_force_first_expansion
 
 from confuse.errors import AlphabetTooLarge
 from confuse.expansion import (
@@ -159,6 +162,27 @@ def test_backtracker_returns_lexicographically_first_maps():
             assert (exp.map1, exp.map2) == first
 
 
+def test_find_expansion_matches_lex_first_oracle_grid():
+    # the symmetry cuts and prefix pruning must not change which embedding is
+    # returned: every structure up to carrier 7, every table up to 2x3 / 3x2
+    # with at most 3 labels
+    shapes = [(m1, m2) for m1 in range(1, 4) for m2 in range(1, 4) if m1 * m2 <= 6]
+    checked = found = 0
+    for structure in iter_carrier_structures(7):
+        for m1, m2 in shapes:
+            if max(m1, m2) > structure.size:
+                continue
+            for rows in all_tables(m1, m2, 3):
+                f = FunctionTable.from_rows(rows)
+                want = brute_force_first_expansion(f, structure)
+                exp = find_expansion(f, structure)
+                got = None if exp is None else (exp.map1, exp.map2, exp.out_map)
+                assert got == want, (structure.key(), rows)
+                checked += 1
+                found += got is not None
+    assert found > 0 and checked - found > 0
+
+
 def test_from_json_rejects_mismatched_dimensions():
     with pytest.raises(ValueError):
         FunctionTable.from_json({"m1": 3, "m2": 2, "outputs": [[0, 1], [1, 0]]})
@@ -228,3 +252,74 @@ def test_converse_report_and():
     rep2 = converse_report(and2, exp)
     assert rep2.achieved_bits == (Rate.log2(3), Rate.log2(3))
     assert rep2.optimal is False  # carrier is larger than the input alphabet
+
+
+# ---------------------------------------------------------------------------
+# pinned hit lists: full search_expansions(f, 16) output, recorded from the
+# plain backtracker (no symmetry cuts, no pruning of map1 prefixes)
+# ---------------------------------------------------------------------------
+
+def corpus_tables(count: int = 30, seed: int = 200100539) -> list[FunctionTable]:
+    """Seeded random tables, 2x2 up to 3x3, 2 to 4 labels (each used)."""
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < count:
+        m1, m2 = rng.randint(2, 3), rng.randint(2, 3)
+        k = rng.randint(2, min(4, m1 * m2))
+        rows = [[rng.randrange(k) for _ in range(m2)] for _ in range(m1)]
+        if {v for r in rows for v in r} == set(range(k)):
+            tables.append(FunctionTable.from_rows(rows))
+    return tables
+
+
+def hit_list_digest(hits) -> str:
+    """sha256 prefix over (structure key, map1, map2, sorted out_map) per hit."""
+    rows = [
+        [s.key(), list(e.map1), list(e.map2), sorted(e.out_map.items())]
+        for s, e in hits
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+PINNED_HIT_DIGESTS = {
+    "equal3": "16debec8026d1532",
+    "equal4": "2ac0223bec163f3d",
+    "equal5": "1b0edad9b3f58d09",
+    "r00": "32e649c435025b6b",
+    "r01": "ac148a2c30ce5aa8",
+    "r02": "71bd45f1b4b17ac0",
+    "r03": "7ba74a6175fce6ac",
+    "r04": "8448092871069cc9",
+    "r05": "a3ca704193d7ba6d",
+    "r06": "6b3dcc598147476b",
+    "r07": "7270e22f0f62f43e",
+    "r08": "ddccb9ae9e436093",
+    "r09": "67a48a8ca430190b",
+    "r10": "7270e22f0f62f43e",
+    "r11": "d13045100a6aaa34",
+    "r12": "c6c4a552a115d271",
+    "r13": "fa2386a158dbfe19",
+    "r14": "b8fde984a71857a6",
+    "r15": "1a1d1b756a2ea206",
+    "r16": "dc7b4a4eb967b13b",
+    "r17": "b7624628187eb25c",
+    "r18": "7d076086f49b9287",
+    "r19": "ec126073f431876d",
+    "r20": "6047365889591346",
+    "r21": "8c0b9642fe3d800e",
+    "r22": "4c186582c0e46b7d",
+    "r23": "407362106a943f9d",
+    "r24": "193051ad3e0ca709",
+    "r25": "aaa0782fc6b4cc2c",
+    "r26": "27599f0d629a6765",
+    "r27": "4445cfe6c68a4a0e",
+    "r28": "7bcbfe63738bcf40",
+    "r29": "3a4f6d86769058f7",
+}
+
+
+def test_hit_lists_match_pinned_digests():
+    tables = {f"equal{m}": equal_table(m) for m in (3, 4, 5)}
+    tables.update((f"r{n:02d}", t) for n, t in enumerate(corpus_tables()))
+    got = {name: hit_list_digest(search_expansions(t, 16)) for name, t in tables.items()}
+    assert got == PINNED_HIT_DIGESTS
