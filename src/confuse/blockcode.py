@@ -333,11 +333,9 @@ def run_trials(
     trials: int,
     seed: int = 0,
     input_dist: dict[tuple[int, int], Fraction] | None = None,
-    jobs: int = 1,
 ) -> dict:
     """Monte Carlo decode-error estimate; trial t is keyed by SeedSequence
-    (seed, trial) so results are reproducible, order-independent, and merge
-    as plain counts across workers."""
+    (seed, trial) so results are reproducible and order-independent."""
     base = spec.base
     exp = base.expansion
     st = exp.structure
@@ -366,13 +364,7 @@ def run_trials(
         u_hat, _ = block_decode(spec, x1, x2)
         return 0 if np.array_equal(u_hat, true_u) else 1
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            errors = sum(pool.map(one_trial, range(trials)))
-    else:
-        errors = sum(one_trial(t) for t in range(trials))
+    errors = sum(one_trial(t) for t in range(trials))
     return {
         "trials": trials,
         "errors": errors,

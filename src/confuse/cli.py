@@ -221,7 +221,7 @@ def cmd_blockcode(args) -> int:
         scheme, args.L, epsilon=args.epsilon, seed=args.seed,
         input_dist=dist, rows=args.rows, identity=args.identity,
     )
-    result = run_trials(spec, args.trials, seed=args.seed, input_dist=dist, jobs=args.jobs)
+    result = run_trials(spec, args.trials, seed=args.seed, input_dist=dist)
     payload = {
         "manifest": _manifest(args, [args.table], seed=args.seed),
         "H_bits": ent.H_bits,
@@ -341,13 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", action="store_true", help="use the identity matrix instead of a random one")
     p.add_argument("--input-dist", default=None)
     p.add_argument("--max-carrier", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for the trials")
     common(p)
     p.set_defaults(func=cmd_blockcode)
 
     p = sub.add_parser("crt-equal", help="equality scheme over a composite alphabet")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--check", action="store_true", help="run the exact verifier (m <= 6 is fast)")
+    p.add_argument("--check", action="store_true", help="run the exact verifier (m <= 7 is within the atom cap; m = 8 exits 4)")
     common(p)
     p.set_defaults(func=cmd_crt_equal)
 

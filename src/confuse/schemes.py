@@ -2,8 +2,9 @@
 
 A Scheme packages the shared-randomness support (atoms with integer weights),
 both encoders, the decoder, and exact rates.  Encoders/decoder are plain
-functions of (input, atom) so large product supports can stay lazy; the exact
-verifier streams over the atoms.
+functions of (input, atom) so large product supports can stay lazy until the
+exact verifier or the serializer tabulates them; both refuse supports past
+MAX_ATOMS_MATERIALIZED atoms, as does the row-mask baseline.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from typing import Callable, Sequence
 from .errors import SchemaError, SizeBoundExceeded, TotalityError
 from .expansion import FeasibleExpansion, FunctionTable
 from .fields import field_make
-from .rates import Rate
-from .verify import verify_secure
-
-MAX_ATOMS_MATERIALIZED = 200_000
+from .rates import Rate, _factorize
+from .verify import MAX_ATOMS_MATERIALIZED, verify_secure
 
 
 @dataclass
@@ -37,17 +36,6 @@ class Scheme:
     kind: str
     expansion: FeasibleExpansion | None = None
     meta: dict = dc_field(default_factory=dict)
-
-    @property
-    def total_weight(self) -> int:
-        if self.weights is None:
-            return len(self.atoms)
-        return sum(self.weights)
-
-    def z_support(self):
-        if self.weights is None:
-            return [(a, 1) for a in self.atoms]
-        return list(zip(self.atoms, self.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -159,22 +147,6 @@ def optimize_additive_randomness(exp: FeasibleExpansion, all_subsets: bool = Fal
 # equality over a composite alphabet via residue decomposition
 # ---------------------------------------------------------------------------
 
-def _factorize(m: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            k = 0
-            while m % d == 0:
-                m //= d
-                k += 1
-            out.append((d, k))
-        d += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
 def crt_equal_scheme(
     m: int,
     max_enumerated_m: int = 8,
@@ -192,10 +164,13 @@ def crt_equal_scheme(
     past that, pass sample_permutations=(count, seed) to draw a sampled
     support.  Sampled schemes stay correct on every atom, but the exact
     security check is only meaningful for the fully enumerated supports.
+    Exact checking is bounded by the verifier's MAX_ATOMS_MATERIALIZED cap,
+    not by max_enumerated_m: m = 7 has 211,680 atoms and verifies, m = 8
+    has 2,257,920 and raises SizeBoundExceeded.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    factors = _factorize(m)
+    factors = sorted(_factorize(m).items())
     fields = [field_make(p, k) for p, k in factors]
     qs = [fs.q for fs in fields]
     sampled = False

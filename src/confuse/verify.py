@@ -1,5 +1,11 @@
 """Exact correctness and perfect-security verification by full enumeration.
 
+Each encoder is tabulated once per scheme, and each input pair's codeword-pair
+distribution is counted once from those tables; the correctness, security
+and leakage passes all read the same counts.  Supports past
+MAX_ATOMS_MATERIALIZED atoms raise SizeBoundExceeded instead of being
+enumerated.
+
 All pass/fail decisions run on integer outcome counts over the weighted
 randomness lattice; floats only appear when leakage is rendered in bits.
 Witnesses always name the lexicographically smallest failing instance so
@@ -11,7 +17,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from math import gcd, log2
+
+from .errors import SizeBoundExceeded
 
 
 class ExactDistribution:
@@ -47,56 +56,46 @@ class ExactDistribution:
         return f"ExactDistribution({self.counts}, total={self.total})"
 
 
-def _atom_weights(scheme):
-    if scheme.weights is None:
-        return [(a, 1) for a in scheme.atoms]
-    return list(zip(scheme.atoms, scheme.weights))
-
-
-_TABULATE_LIMIT = 300_000
+MAX_ATOMS_MATERIALIZED = 300_000
 
 
 def _enc_tables(scheme):
-    """Tabulated encoder outputs, cached on the scheme (schemes are immutable
-    after construction).  Returns None for supports too large to materialize;
-    callers then stream atom by atom."""
+    """Tabulated encoder outputs and a per-pair distribution cache, kept on
+    the scheme (schemes are immutable after construction).  Every encoder is
+    called once per (input, atom); supports past MAX_ATOMS_MATERIALIZED raise
+    SizeBoundExceeded before any encoder runs."""
     cache = getattr(scheme, "_enc_cache", None)
     if cache is not None:
         return cache
-    atoms = list(scheme.atoms) if len(scheme.atoms) <= _TABULATE_LIMIT else None
-    if atoms is None:
-        return None
+    if len(scheme.atoms) > MAX_ATOMS_MATERIALIZED:
+        raise SizeBoundExceeded(
+            f"{len(scheme.atoms)} atoms exceed the exact-verification cap of "
+            f"{MAX_ATOMS_MATERIALIZED}"
+        )
+    atoms = list(scheme.atoms)
     weights = list(scheme.weights) if scheme.weights is not None else None
     rows1 = [[scheme.enc1(w, a) for a in atoms] for w in range(scheme.m1)]
     rows2 = [[scheme.enc2(w, a) for a in atoms] for w in range(scheme.m2)]
-    cache = (atoms, weights, rows1, rows2)
-    try:
-        scheme._enc_cache = cache
-    except (AttributeError, TypeError):
-        pass
-    return cache
+    scheme._enc_cache = (atoms, weights, rows1, rows2, {})
+    return scheme._enc_cache
 
 
 def joint_distribution(scheme, w1: int, w2: int) -> ExactDistribution:
-    """Exact distribution of the codeword pair (X1, X2) for fixed inputs."""
-    tables = _enc_tables(scheme)
-    if tables is not None:
-        atoms, weights, rows1, rows2 = tables
-        if weights is None:
-            counts = Counter(zip(rows1[w1], rows2[w2]))
-            return ExactDistribution(counts, len(atoms))
+    """Exact distribution of the codeword pair (X1, X2) for fixed inputs,
+    counted once per scheme and input pair."""
+    atoms, weights, rows1, rows2, dists = _enc_tables(scheme)
+    dist = dists.get((w1, w2))
+    if dist is not None:
+        return dist
+    if weights is None:
+        dist = ExactDistribution(Counter(zip(rows1[w1], rows2[w2])), len(atoms))
+    else:
         counts = Counter()
-        total = 0
         for c1, c2, wt in zip(rows1[w1], rows2[w2], weights):
             counts[(c1, c2)] += wt
-            total += wt
-        return ExactDistribution(counts, total)
-    counts = Counter()
-    total = 0
-    for atom, wt in _atom_weights(scheme):
-        counts[(scheme.enc1(w1, atom), scheme.enc2(w2, atom))] += wt
-        total += wt
-    return ExactDistribution(counts, total)
+        dist = ExactDistribution(counts, sum(weights))
+    dists[(w1, w2)] = dist
+    return dist
 
 
 @dataclass
@@ -118,23 +117,21 @@ class SecurityResult:
 
 
 def verify_correct(scheme, f) -> CorrectnessResult:
-    """dec(enc1, enc2) must reproduce f on every input pair and atom."""
-    tables = _enc_tables(scheme)
+    """dec(enc1, enc2) must reproduce f on every input pair and atom.
+
+    dec runs once per distinct codeword pair; a pair with a failing outcome
+    is rescanned atom by atom, so the witness names its first failing atom."""
+    atoms, _, rows1, rows2, _ = _enc_tables(scheme)
     dec = scheme.dec
     for w1 in range(f.m1):
         for w2 in range(f.m2):
             expected = f.outputs[w1][w2]
-            if tables is not None:
-                atoms, _, rows1, rows2 = tables
-                for atom, c1, c2 in zip(atoms, rows1[w1], rows2[w2]):
-                    got = dec(c1, c2)
-                    if got != expected:
-                        return CorrectnessResult(False, (w1, w2, atom, got, expected))
-            else:
-                for atom, _ in _atom_weights(scheme):
-                    got = dec(scheme.enc1(w1, atom), scheme.enc2(w2, atom))
-                    if got != expected:
-                        return CorrectnessResult(False, (w1, w2, atom, got, expected))
+            if set(starmap(dec, joint_distribution(scheme, w1, w2).counts)) == {expected}:
+                continue
+            for atom, c1, c2 in zip(atoms, rows1[w1], rows2[w2]):
+                got = dec(c1, c2)
+                if got != expected:
+                    return CorrectnessResult(False, (w1, w2, atom, got, expected))
     return CorrectnessResult(True)
 
 

@@ -127,3 +127,17 @@ def all_tables(m1: int, m2: int, max_labels: int):
         if used != set(range(len(used))) or len(used) > max_labels:
             continue
         yield tuple(tuple(values[i * m2 + j] for j in range(m2)) for i in range(m1))
+
+
+def brute_force_first_correctness_failure(scheme, f):
+    """First (w1, w2, atom, decoded, expected) where decoding the two
+    encodings misses f, scanning input pairs then atoms in order and calling
+    the encoders and decoder afresh on every atom; None when there is none."""
+    for w1 in range(f.m1):
+        for w2 in range(f.m2):
+            expected = f.outputs[w1][w2]
+            for atom in scheme.atoms:
+                got = scheme.dec(scheme.enc1(w1, atom), scheme.enc2(w2, atom))
+                if got != expected:
+                    return (w1, w2, atom, got, expected)
+    return None

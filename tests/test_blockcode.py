@@ -179,12 +179,11 @@ def test_rows_formula_and_cap():
         make_block_spec(_and_scheme(), L=8, rows=9)
 
 
-def test_trials_are_reproducible_and_parallel_consistent():
+def test_trials_are_reproducible():
     spec = make_block_spec(_and_scheme(), L=12, rows=9, seed=21)
     a = run_trials(spec, 80, seed=4)
     b = run_trials(spec, 80, seed=4)
-    c = run_trials(spec, 80, seed=4, jobs=4)
-    assert a["errors"] == b["errors"] == c["errors"]
+    assert a["errors"] == b["errors"]
 
 
 def test_extension_field_block_code():

@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -161,6 +162,15 @@ def test_crt_equal_cli(capsys):
     assert payload["check"]["secure"] is True
 
 
+def test_crt_equal_m8_check_exits_4_fast(capsys):
+    # 2,257,920 atoms: past the verifier's cap, refused before tabulation
+    start = time.perf_counter()
+    code, _, err = run(capsys, "crt-equal", "--m", "8", "--check", "--json")
+    assert time.perf_counter() - start < 2.0
+    assert code == 4
+    assert "2257920 atoms exceed" in err
+
+
 def test_baseline_cli(capsys, tmp_path):
     table = write_table(tmp_path, "threshold.json", [[0, 0, 1], [0, 1, 1]])
     code, out, _ = run(capsys, "baseline", "--table", table, "--json")
@@ -194,12 +204,12 @@ def test_identical_runs_identical_output_modulo_timestamp(capsys, tmp_path, equa
     assert canon(out1) == canon(out2)
 
 
-def test_jobs_flag_only_on_blockcode():
-    # only blockcode has a parallel section; the other commands reject --jobs
+def test_no_subcommand_accepts_jobs():
+    # every command runs single-threaded; --jobs is rejected everywhere
     parser = build_parser()
-    assert parser.parse_args(["blockcode", "--table", "t.json", "--L", "4", "--jobs", "2"]).jobs == 2
     for argv in (["catalog", "field", "--max", "4"], ["solve", "--table", "t.json"],
                  ["verify", "--scheme", "s.json", "--table", "t.json"],
+                 ["blockcode", "--table", "t.json", "--L", "4"],
                  ["crt-equal", "--m", "3"], ["baseline", "--table", "t.json"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv + ["--jobs", "2"])

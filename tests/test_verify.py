@@ -1,17 +1,26 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from oracles import brute_force_first_correctness_failure
+
+from confuse.errors import SizeBoundExceeded
 from confuse.expansion import FunctionTable, equal_table
 from confuse.gallery import get as gallery_get
 from confuse.schemes import (
     Scheme,
+    crt_equal_scheme,
+    load_custom_scheme,
     optimize_additive_randomness,
+    row_mask_baseline,
     scheme_from_expansion,
+    serialize_scheme,
 )
 from confuse.verify import (
+    MAX_ATOMS_MATERIALIZED,
     ExactDistribution,
     joint_distribution,
     leakage,
@@ -186,3 +195,133 @@ def test_report_determinism():
     a = verify_scheme(scheme_from_expansion(gallery_get("equal3").expansion()), f)
     b = verify_scheme(scheme_from_expansion(gallery_get("equal3").expansion()), f)
     assert a.to_json() == b.to_json()
+
+
+def _counting(scheme):
+    """A copy of the scheme whose encoders and decoder count their calls."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    copy = dataclasses.replace(
+        scheme,
+        enc1=counted("enc1", scheme.enc1),
+        enc2=counted("enc2", scheme.enc2),
+        dec=counted("dec", scheme.dec),
+    )
+    return copy, calls
+
+
+def _constant_scheme(n_atoms):
+    return Scheme(
+        m1=1, m2=1, atoms=range(n_atoms), weights=None,
+        enc1=lambda w, a: (0,), enc2=lambda w, a: (0,),
+        dec=lambda x1, x2: 0, rate1=None, rate2=None, kind="test",
+    )
+
+
+def _weighted_and2():
+    """The and2 masked-sum scheme as a custom scheme with uneven weights."""
+    obj = serialize_scheme(scheme_from_expansion(gallery_get("and2").expansion()))
+    for i, row in enumerate(obj["z_support"]):
+        row["weight"] = i % 3 + 1
+    return load_custom_scheme(obj), gallery_get("and2").table
+
+
+def _flipped_dec_baseline():
+    """A row-mask baseline with one decoder row flipped (a negative control)."""
+    f = FunctionTable.from_rows([[0, 1, 2, 0], [1, 2, 0, 1], [2, 0, 1, 2], [0, 0, 1, 2]])
+    broken = serialize_scheme(row_mask_baseline(f))
+    x1, x2 = broken["enc1"][0][0], broken["enc2"][0][0]
+    row = next(r for r in broken["dec"] if r["x1"] == x1 and r["x2"] == x2)
+    row["f"] = (row["f"] + 1) % f.output_count
+    return load_custom_scheme(broken), f
+
+
+def _masked_sum_equal3():
+    return scheme_from_expansion(gallery_get("equal3").expansion()), equal_table(3)
+
+
+def _threshold_baseline():
+    threshold = gallery_get("threshold_2x3").table
+    return row_mask_baseline(threshold), threshold
+
+
+VERIFIER_CASES = [_masked_sum_equal3, _weighted_and2, _threshold_baseline, _flipped_dec_baseline]
+
+
+def test_atom_cap_admits_crt_equal_m7_and_refuses_m8_before_encoding():
+    assert len(crt_equal_scheme(7).atoms) == 211_680 <= MAX_ATOMS_MATERIALIZED
+    scheme, calls = _counting(crt_equal_scheme(8))
+    with pytest.raises(SizeBoundExceeded):
+        verify_scheme(scheme, equal_table(8))
+    assert not calls
+
+
+def test_atom_cap_is_inclusive_for_lazy_supports():
+    table = FunctionTable.from_rows([[0]])
+    at_cap, calls = _counting(_constant_scheme(MAX_ATOMS_MATERIALIZED))
+    assert verify_scheme(at_cap, table).ok
+    assert calls == {"enc1": MAX_ATOMS_MATERIALIZED, "enc2": MAX_ATOMS_MATERIALIZED, "dec": 1}
+    past, calls = _counting(_constant_scheme(MAX_ATOMS_MATERIALIZED + 1))
+    with pytest.raises(SizeBoundExceeded):
+        verify_scheme(past, table)
+    assert not calls
+    with pytest.raises(SizeBoundExceeded):
+        serialize_scheme(past)
+    assert not calls
+
+
+@pytest.mark.parametrize("case", VERIFIER_CASES)
+def test_verify_scheme_encodes_each_atom_once(case):
+    scheme, f = case()
+    counted, calls = _counting(scheme)
+    report = verify_scheme(counted, f)
+    n = len(scheme.atoms)
+    assert calls["enc1"] == scheme.m1 * n
+    assert calls["enc2"] == scheme.m2 * n
+    outcomes = sum(
+        len(joint_distribution(counted, w1, w2).counts)
+        for w1 in range(f.m1)
+        for w2 in range(f.m2)
+    )
+    # the counts are cached: reading them again encodes nothing
+    assert (calls["enc1"], calls["enc2"]) == (scheme.m1 * n, scheme.m2 * n)
+    if report.correct.ok:
+        # dec runs once per distinct codeword pair of each input pair
+        assert calls["dec"] == outcomes
+
+
+def _corrupted(scheme, targets):
+    real_dec = scheme.dec
+
+    def dec(x1, x2):
+        got = real_dec(x1, x2)
+        return got + 1 if (x1, x2) in targets else got
+
+    return dataclasses.replace(scheme, dec=dec)
+
+
+@pytest.mark.parametrize("case", VERIFIER_CASES)
+def test_correctness_witness_matches_per_atom_oracle(case):
+    scheme, f = case()
+    outcomes = sorted({
+        o
+        for w1 in range(f.m1)
+        for w2 in range(f.m2)
+        for o in joint_distribution(scheme, w1, w2).counts
+    })
+    rng = random.Random(len(outcomes))
+    corruptions = [()] + [(o,) for o in rng.sample(outcomes, min(len(outcomes), 40))]
+    corruptions += [tuple(rng.sample(outcomes, 3)) for _ in range(10)]
+    for targets in corruptions:
+        broken = _corrupted(scheme, set(targets))
+        expected = brute_force_first_correctness_failure(broken, f)
+        res = verify_correct(broken, f)
+        assert res.ok == (expected is None), targets
+        assert res.witness == expected, targets
