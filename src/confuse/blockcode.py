@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, LengthMismatch, NotAFieldScheme, Undecodable
 from .expansion import FunctionTable
+from .fields import table_dtype
 from .rates import Rate
 from .verify import SecurityResult, verify_secure
 
@@ -65,128 +66,66 @@ def entropy_of_U(scheme, input_dist: dict[tuple[int, int], Fraction]) -> Entropy
 
 
 # ---------------------------------------------------------------------------
-# vectorized field arithmetic (lookup tables; plain mod-p when n = 1)
+# vectorized field arithmetic: numpy copies of the carrier's add/neg/mul tables
 # ---------------------------------------------------------------------------
 
-class _VecOps:
-    def __init__(self, fs):
-        q = fs.q
-        self.q = q
-        self.p = fs.p
-        self.n = fs.n
-        self.prime = fs.n == 1
-        if not self.prime:
-            self.ADD = np.array([[fs.add(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
-            self.SUB = np.array([[fs.sub(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
-            self.MUL = np.array([[fs.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
-            self.INV = np.array([0] + [fs.inv(a) for a in range(1, q)], dtype=np.int64)
-            self.NEG = np.array([fs.neg(a) for a in range(q)], dtype=np.int64)
-            # base-p digits of each encoding, for field-summing products
-            digits = []
-            for a in range(q):
-                row = []
-                x = a
-                for _ in range(fs.n):
-                    row.append(x % fs.p)
-                    x //= fs.p
-                digits.append(row)
-            self.DIGITS = np.array(digits, dtype=np.int64)
-            self.POW = np.array([fs.p ** i for i in range(fs.n)], dtype=np.int64)
-
-    def add(self, x, y):
-        return (x + y) % self.p if self.prime else self.ADD[x, y]
-
-    def sub(self, x, y):
-        return (x - y) % self.p if self.prime else self.SUB[x, y]
-
-    def mul(self, x, y):
-        return (x * y) % self.p if self.prime else self.MUL[x, y]
-
-    def neg(self, x):
-        return (-x) % self.p if self.prime else self.NEG[x]
-
-    def inv(self, c):
-        return pow(int(c), self.p - 2, self.p) if self.prime else int(self.INV[c])
-
-    def matvec(self, A, v):
-        if self.prime:
-            return (A @ v) % self.p
-        prod = self.MUL[A, v[None, :]]
-        dig = self.DIGITS[prod].sum(axis=1) % self.p
-        return dig @ self.POW
+def _matvec(fs, mul):
+    """A*v over F_q.  Prime fields reduce the integer product mod p;
+    extension fields sum the table products digitwise mod p."""
+    p = fs.p
+    if fs.n == 1:
+        return lambda A, v: (A @ v) % p
+    digits = (np.arange(fs.q)[:, None] // p ** np.arange(fs.n)) % p
+    weights = p ** np.arange(fs.n)
+    return lambda A, v: (digits[mul[A, v[None, :]]].sum(axis=1) % p) @ weights
 
 
-def _rref_prime(A: np.ndarray, p: int):
-    """RREF over F_p via outer-product updates; row ops are echoed into T so
-    R = T*A.  Entries stay in [0, p); int32 holds p^2 products for p <= 256."""
-    R = (A.astype(np.int32) % p).copy()
-    rows = R.shape[0]
-    T = np.zeros((rows, rows), dtype=np.int32)
-    np.fill_diagonal(T, 1)
-    pivots = []
-    r = 0
-    for c in range(R.shape[1]):
-        if r == rows:
-            break
-        nz = np.nonzero(R[r:, c])[0]
-        if len(nz) == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-            T[[r, i]] = T[[i, r]]
-        inv = pow(int(R[r, c]), p - 2, p)
-        if inv != 1:
-            R[r, c:] = (R[r, c:] * inv) % p
-            T[r] = (T[r] * inv) % p
-        f = R[:, c].copy()
-        f[r] = 0
-        if np.any(f):
-            # columns left of c are already clear in the pivot row
-            R[:, c:] = (R[:, c:] - np.outer(f, R[r, c:])) % p
-            T -= np.outer(f, T[r])
-            T %= p
-        pivots.append(c)
-        r += 1
-    return R, T, pivots
+def _rref(fs, A: np.ndarray):
+    """Reduced row echelon form of A over F_q with the row transform tracked.
 
-
-def _rref(ops: _VecOps, A: np.ndarray):
-    """Reduced row echelon form of A with the row transform tracked.
-
+    Gauss-Jordan on the augmented matrix [A | I], entries in the smallest
+    unsigned dtype holding q-1.  Each pivot updates only the rows with a
+    nonzero entry in its column, 64 rows at a time, by lookups in the
+    carrier's tables: the pivot row's multiples are tabulated once, then
+    added to each row.
     Returns (R, T, pivots): R = T*A in RREF, pivots the pivot columns.
-    The table path serves extension fields at small block lengths.
     """
-    if ops.prime:
-        return _rref_prime(A, ops.p)
-    R = A.astype(np.int64).copy()
-    rows = R.shape[0]
-    T = np.zeros((rows, rows), dtype=np.int64)
-    np.fill_diagonal(T, 1)
+    add, neg, mul = fs.arrays()
+    q = fs.q
+    # add[x, y] = add_flat[x*q + y]: one flat gather beats a 2-D one
+    add_flat, flat_index = add.ravel(), table_dtype(q * q)
+    inv = np.array([0] + [fs.inv(a) for a in range(1, q)])
+    rows, cols = A.shape
+    M = np.zeros((rows, cols + rows), dtype=add.dtype)
+    M[:, :cols] = A
+    M[:, cols:] = np.eye(rows, dtype=add.dtype)
     pivots = []
     r = 0
-    for c in range(R.shape[1]):
+    for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(R[r:, c])[0]
+        nz = np.flatnonzero(M[r:, c])
         if len(nz) == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            R[[r, i]] = R[[i, r]]
-            T[[r, i]] = T[[i, r]]
-        inv = ops.inv(R[r, c])
-        R[r] = ops.mul(inv, R[r])
-        T[r] = ops.mul(inv, T[r])
-        others = np.nonzero(R[:, c])[0]
+            M[[r, i]] = M[[i, r]]
+        # columns left of c are already clear in the pivot row
+        M[r, c:] = mul[inv[M[r, c]], M[r, c:]]
+        others = np.flatnonzero(M[:, c])
         others = others[others != r]
-        if len(others):
-            f = R[others, c][:, None]
-            R[others] = ops.sub(R[others], ops.mul(f, R[r][None, :]))
-            T[others] = ops.sub(T[others], ops.mul(f, T[r][None, :]))
+        multiples = mul[:, M[r, c:]]
+        # blocks of rows keep the temporaries small: faster, and peak RSS
+        # stays flat where one temporary per pivot fragments the heap
+        for s in range(0, len(others), 64):
+            block = others[s : s + 64]
+            sums = M[block, c:].astype(flat_index, copy=False)
+            sums *= q
+            sums += multiples[neg[M[block, c]]]
+            M[block, c:] = add_flat.take(sums)
         pivots.append(c)
         r += 1
-    return R, T, pivots
+    return M[:, :cols], M[:, cols:], pivots
 
 
 @dataclass
@@ -243,33 +182,33 @@ def make_block_spec(
 
 
 def _solver(spec: BlockCodeSpec):
-    if "ops" not in spec._state:
+    if "rank" not in spec._state:
         fs = spec.base.expansion.structure.carrier
-        ops = _VecOps(fs)
-        R, T, pivots = _rref(ops, spec.A)
+        add, neg, mul = fs.arrays()
+        R, T, pivots = _rref(fs, spec.A)
         rank = len(pivots)
         free = [c for c in range(spec.L) if c not in set(pivots)]
         # null-space basis: one vector per free column
-        V = np.zeros((len(free), spec.L), dtype=np.int64)
+        V = np.zeros((len(free), spec.L), dtype=add.dtype)
         for k, fc in enumerate(free):
             V[k, fc] = 1
-            for i, pc in enumerate(pivots):
-                V[k, pc] = ops.neg(R[i, fc])
+            V[k, pivots] = neg[R[:rank, fc]]
         logp = np.full(fs.q, -1e18)
         for u, p in spec.dist_U.items():
             if p > 0:
                 logp[u] = math.log2(p)
         spec._state.update(
-            ops=ops, R=R[:rank], T=T, pivots=pivots, free=free, V=V, rank=rank, logp=logp
+            add=add, neg=neg, mul=mul, matvec=_matvec(fs, mul), R=R[:rank],
+            T=T.astype(np.int64), pivots=pivots, free=free, V=V, rank=rank, logp=logp,
         )
     return spec._state
 
 
 def _encode_pre(spec: BlockCodeSpec, w_vec, mapping, gamma_vec, z_vec, subtract: bool):
-    ops = _solver(spec)["ops"]
+    s = _solver(spec)
     mapped = np.array([mapping[w] for w in w_vec], dtype=np.int64)
-    masked = ops.mul(gamma_vec, mapped)
-    return ops.sub(masked, z_vec) if subtract else ops.add(masked, z_vec)
+    masked = s["mul"][gamma_vec, mapped]
+    return s["add"][masked, s["neg"][z_vec] if subtract else z_vec]
 
 
 def block_encode(spec: BlockCodeSpec, w1_vec, w2_vec, gamma_vec, z_vec):
@@ -277,29 +216,28 @@ def block_encode(spec: BlockCodeSpec, w1_vec, w2_vec, gamma_vec, z_vec):
     if not (len(w1_vec) == len(w2_vec) == len(gamma_vec) == len(z_vec) == spec.L):
         raise LengthMismatch(f"all vectors must have length L = {spec.L}")
     exp = spec.base.expansion
-    s = _solver(spec)
-    ops = s["ops"]
+    matvec = _solver(spec)["matvec"]
     g = np.asarray(gamma_vec, dtype=np.int64)
     z = np.asarray(z_vec, dtype=np.int64)
     pre1 = _encode_pre(spec, w1_vec, exp.map1, g, z, subtract=False)
     pre2 = _encode_pre(spec, w2_vec, exp.map2, g, z, subtract=True)
-    return ops.matvec(spec.A, pre1), ops.matvec(spec.A, pre2)
+    return matvec(spec.A, pre1), matvec(spec.A, pre2)
 
 
 def block_decode(spec: BlockCodeSpec, x1_vec, x2_vec):
     """Recover the most probable U vector with A*U = x1 + x2, then map each
     position through the expansion's output labeling."""
     s = _solver(spec)
-    ops, rank = s["ops"], s["rank"]
-    syndrome = ops.add(np.asarray(x1_vec, dtype=np.int64), np.asarray(x2_vec, dtype=np.int64))
-    y = ops.matvec(s["T"], syndrome)
+    add, mul, rank = s["add"], s["mul"], s["rank"]
+    syndrome = add[np.asarray(x1_vec, dtype=np.int64), np.asarray(x2_vec, dtype=np.int64)]
+    y = s["matvec"](s["T"], syndrome)
     if np.any(y[rank:]):
         raise Undecodable("syndrome outside the column space of A")
     u0 = np.zeros(spec.L, dtype=np.int64)
     u0[s["pivots"]] = y[:rank]
     free = s["free"]
     k = len(free)
-    q = ops.q
+    q = len(add)
     logp = s["logp"]
     if k == 0:
         u_hat = u0
@@ -310,18 +248,17 @@ def block_decode(spec: BlockCodeSpec, x1_vec, x2_vec):
         ).reshape(k, -1).T
         cands = np.repeat(u0[None, :], combos.shape[0], axis=0)
         for j in range(k):
-            shift = ops.mul(combos[:, j][:, None], s["V"][j][None, :])
-            cands = ops.add(cands, shift)
+            cands = add[cands, mul[combos[:, j][:, None], s["V"][j][None, :]]]
         scores = logp[cands].sum(axis=1)
-        u_hat = cands[int(np.argmax(scores))]
+        u_hat = cands[int(np.argmax(scores))].astype(np.int64)
     else:
         # greedy typicality: every free coordinate takes its prior argmax;
         # pivots follow from the null-basis shift (V[j] is 1 at the free slot)
         best = int(np.argmax(logp))
-        shift = np.zeros(spec.L, dtype=np.int64)
+        u_hat = u0
         for j in range(k):
-            shift = ops.add(shift, ops.mul(best, s["V"][j]))
-        u_hat = ops.add(u0, shift)
+            u_hat = add[u_hat, mul[best, s["V"][j]]]
+        u_hat = u_hat.astype(np.int64)
     exp = spec.base.expansion
     st = exp.structure
     f_vec = [exp.out_map.get(st.index_of(int(u)), 0) for u in u_hat]
@@ -347,8 +284,7 @@ def run_trials(
     probs = np.array([float(input_dist[x]) for x in pairs])
     probs = probs / probs.sum()
     gammas = np.array(st.randomizer, dtype=np.int64)
-    s = _solver(spec)
-    ops = s["ops"]
+    add = _solver(spec)["add"]
 
     def one_trial(t: int) -> int:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, t))))
@@ -360,7 +296,7 @@ def run_trials(
         x1, x2 = block_encode(spec, w1, w2, g, z)
         pre1 = _encode_pre(spec, w1, exp.map1, g, z, subtract=False)
         pre2 = _encode_pre(spec, w2, exp.map2, g, z, subtract=True)
-        true_u = ops.add(pre1, pre2)
+        true_u = add[pre1, pre2]
         u_hat, _ = block_decode(spec, x1, x2)
         return 0 if np.array_equal(u_hat, true_u) else 1
 
@@ -389,7 +325,7 @@ def block_security_check(
     exp = _require_field_scheme(base)
     st = exp.structure
     fs = st.carrier
-    ops = _VecOps(fs)
+    matvec = _matvec(fs, fs.arrays()[2])
     A = np.asarray(A, dtype=np.int64)
     if A.shape[1] != L_small:
         raise ValueError("A must have L columns")
@@ -413,7 +349,7 @@ def block_security_check(
                 g, z = atom[t]
                 masked = fs.mul(g, mapping[wv[t]])
                 pre.append(fs.sub(masked, z) if subtract else fs.add(masked, z))
-            return tuple(int(v) for v in ops.matvec(A, np.array(pre, dtype=np.int64)))
+            return tuple(int(v) for v in matvec(A, np.array(pre, dtype=np.int64)))
 
         return run
 

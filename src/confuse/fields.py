@@ -1,15 +1,23 @@
-"""Arithmetic in F_{p^n} with canonical construction and discrete-log tables.
+"""Arithmetic in F_{p^n}, and the table-backed arithmetic fields and rings share.
 
 Elements are encoded as integers: the polynomial a_0 + a_1 x + ... + a_{n-1}
 x^{n-1} with coefficients in {0..p-1} is the integer sum(a_i * p^i).  The
 encoding is a bijection with range(q), q = p^n, and reduces to plain integers
 mod p when n = 1.
 
-Everything here is built once per field and is immutable afterwards, so specs
-are safe to share across threads.
+Every carrier, F_q here and Z_n in rings.py, answers add/sub/neg/mul from
+dense add and mul tables plus a neg vector (TableCarrier).  A field builds
+them once from base-p digits and its discrete-log tables, which serve only
+construction, inverses and the confusable-set partition afterwards.
+Everything is immutable after construction, so specs are safe to share
+across threads.
 """
 
 from __future__ import annotations
+
+from array import array
+
+import numpy as np
 
 from .errors import DivisionByZero, NotPrime, SizeBoundExceeded
 
@@ -123,14 +131,74 @@ def _is_irreducible(h, p):
 
 
 # ---------------------------------------------------------------------------
+# table-backed carrier arithmetic, shared by fields and rings
+# ---------------------------------------------------------------------------
+
+def table_dtype(size: int):
+    """Smallest unsigned dtype holding every integer below size, such as
+    the elements of a carrier of that size."""
+    return np.uint8 if size <= 1 << 8 else np.uint16 if size <= 1 << 16 else np.uint32
+
+
+def _row(values: np.ndarray):
+    # bytes or array('H'): one or two bytes per entry, Python ints on lookup
+    return values.tobytes() if values.dtype == np.uint8 else array("H", values.tobytes())
+
+
+def carrier_tables(add: np.ndarray, mul: np.ndarray):
+    """(add_table, neg_table, mul_table) in TableCarrier's storage, from
+    dense numpy add and mul tables of one carrier."""
+    neg = (add == 0).argmax(axis=1).astype(add.dtype)
+    return [_row(r) for r in add], _row(neg), [_row(r) for r in mul]
+
+
+class TableCarrier:
+    """Carrier arithmetic read from dense tables built once per carrier.
+
+    Subclasses set add_table and mul_table (one row per element) and
+    neg_table, as made by carrier_tables; every lookup is a Python int.
+    """
+
+    @property
+    def size(self) -> int:
+        return len(self.neg_table)
+
+    def elements(self):
+        return range(self.size)
+
+    def add(self, a: int, b: int) -> int:
+        return self.add_table[a][b]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add_table[a][self.neg_table[b]]
+
+    def neg(self, a: int) -> int:
+        return self.neg_table[a]
+
+    def mul(self, a: int, b: int) -> int:
+        return self.mul_table[a][b]
+
+    def arrays(self):
+        """(add, neg, mul) as read-only numpy copies, entries in
+        table_dtype(size)."""
+        q = self.size
+        dt = table_dtype(q)
+        add = np.frombuffer(b"".join(self.add_table), dt).reshape(q, q)
+        mul = np.frombuffer(b"".join(self.mul_table), dt).reshape(q, q)
+        return add, np.frombuffer(bytes(self.neg_table), dt), mul
+
+
+# ---------------------------------------------------------------------------
 # field spec
 # ---------------------------------------------------------------------------
 
-class FieldSpec:
+class FieldSpec(TableCarrier):
     """A concrete F_{p^n}: irreducible modulus h, primitive element g.
 
-    Exponentiation and discrete-log tables cover all of F_q^x, so mul/inv are
-    table lookups.  Do not mutate anything after construction.
+    Exponentiation and discrete-log tables cover all of F_q^x; they build the
+    mul table and serve exp/dlog/inv.  The add table comes from base-p
+    digits.  At q = 4096 each table has 16,777,216 two-byte entries.  Do not
+    mutate anything after construction.
     """
 
     kind = "field"
@@ -169,48 +237,19 @@ class FieldSpec:
             raise ValueError(f"g = {self.g} does not generate F_{q}^x")
         self._exp = exp
         self._dlog = {e: k for k, e in enumerate(exp)}
-
-    # -- ring-of-definition operations ------------------------------------
-
-    @property
-    def size(self) -> int:
-        return self.q
-
-    def elements(self):
-        return range(self.q)
-
-    def add(self, a: int, b: int) -> int:
-        if self.n == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.n):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        if self.n == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.n):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._dlog[a] + self._dlog[b]) % (self.q - 1)]
+        dt = table_dtype(q)
+        # add: one base-p digit at a time, each new digit the most significant
+        digit_add = ((np.arange(p)[:, None] + np.arange(p)) % p).astype(dt)
+        add = np.zeros((1, 1), dt)
+        for k in range(n):
+            s = p ** k
+            add = (digit_add[:, None, :, None] * s + add[None, :, None, :]).reshape(s * p, s * p)
+        # mul: g^i * g^j = g^(i+j), a circulant in discrete-log coordinates;
+        # q copies of exp cut into q-1 rows of q: row i starts at exp[i]
+        e = np.array(exp, dtype=dt)
+        mul = np.zeros((q, q), dt)
+        mul[np.ix_(e, e)] = np.tile(e, q).reshape(q - 1, q)[:, : q - 1]
+        self.add_table, self.neg_table, self.mul_table = carrier_tables(add, mul)
 
     def inv(self, a: int) -> int:
         if a == 0:

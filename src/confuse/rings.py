@@ -1,17 +1,24 @@
 """Z_n arithmetic: gcd classes, unit subgroups, and subgroup projection.
 
-The interesting structure lives in the multiplicative group Z_n^x and its
-subgroups.  Subgroup enumeration is certificate-style closure search rather
-than structure theory; at the size bound (n <= 512 by default) that is plenty.
+Z_n computes through the same table-backed arithmetic as the fields
+(fields.TableCarrier); its tables are built once per modulus and shared by
+every subgroup spec over it.  The interesting structure lives in the
+multiplicative group Z_n^x and its subgroups.  Subgroup enumeration is
+certificate-style closure search rather than structure theory; at the size
+bound (n <= 512 by default) that is plenty.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .errors import LemmaViolation, SizeBoundExceeded
+from .fields import TableCarrier, carrier_tables, table_dtype
 
 DEFAULT_MAX_N = 512
 
@@ -37,8 +44,16 @@ def _is_unit_subgroup(n: int, members) -> bool:
     return True
 
 
+@functools.cache
+def _ring_tables(n: int):
+    """Z_n's add, neg and mul tables, built once per modulus."""
+    x = np.arange(n)
+    dt = table_dtype(n)
+    return carrier_tables(((x[:, None] + x) % n).astype(dt), ((x[:, None] * x) % n).astype(dt))
+
+
 @dataclass(frozen=True)
-class RingSpec:
+class RingSpec(TableCarrier):
     """Z_n together with a chosen multiplicative subgroup G of Z_n^x."""
 
     n: int
@@ -49,28 +64,13 @@ class RingSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        if self.n > DEFAULT_MAX_N:
+            raise SizeBoundExceeded(f"n = {self.n} exceeds bound {DEFAULT_MAX_N}")
         object.__setattr__(self, "G", tuple(sorted(set(int(g) for g in self.G))))
         if not _is_unit_subgroup(self.n, self.G):
             raise ValueError(f"G = {self.G} is not a subgroup of Z_{self.n}^x")
-
-    @property
-    def size(self) -> int:
-        return self.n
-
-    def elements(self):
-        return range(self.n)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.n
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.n
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.n
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.n
+        for name, table in zip(("add_table", "neg_table", "mul_table"), _ring_tables(self.n)):
+            object.__setattr__(self, name, table)
 
     def render(self, a: int) -> str:
         return str(a)
@@ -105,36 +105,44 @@ def gcd_classes(n: int) -> list[GcdClass]:
     return [GcdClass(d, tuple(buckets.get(d, ()))) for d in proper_divisors(n)]
 
 
-def enumerate_subgroups(n: int, max_n: int = DEFAULT_MAX_N) -> list[tuple[int, ...]]:
-    """All subgroups of Z_n^x, canonically ordered by (size, members).
+def closure_subgroups(table, identity: int, generators) -> list[tuple[int, ...]]:
+    """All subgroups generated by subsets of generators inside a finite
+    abelian group given by its operation table, ordered by (size, members).
 
-    Breadth-first closure: every known subgroup is extended by every unit and
-    closed under multiplication; duplicates are dropped.  Since Z_n^x is
-    abelian, <H, x> = union of the cosets H, Hx, Hx^2, ...
+    Breadth-first closure: every known subgroup is extended by every
+    generator and closed under the operation; duplicates are dropped.  Since
+    the group is abelian, <H, x> = union of the cosets H, Hx, Hx^2, ...
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n > max_n:
-        raise SizeBoundExceeded(f"n = {n} exceeds enumeration bound {max_n}")
-    us = units(n)
-    trivial = frozenset([1])
+    trivial = frozenset([identity])
     found = {trivial}
     queue = [trivial]
     while queue:
         H = queue.pop()
-        for x in us:
+        for x in generators:
             if x in H:
                 continue
             K = set(H)
             y = x
             while y not in K:
-                K.update((h * y) % n for h in H)
-                y = (y * x) % n
+                row = table[y]
+                K.update(row[h] for h in H)
+                y = table[x][y]
             K = frozenset(K)
             if K not in found:
                 found.add(K)
                 queue.append(K)
     return sorted((tuple(sorted(H)) for H in found), key=lambda t: (len(t), t))
+
+
+def enumerate_subgroups(n: int, max_n: int = DEFAULT_MAX_N) -> list[tuple[int, ...]]:
+    """All subgroups of Z_n^x, canonically ordered by (size, members), by
+    closure search over Z_n's mul table."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if n > max_n:
+        raise SizeBoundExceeded(f"n = {n} exceeds enumeration bound {max_n}")
+    _, _, mul_table = _ring_tables(n)
+    return closure_subgroups(mul_table, 1, units(n))
 
 
 @dataclass(frozen=True)

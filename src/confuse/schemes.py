@@ -19,6 +19,7 @@ from .errors import SchemaError, SizeBoundExceeded, TotalityError
 from .expansion import FeasibleExpansion, FunctionTable
 from .fields import field_make
 from .rates import Rate, _factorize
+from .rings import closure_subgroups
 from .verify import MAX_ATOMS_MATERIALIZED, verify_secure
 
 
@@ -89,27 +90,6 @@ def scheme_from_expansion(exp: FeasibleExpansion, z_values=None) -> Scheme:
     )
 
 
-def _additive_subgroups(carrier) -> list[tuple[int, ...]]:
-    size = carrier.size
-    found = {frozenset([0])}
-    queue = [frozenset([0])]
-    while queue:
-        H = queue.pop()
-        for x in range(1, size):
-            if x in H:
-                continue
-            K = set(H)
-            y = x
-            while y not in K:
-                K.update(carrier.add(h, y) for h in H)
-                y = carrier.add(y, x)
-            K = frozenset(K)
-            if K not in found:
-                found.add(K)
-                queue.append(K)
-    return sorted((tuple(sorted(H)) for H in found), key=lambda t: (len(t), t))
-
-
 def optimize_additive_randomness(exp: FeasibleExpansion, all_subsets: bool = False) -> Scheme:
     """Smallest additive-noise support that still verifies secure.
 
@@ -122,7 +102,7 @@ def optimize_additive_randomness(exp: FeasibleExpansion, all_subsets: bool = Fal
     f = exp.table()
     candidates: list[tuple[int, tuple[int, ...]]] = []  # (tier, support)
     seen = set()
-    for H in _additive_subgroups(carrier):
+    for H in closure_subgroups(carrier.add_table, 0, range(1, carrier.size)):
         for c in carrier.elements():
             coset = tuple(sorted(carrier.add(h, c) for h in H))
             if coset not in seen:

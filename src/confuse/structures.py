@@ -81,10 +81,6 @@ class ConfusableStructure:
         return f"ConfusableStructure({self.key()}, sets={len(self.sets)})"
 
 
-def structure_index_of(structure: ConfusableStructure, element: int) -> int:
-    return structure.index_of(element)
-
-
 def field_confusable_sets(spec: FieldSpec, d: int) -> ConfusableStructure:
     """Partition of F_q by discrete-log residue mod d, for d | q-1.
 

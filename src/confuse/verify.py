@@ -62,8 +62,9 @@ MAX_ATOMS_MATERIALIZED = 300_000
 def _enc_tables(scheme):
     """Tabulated encoder outputs and a per-pair distribution cache, kept on
     the scheme (schemes are immutable after construction).  Every encoder is
-    called once per (input, atom); supports past MAX_ATOMS_MATERIALIZED raise
-    SizeBoundExceeded before any encoder runs."""
+    called once per (input, atom), and a scheme whose enc2 is its enc1 over
+    the same inputs is tabulated once; supports past MAX_ATOMS_MATERIALIZED
+    raise SizeBoundExceeded before any encoder runs."""
     cache = getattr(scheme, "_enc_cache", None)
     if cache is not None:
         return cache
@@ -75,7 +76,10 @@ def _enc_tables(scheme):
     atoms = list(scheme.atoms)
     weights = list(scheme.weights) if scheme.weights is not None else None
     rows1 = [[scheme.enc1(w, a) for a in atoms] for w in range(scheme.m1)]
-    rows2 = [[scheme.enc2(w, a) for a in atoms] for w in range(scheme.m2)]
+    if scheme.enc2 is scheme.enc1 and scheme.m2 == scheme.m1:
+        rows2 = rows1
+    else:
+        rows2 = [[scheme.enc2(w, a) for a in atoms] for w in range(scheme.m2)]
     scheme._enc_cache = (atoms, weights, rows1, rows2, {})
     return scheme._enc_cache
 

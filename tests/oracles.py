@@ -141,3 +141,46 @@ def brute_force_first_correctness_failure(scheme, f):
                 if got != expected:
                     return (w1, w2, atom, got, expected)
     return None
+
+
+def ring_arithmetic(n: int) -> dict:
+    """Z_n's add/sub/neg/mul as plain % arithmetic."""
+    return {
+        "add": lambda a, b: (a + b) % n,
+        "sub": lambda a, b: (a - b) % n,
+        "neg": lambda a: (-a) % n,
+        "mul": lambda a, b: (a * b) % n,
+    }
+
+
+def field_arithmetic(p: int, n: int, h) -> dict:
+    """F_{p^n}'s add/sub/neg/mul from the integer encoding: digitwise
+    addition mod p, and schoolbook polynomial products reduced by the monic
+    modulus h (coefficients a_0 first)."""
+
+    def digits(a):
+        return [(a // p**i) % p for i in range(n)]
+
+    def encode(ds):
+        return sum((d % p) * p**i for i, d in enumerate(ds))
+
+    def mul(a, b):
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        # x^k = x^(k-n) * x^n and x^n = -(h_0 + h_1 x + ... + h_{n-1} x^{n-1})
+        for k in range(2 * n - 2, n - 1, -1):
+            c = prod[k]
+            prod[k] = 0
+            for j in range(n):
+                prod[k - n + j] -= c * h[j]
+        return encode(prod[:n])
+
+    def neg(a):
+        return encode([-d for d in digits(a)])
+
+    def add(a, b):
+        return encode([x + y for x, y in zip(digits(a), digits(b))])
+
+    return {"add": add, "sub": lambda a, b: add(a, neg(b)), "neg": neg, "mul": mul}

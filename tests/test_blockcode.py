@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -108,9 +110,6 @@ def test_block_linearity_on_seeded_instances():
     spec = make_block_spec(_and_scheme(), L=20, rows=12, seed=5)
     fs = spec.base.expansion.structure.carrier
     rng = np.random.default_rng(99)
-    from confuse.blockcode import _solver
-
-    ops = _solver(spec)["ops"]
     for _ in range(100):
         w1 = rng.integers(0, 2, size=20)
         w2 = rng.integers(0, 2, size=20)
@@ -120,7 +119,7 @@ def test_block_linearity_on_seeded_instances():
         pre1 = np.array([fs.add(fs.mul(int(gv), [0, 1][a]), int(zv)) for a, gv, zv in zip(w1, g, z)])
         pre2 = np.array([fs.sub(fs.mul(int(gv), [1, 2][b]), int(zv)) for b, gv, zv in zip(w2, g, z)])
         u = (pre1 + pre2) % 3
-        assert np.array_equal((x1 + x2) % 3, ops.matvec(spec.A, u))
+        assert np.array_equal((x1 + x2) % 3, (spec.A @ u) % 3)
 
 
 def test_length_mismatch():
@@ -229,3 +228,63 @@ def test_block_security_budget():
     and2 = gallery_get("and2").table
     with pytest.raises(BudgetExceeded):
         block_security_check(_and_scheme(), and2, 6, np.eye(6, dtype=int), budget=1000)
+
+
+# digests of (R, T, pivots) recorded from the two elimination paths this one
+# replaced (integer outer products for prime fields, table lookups otherwise)
+ELIMINATION_DIGESTS = {
+    (2, 1, "square"): "ab63277e8adfa635",
+    (2, 1, "wide"): "325b382db23c93b0",
+    (2, 1, "deficient"): "ef4cbdc3024a2bfb",
+    (2, 1, "large"): "efb09303ce981d29",
+    (3, 1, "square"): "3d97b54983ffee5c",
+    (3, 1, "wide"): "3857250cac4ce1cd",
+    (3, 1, "deficient"): "49f4006a92a355ad",
+    (3, 1, "large"): "f43db1e8eb7b0bf6",
+    (5, 1, "square"): "b2e70d8086ec4002",
+    (5, 1, "wide"): "013f5353adeabc40",
+    (5, 1, "deficient"): "62770eea4257f445",
+    (5, 1, "large"): "259cf73927706d99",
+    (2, 2, "square"): "5af62cddbee24b4b",
+    (2, 2, "wide"): "4c4cfcc4b5b737df",
+    (2, 2, "deficient"): "f38d9ed0a366ef85",
+    (2, 2, "large"): "3c7b90d8ad45e34e",
+    (2, 3, "square"): "ddc41a5e1af11d92",
+    (2, 3, "wide"): "226f3bfb4ca56391",
+    (2, 3, "deficient"): "96b07f519beb19a6",
+    (2, 3, "large"): "895277ec16df865d",
+    (3, 2, "square"): "da0cd5e4c75e7bbe",
+    (3, 2, "wide"): "b4565e9d2ca6b8ea",
+    (3, 2, "deficient"): "865e8997f877332e",
+    (3, 2, "large"): "6541168dbcd58610",
+}
+# "large" has more than one 64-row block of rows to update per pivot
+SHAPES = {"square": (12, 12), "wide": (8, 16), "deficient": (10, 10), "large": (130, 150)}
+
+
+@pytest.mark.parametrize("key", sorted(ELIMINATION_DIGESTS))
+def test_elimination_matches_pinned_digests(key):
+    from confuse.blockcode import _rref
+
+    p, n, shape = key
+    q = p**n
+    r, c = SHAPES[shape]
+    A = np.random.default_rng([q, r, c]).integers(0, q, size=(r, c), dtype=np.int64)
+    if shape == "deficient":
+        A[-1] = A[0]  # a repeated row and a zero column
+        A[:, 1] = 0
+    R, T, pivots = _rref(field_make(p, n), A)
+    blob = json.dumps([R.tolist(), T.tolist(), [int(x) for x in pivots]])
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == ELIMINATION_DIGESTS[key]
+    assert R.dtype == T.dtype == np.uint8
+
+
+def test_block_code_returns_int64_arrays_on_every_decode_path():
+    f4 = scheme_from_expansion(find_expansion(equal_table(4), field_confusable_sets(field_make(2, 2), 1)))
+    for scheme in (_and_scheme(), f4):
+        # no free coordinate, exact coset ML, greedy fallback
+        for kwargs in ({"identity": True}, {"rows": 17}, {"rows": 8}):
+            spec = make_block_spec(scheme, L=20, seed=1, **kwargs)
+            x1, x2 = block_encode(spec, [0] * 20, [1] * 20, [1] * 20, list(range(2)) * 10)
+            u, _ = block_decode(spec, x1, x2)
+            assert x1.dtype == x2.dtype == u.dtype == np.int64

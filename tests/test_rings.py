@@ -117,3 +117,9 @@ def test_projection_sweep_small(n):
                 continue
             rep = project_subgroup(spec, d)
             assert rep.multiplicity * len(rep.base_subgroup) == len(G)
+
+
+def test_ring_spec_size_bound():
+    with pytest.raises(SizeBoundExceeded):
+        RingSpec(513, (1,))
+    assert RingSpec(512, (1,)).size == 512

@@ -12,7 +12,6 @@ from confuse.structures import (
     field_confusable_sets,
     load_reference,
     ring_confusable_sets,
-    structure_index_of,
 )
 
 
@@ -30,10 +29,10 @@ def test_ring_worked_partitions():
 
 def test_structure_index_of():
     st6 = ring_confusable_sets(RingSpec(6, (1, 5)))
-    assert st6.sets[structure_index_of(st6, 4)] == (2, 4)
-    assert structure_index_of(st6, 0) == st6.zero_index == 0
+    assert st6.sets[st6.index_of(4)] == (2, 4)
+    assert st6.index_of(0) == st6.zero_index == 0
     st7 = field_confusable_sets(field_make(7, 1), 2)
-    assert st7.sets[structure_index_of(st7, 5)] == (3, 5, 6)
+    assert st7.sets[st7.index_of(5)] == (3, 5, 6)
 
 
 def test_structure_validation_rejects_bad_partitions():

@@ -297,6 +297,19 @@ def test_verify_scheme_encodes_each_atom_once(case):
         assert calls["dec"] == outcomes
 
 
+def test_shared_encoder_is_tabulated_once():
+    scheme = crt_equal_scheme(4)
+    calls = Counter()
+
+    def encode(w, atom):
+        calls["enc"] += 1
+        return scheme.enc1(w, atom)
+
+    shared = dataclasses.replace(scheme, enc1=encode, enc2=encode)
+    assert verify_scheme(shared, equal_table(4)).ok
+    assert calls["enc"] == scheme.m1 * len(scheme.atoms)
+
+
 def _corrupted(scheme, targets):
     real_dec = scheme.dec
 
