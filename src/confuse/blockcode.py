@@ -13,6 +13,7 @@ its error only matters at block lengths where exact search is off the table.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -23,12 +24,13 @@ from .errors import BudgetExceeded, LengthMismatch, NotAFieldScheme, Undecodable
 from .expansion import FunctionTable
 from .fields import table_dtype
 from .rates import Rate
-from .verify import SecurityResult, verify_secure
+from .schemes import Scheme
+from .verify import SecurityResult, uniform_input_dist, verify_secure
 
 RNG_NAME = "pcg64"  # numpy PCG64 behind SeedSequence(seed)
 
-DEFAULT_COSET_BUDGET = 20_000
-DEFAULT_SECURITY_BUDGET = 2_000_000
+COSET_BUDGET = 20_000  # largest coset decoded by exact ML
+SECURITY_BUDGET = 2_000_000  # largest input-vector x atom-vector count enumerated
 
 
 @dataclass
@@ -136,7 +138,6 @@ class BlockCodeSpec:
     A: np.ndarray
     seed: int | None
     dist_U: dict[int, Fraction]
-    coset_budget: int = DEFAULT_COSET_BUDGET
     _state: dict = dc_field(default_factory=dict)
 
     @property
@@ -163,9 +164,7 @@ def make_block_spec(
     exp = _require_field_scheme(base)
     fs = exp.structure.carrier
     if input_dist is None:
-        m1, m2 = base.m1, base.m2
-        p = Fraction(1, m1 * m2)
-        input_dist = {(a, b): p for a in range(m1) for b in range(m2)}
+        input_dist = uniform_input_dist(base)
     report = entropy_of_U(base, input_dist)
     if rows is None:
         rows = min(L, math.ceil((report.H_qary + epsilon) * L))
@@ -198,17 +197,19 @@ def _solver(spec: BlockCodeSpec):
             if p > 0:
                 logp[u] = math.log2(p)
         spec._state.update(
-            add=add, neg=neg, mul=mul, matvec=_matvec(fs, mul), R=R[:rank],
+            tables=(add, neg, mul), matvec=_matvec(fs, mul), R=R[:rank],
             T=T.astype(np.int64), pivots=pivots, free=free, V=V, rank=rank, logp=logp,
         )
     return spec._state
 
 
-def _encode_pre(spec: BlockCodeSpec, w_vec, mapping, gamma_vec, z_vec, subtract: bool):
-    s = _solver(spec)
+def _encode_pre(tables, w_vec, mapping, gamma_vec, z_vec, subtract: bool):
+    """Per-position masked values gamma * mapping[w] + z (or - z), read from
+    the carrier's (add, neg, mul) tables."""
+    add, neg, mul = tables
     mapped = np.array([mapping[w] for w in w_vec], dtype=np.int64)
-    masked = s["mul"][gamma_vec, mapped]
-    return s["add"][masked, s["neg"][z_vec] if subtract else z_vec]
+    masked = mul[gamma_vec, mapped]
+    return add[masked, neg[z_vec] if subtract else z_vec]
 
 
 def block_encode(spec: BlockCodeSpec, w1_vec, w2_vec, gamma_vec, z_vec):
@@ -216,11 +217,12 @@ def block_encode(spec: BlockCodeSpec, w1_vec, w2_vec, gamma_vec, z_vec):
     if not (len(w1_vec) == len(w2_vec) == len(gamma_vec) == len(z_vec) == spec.L):
         raise LengthMismatch(f"all vectors must have length L = {spec.L}")
     exp = spec.base.expansion
-    matvec = _solver(spec)["matvec"]
+    s = _solver(spec)
+    tables, matvec = s["tables"], s["matvec"]
     g = np.asarray(gamma_vec, dtype=np.int64)
     z = np.asarray(z_vec, dtype=np.int64)
-    pre1 = _encode_pre(spec, w1_vec, exp.map1, g, z, subtract=False)
-    pre2 = _encode_pre(spec, w2_vec, exp.map2, g, z, subtract=True)
+    pre1 = _encode_pre(tables, w1_vec, exp.map1, g, z, subtract=False)
+    pre2 = _encode_pre(tables, w2_vec, exp.map2, g, z, subtract=True)
     return matvec(spec.A, pre1), matvec(spec.A, pre2)
 
 
@@ -228,7 +230,7 @@ def block_decode(spec: BlockCodeSpec, x1_vec, x2_vec):
     """Recover the most probable U vector with A*U = x1 + x2, then map each
     position through the expansion's output labeling."""
     s = _solver(spec)
-    add, mul, rank = s["add"], s["mul"], s["rank"]
+    (add, _, mul), rank = s["tables"], s["rank"]
     syndrome = add[np.asarray(x1_vec, dtype=np.int64), np.asarray(x2_vec, dtype=np.int64)]
     y = s["matvec"](s["T"], syndrome)
     if np.any(y[rank:]):
@@ -241,7 +243,7 @@ def block_decode(spec: BlockCodeSpec, x1_vec, x2_vec):
     logp = s["logp"]
     if k == 0:
         u_hat = u0
-    elif q ** k <= spec.coset_budget:
+    elif q ** k <= COSET_BUDGET:
         # exact ML: enumerate the whole coset
         combos = np.array(
             np.meshgrid(*([np.arange(q)] * k), indexing="ij"), dtype=np.int64
@@ -278,13 +280,14 @@ def run_trials(
     st = exp.structure
     q = st.carrier.q
     if input_dist is None:
-        p = Fraction(1, base.m1 * base.m2)
-        input_dist = {(a, b): p for a in range(base.m1) for b in range(base.m2)}
+        input_dist = uniform_input_dist(base)
     pairs = sorted(input_dist)
     probs = np.array([float(input_dist[x]) for x in pairs])
     probs = probs / probs.sum()
     gammas = np.array(st.randomizer, dtype=np.int64)
-    add = _solver(spec)["add"]
+    add, _, mul = _solver(spec)["tables"]
+    # U = g*map1[w1] + z + g*map2[w2] - z = g * (map1[w1] + map2[w2]) per pair
+    pair_sums = np.array([add[exp.map1[a], exp.map2[b]] for a, b in pairs], dtype=np.int64)
 
     def one_trial(t: int) -> int:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, t))))
@@ -294,9 +297,7 @@ def run_trials(
         g = gammas[rng.integers(0, len(gammas), size=spec.L)]
         z = rng.integers(0, q, size=spec.L, dtype=np.int64)
         x1, x2 = block_encode(spec, w1, w2, g, z)
-        pre1 = _encode_pre(spec, w1, exp.map1, g, z, subtract=False)
-        pre2 = _encode_pre(spec, w2, exp.map2, g, z, subtract=True)
-        true_u = add[pre1, pre2]
+        true_u = mul[g, pair_sums[idx]]
         u_hat, _ = block_decode(spec, x1, x2)
         return 0 if np.array_equal(u_hat, true_u) else 1
 
@@ -313,81 +314,52 @@ def run_trials(
     }
 
 
-def block_security_check(
-    base,
-    f: FunctionTable,
-    L_small: int,
-    A: np.ndarray,
-    budget: int = DEFAULT_SECURITY_BUDGET,
-) -> SecurityResult:
+def block_security_check(base, f: FunctionTable, L_small: int, A: np.ndarray) -> SecurityResult:
     """Exact security of the compressed L_small-block scheme: vector inputs
-    grouped by their f-vector, full enumeration through the generic verifier."""
+    grouped by their f-vector, full enumeration through the generic verifier.
+    Costs past SECURITY_BUDGET raise BudgetExceeded before anything is
+    enumerated."""
     exp = _require_field_scheme(base)
-    st = exp.structure
-    fs = st.carrier
-    matvec = _matvec(fs, fs.arrays()[2])
+    fs = exp.structure.carrier
     A = np.asarray(A, dtype=np.int64)
     if A.shape[1] != L_small:
         raise ValueError("A must have L columns")
     n_inputs = (f.m1 * f.m2) ** L_small
     atoms = list(base.atoms)
     cost = n_inputs * (len(atoms) ** L_small)
-    if cost > budget:
-        raise BudgetExceeded(f"enumeration cost {cost} exceeds budget {budget}")
+    if cost > SECURITY_BUDGET:
+        raise BudgetExceeded(f"enumeration cost {cost} exceeds budget {SECURITY_BUDGET}")
 
-    import itertools
-
-    vec_atoms = list(itertools.product(atoms, repeat=L_small))
     w1_vecs = list(itertools.product(range(f.m1), repeat=L_small))
     w2_vecs = list(itertools.product(range(f.m2), repeat=L_small))
+    tables = fs.arrays()
+    matvec = _matvec(fs, tables[2])
 
-    def enc(mapping, subtract):
-        def run(w_idx, atom, vecs):
-            wv = vecs[w_idx]
-            pre = []
-            for t in range(L_small):
-                g, z = atom[t]
-                masked = fs.mul(g, mapping[wv[t]])
-                pre.append(fs.sub(masked, z) if subtract else fs.add(masked, z))
-            return tuple(int(v) for v in matvec(A, np.array(pre, dtype=np.int64)))
+    def codeword(w_vec, mapping, atom, subtract):
+        # atom holds one (gamma, z) per position, as in block_encode
+        g, z = np.array(atom, dtype=np.int64).T
+        return tuple(matvec(A, _encode_pre(tables, w_vec, mapping, g, z, subtract)).tolist())
 
-        return run
-
-    run1 = enc(exp.map1, False)
-    run2 = enc(exp.map2, True)
-
-    # vector function table: one label per distinct f-vector
+    # vector function table: one label per distinct f-vector, in first-use order
     fvecs = {}
     rows = []
     for wv1 in w1_vecs:
         row = []
         for wv2 in w2_vecs:
             fv = tuple(f.outputs[a][b] for a, b in zip(wv1, wv2))
-            if fv not in fvecs:
-                fvecs[fv] = len(fvecs)
-            row.append(fvecs[fv])
+            row.append(fvecs.setdefault(fv, len(fvecs)))
         rows.append(row)
-    # relabel to 0..k-1 in first-use order (already is); build the table
-    vec_table = FunctionTable.from_rows(rows)
-
-    class _VecScheme:
-        m1 = len(w1_vecs)
-        m2 = len(w2_vecs)
-        weights = None
-        atoms = vec_atoms
-        rate1 = Rate.log2(fs.q).scaled(A.shape[0])
-        rate2 = Rate.log2(fs.q).scaled(A.shape[0])
-
-        @staticmethod
-        def enc1(w_idx, atom):
-            return run1(w_idx, atom, w1_vecs)
-
-        @staticmethod
-        def enc2(w_idx, atom):
-            return run2(w_idx, atom, w2_vecs)
-
-        @staticmethod
-        def dec(x1, x2):
-            return 0
-
-    return verify_secure(_VecScheme, vec_table)
+    rate = Rate.log2(fs.q).scaled(A.shape[0])
+    vec_scheme = Scheme(
+        m1=len(w1_vecs),
+        m2=len(w2_vecs),
+        atoms=list(itertools.product(atoms, repeat=L_small)),
+        weights=None,
+        enc1=lambda w, atom: codeword(w1_vecs[w], exp.map1, atom, False),
+        enc2=lambda w, atom: codeword(w2_vecs[w], exp.map2, atom, True),
+        dec=lambda x1, x2: 0,
+        rate1=rate,
+        rate2=rate,
+        kind="block",
+    )
+    return verify_secure(vec_scheme, FunctionTable.from_rows(rows))

@@ -28,7 +28,7 @@ from .schemes import (
     serialize_scheme,
 )
 from .structures import catalog_fields, catalog_rings, diff_against_reference, load_reference
-from .verify import verify_scheme
+from .verify import uniform_input_dist, verify_scheme
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -212,10 +212,7 @@ def cmd_blockcode(args) -> int:
     f = _load_table(args.table)
     hits = _search_or_fail(f, _max_carrier(args), ("field",), limit=1)
     scheme = scheme_from_expansion(hits[0][1])
-    dist = _load_input_dist(args.input_dist, f) if args.input_dist else None
-    if dist is None:
-        p = Fraction(1, f.m1 * f.m2)
-        dist = {(a, b): p for a in range(f.m1) for b in range(f.m2)}
+    dist = _load_input_dist(args.input_dist, f) if args.input_dist else uniform_input_dist(f)
     ent = entropy_of_U(scheme, dist)
     spec = make_block_spec(
         scheme, args.L, epsilon=args.epsilon, seed=args.seed,

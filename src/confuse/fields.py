@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DivisionByZero, NotPrime, SizeBoundExceeded
 
-DEFAULT_MAX_Q = 4096
+MAX_Q = 4096
 
 
 def is_prime(m: int) -> bool:
@@ -203,14 +203,14 @@ class FieldSpec(TableCarrier):
 
     kind = "field"
 
-    def __init__(self, p: int, n: int, h, g: int, max_q: int = DEFAULT_MAX_Q):
+    def __init__(self, p: int, n: int, h, g: int):
         if not is_prime(p):
             raise NotPrime(p)
         if n < 1:
             raise ValueError("n must be >= 1")
         q = p ** n
-        if q > max_q:
-            raise SizeBoundExceeded(f"q = {q} exceeds bound {max_q}")
+        if q > MAX_Q:
+            raise SizeBoundExceeded(f"q = {q} exceeds bound {MAX_Q}")
         h = tuple(int(c) % p for c in h)
         if len(h) != n + 1 or h[-1] != 1:
             raise ValueError("h must be monic of degree n")
@@ -335,7 +335,7 @@ def _x_order_is_full(h, p, n) -> bool:
     return steps == q - 1
 
 
-def field_make(p: int, n: int, max_q: int = DEFAULT_MAX_Q) -> FieldSpec:
+def field_make(p: int, n: int) -> FieldSpec:
     """Canonical construction of F_{p^n}.
 
     For n = 1 the modulus is the unused placeholder x and g is the smallest
@@ -347,8 +347,8 @@ def field_make(p: int, n: int, max_q: int = DEFAULT_MAX_Q) -> FieldSpec:
         raise NotPrime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if p ** n > max_q:
-        raise SizeBoundExceeded(f"q = {p ** n} exceeds bound {max_q}")
+    if p ** n > MAX_Q:
+        raise SizeBoundExceeded(f"q = {p ** n} exceeds bound {MAX_Q}")
     if n == 1:
         h = (0, 1)
         g = 1
@@ -362,12 +362,12 @@ def field_make(p: int, n: int, max_q: int = DEFAULT_MAX_Q) -> FieldSpec:
                 if len(seen) == p - 1:
                     g = cand
                     break
-        return FieldSpec(p, n, h, g, max_q=max_q)
+        return FieldSpec(p, n, h, g)
     for enc in range(p ** n):
         low = _enc_to_poly(enc, p, n)
         h = tuple(list(low) + [0] * (n - len(low)) + [1])
         if not _is_irreducible(h, p):
             continue
         if _x_order_is_full(h, p, n):
-            return FieldSpec(p, n, h, p, max_q=max_q)
+            return FieldSpec(p, n, h, p)
     raise RuntimeError(f"no primitive modulus found for p={p}, n={n}")  # unreachable

@@ -5,7 +5,7 @@ Z_n computes through the same table-backed arithmetic as the fields
 every subgroup spec over it.  The interesting structure lives in the
 multiplicative group Z_n^x and its subgroups.  Subgroup enumeration is
 certificate-style closure search rather than structure theory; at the size
-bound (n <= 512 by default) that is plenty.
+bound (n <= 512) that is plenty.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import LemmaViolation, SizeBoundExceeded
 from .fields import TableCarrier, carrier_tables, table_dtype
 
-DEFAULT_MAX_N = 512
+MAX_N = 512
 
 
 def units(n: int) -> list[int]:
@@ -64,8 +64,8 @@ class RingSpec(TableCarrier):
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.n > DEFAULT_MAX_N:
-            raise SizeBoundExceeded(f"n = {self.n} exceeds bound {DEFAULT_MAX_N}")
+        if self.n > MAX_N:
+            raise SizeBoundExceeded(f"n = {self.n} exceeds bound {MAX_N}")
         object.__setattr__(self, "G", tuple(sorted(set(int(g) for g in self.G))))
         if not _is_unit_subgroup(self.n, self.G):
             raise ValueError(f"G = {self.G} is not a subgroup of Z_{self.n}^x")
@@ -134,13 +134,13 @@ def closure_subgroups(table, identity: int, generators) -> list[tuple[int, ...]]
     return sorted((tuple(sorted(H)) for H in found), key=lambda t: (len(t), t))
 
 
-def enumerate_subgroups(n: int, max_n: int = DEFAULT_MAX_N) -> list[tuple[int, ...]]:
+def enumerate_subgroups(n: int) -> list[tuple[int, ...]]:
     """All subgroups of Z_n^x, canonically ordered by (size, members), by
     closure search over Z_n's mul table."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n > max_n:
-        raise SizeBoundExceeded(f"n = {n} exceeds enumeration bound {max_n}")
+    if n > MAX_N:
+        raise SizeBoundExceeded(f"n = {n} exceeds enumeration bound {MAX_N}")
     _, _, mul_table = _ring_tables(n)
     return closure_subgroups(mul_table, 1, units(n))
 

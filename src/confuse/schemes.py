@@ -2,17 +2,19 @@
 
 A Scheme packages the shared-randomness support (atoms with integer weights),
 both encoders, the decoder, and exact rates.  Encoders/decoder are plain
-functions of (input, atom) so large product supports can stay lazy until the
-exact verifier or the serializer tabulates them; both refuse supports past
-MAX_ATOMS_MATERIALIZED atoms, as does the row-mask baseline.
+functions of (input, atom); the verifier's _enc_tables runs them over the
+support once per scheme, and the serializer and the optimized rates read
+those tables.  Supports past MAX_ATOMS_MATERIALIZED atoms are refused before
+anything is tabulated, and the row-mask baseline refuses one before building
+it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import random
 from dataclasses import dataclass, field as dc_field
+from math import factorial
 from typing import Callable, Sequence
 
 from .errors import SchemaError, SizeBoundExceeded, TotalityError
@@ -20,7 +22,7 @@ from .expansion import FeasibleExpansion, FunctionTable
 from .fields import field_make
 from .rates import Rate, _factorize
 from .rings import closure_subgroups
-from .verify import MAX_ATOMS_MATERIALIZED, verify_secure
+from .verify import MAX_ATOMS_MATERIALIZED, _enc_tables, verify_secure
 
 
 @dataclass
@@ -48,7 +50,8 @@ def scheme_from_expansion(exp: FeasibleExpansion, z_values=None) -> Scheme:
     the codewords and reads the confusable-set index.
 
     gamma is uniform over the structure's randomizer; z is uniform over
-    z_values (the whole carrier by default).
+    z_values (the whole carrier by default).  With z_values given, the rates
+    count the distinct codewords in the verifier's encoder tables.
     """
     st = exp.structure
     carrier = st.carrier
@@ -69,12 +72,8 @@ def scheme_from_expansion(exp: FeasibleExpansion, z_values=None) -> Scheme:
         return out_map.get(st.index_of(add(x1[0], x2[0])), 0)
 
     full = z_values is None
-    if full:
-        r1 = r2 = Rate.log2(carrier.size)
-    else:
-        r1 = Rate.log2(len({enc1(w, a) for w in range(len(map1)) for a in atoms}))
-        r2 = Rate.log2(len({enc2(w, a) for w in range(len(map2)) for a in atoms}))
-    return Scheme(
+    rate = Rate.log2(carrier.size)
+    scheme = Scheme(
         m1=len(map1),
         m2=len(map2),
         atoms=atoms,
@@ -82,12 +81,17 @@ def scheme_from_expansion(exp: FeasibleExpansion, z_values=None) -> Scheme:
         enc1=enc1,
         enc2=enc2,
         dec=dec,
-        rate1=r1,
-        rate2=r2,
+        rate1=rate,
+        rate2=rate,
         kind="masked_sum" if full else "masked_sum_optimized",
         expansion=exp,
-        meta={"z_support": zs, "gamma_support": list(st.randomizer)},
+        meta={"z_support": zs},
     )
+    if not full:
+        _, _, rows1, rows2, _ = _enc_tables(scheme)
+        scheme.rate1 = Rate.log2(len({cw for row in rows1 for cw in row}))
+        scheme.rate2 = Rate.log2(len({cw for row in rows2 for cw in row}))
+    return scheme
 
 
 def optimize_additive_randomness(exp: FeasibleExpansion, all_subsets: bool = False) -> Scheme:
@@ -127,12 +131,8 @@ def optimize_additive_randomness(exp: FeasibleExpansion, all_subsets: bool = Fal
 # equality over a composite alphabet via residue decomposition
 # ---------------------------------------------------------------------------
 
-def crt_equal_scheme(
-    m: int,
-    max_enumerated_m: int = 8,
-    sample_permutations: tuple[int, int] | None = None,
-) -> Scheme:
-    """Equality on {0..m-1} at log2(m) bits per party for any m >= 2.
+def crt_equal_scheme(m: int) -> Scheme:
+    """Equality on {0..m-1} at log2(m) bits per party, for 2 <= m <= 8.
 
     Both inputs pass through one shared uniform permutation of {0..m-1}; each
     prime-power factor q of m gets its own field F_q where the residue mod q
@@ -140,36 +140,21 @@ def crt_equal_scheme(
     The decoder declares equality iff the codeword tuples agree, which the
     residue decomposition makes exact.
 
-    The permutation support is enumerated exactly up to max_enumerated_m;
-    past that, pass sample_permutations=(count, seed) to draw a sampled
-    support.  Sampled schemes stay correct on every atom, but the exact
-    security check is only meaningful for the fully enumerated supports.
-    Exact checking is bounded by the verifier's MAX_ATOMS_MATERIALIZED cap,
-    not by max_enumerated_m: m = 7 has 211,680 atoms and verifies, m = 8
-    has 2,257,920 and raises SizeBoundExceeded.
+    The permutation support is enumerated in full; m >= 9 raises
+    SizeBoundExceeded.  Exact checking is bounded by the verifier's
+    MAX_ATOMS_MATERIALIZED cap: m = 7 has 211,680 atoms and verifies, m = 8
+    has 2,257,920 and raises SizeBoundExceeded there.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     factors = sorted(_factorize(m).items())
     fields = [field_make(p, k) for p, k in factors]
     qs = [fs.q for fs in fields]
-    sampled = False
-    if m > max_enumerated_m:
-        if sample_permutations is None:
-            raise SizeBoundExceeded(
-                f"m = {m}: permutation support {m}! is past the exact-enumeration "
-                "cap; pass sample_permutations=(count, seed)"
-            )
-        count, seed = sample_permutations
-        rng = random.Random(seed)
-        perms = []
-        for _ in range(count):
-            pi = list(range(m))
-            rng.shuffle(pi)
-            perms.append(tuple(pi))
-        sampled = True
-    else:
-        perms = list(itertools.permutations(range(m)))
+    if m > 8:
+        raise SizeBoundExceeded(
+            f"m = {m}: permutation support {m}! is past the enumeration bound m <= 8"
+        )
+    perms = list(itertools.permutations(range(m)))
     per_factor = [(q - 1) * q for q in qs]
     block = 1
     for b in per_factor:
@@ -209,7 +194,7 @@ def crt_equal_scheme(
         rate1=rate,
         rate2=rate,
         kind="crt_equal",
-        meta={"m": m, "factors": factors, "atom_parts": atom_parts, "sampled": sampled},
+        meta={"m": m, "factors": factors},
     )
 
 
@@ -225,14 +210,16 @@ def row_mask_baseline(f: FunctionTable) -> Scheme:
     Rates are (log2 m1 + log2 k, m1 * log2 k) for k output labels.
     """
     m1, k = f.m1, f.output_count
-    perms = list(itertools.permutations(range(m1)))
+    n_atoms = factorial(m1) * k**m1
+    if n_atoms > MAX_ATOMS_MATERIALIZED:
+        raise SizeBoundExceeded(
+            f"{n_atoms} baseline atoms exceed the cap of {MAX_ATOMS_MATERIALIZED}"
+        )
     atoms = [
         (pi, zs)
-        for pi in perms
+        for pi in itertools.permutations(range(m1))
         for zs in itertools.product(range(k), repeat=m1)
     ]
-    if len(atoms) > MAX_ATOMS_MATERIALIZED:
-        raise SizeBoundExceeded("baseline atom support too large to enumerate")
     outputs = f.outputs
 
     def enc1(w1, atom):
@@ -395,13 +382,10 @@ def serialize_scheme(scheme: Scheme, name: str = "") -> dict:
     """Tabulate a scheme into the custom-scheme JSON form.
 
     Symbols are remapped per codeword position onto compact 0..s-1 alphabets
-    so reloaded rates equal the range-based rates of optimized schemes.
+    so reloaded rates equal the range-based rates of optimized schemes.  The
+    codewords are the verifier's encoder tables, shared with verify_scheme.
     """
-    if len(scheme.atoms) > MAX_ATOMS_MATERIALIZED:
-        raise SizeBoundExceeded("scheme support too large to tabulate")
-    atoms = list(scheme.atoms)
-    cw1 = [[scheme.enc1(w, a) for a in atoms] for w in range(scheme.m1)]
-    cw2 = [[scheme.enc2(w, a) for a in atoms] for w in range(scheme.m2)]
+    atoms, weights, cw1, cw2, _ = _enc_tables(scheme)
 
     def remap(rows):
         arity = len(rows[0][0])
@@ -418,7 +402,7 @@ def serialize_scheme(scheme: Scheme, name: str = "") -> dict:
         for idx2 in itertools.product(*(range(len(v)) for v in values2)):
             raw2 = tuple(values2[i][s] for i, s in enumerate(idx2))
             dec_rows.append({"x1": list(idx1), "x2": list(idx2), "f": scheme.dec(raw1, raw2)})
-    weights = scheme.weights or [1] * len(atoms)
+    weights = weights or [1] * len(atoms)
     return {
         "name": name or scheme.kind,
         "m1": scheme.m1,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import NotADivisor
@@ -135,7 +135,6 @@ def ring_confusable_sets(spec: RingSpec) -> ConfusableStructure:
 @dataclass
 class CatalogEntry:
     structure: ConfusableStructure
-    carrier_desc: dict = field(default_factory=dict)
 
     @property
     def trivial(self) -> bool:

@@ -1,10 +1,11 @@
 """Exact correctness and perfect-security verification by full enumeration.
 
-Each encoder is tabulated once per scheme, and each input pair's codeword-pair
-distribution is counted once from those tables; the correctness, security
-and leakage passes all read the same counts.  Supports past
-MAX_ATOMS_MATERIALIZED atoms raise SizeBoundExceeded instead of being
-enumerated.
+Each encoder is tabulated once per scheme (_enc_tables, the only code that
+runs a scheme's encoders over its support), and each input pair's
+codeword-pair distribution is counted once from those tables; the
+correctness, security and leakage passes, the serializer and the optimized
+rates all read the same tables.  Supports past MAX_ATOMS_MATERIALIZED atoms
+raise SizeBoundExceeded instead of being enumerated.
 
 All pass/fail decisions run on integer outcome counts over the weighted
 randomness lattice; floats only appear when leakage is rendered in bits.

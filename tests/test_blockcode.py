@@ -224,10 +224,47 @@ def test_block_security_L1_matches_scalar_verifier():
     assert res.ok == scalar.ok
 
 
+def _pinned_gamma_equal3():
+    """equal3 masked-sum scheme with the randomizer frozen at 1 (insecure)."""
+    scheme = scheme_from_expansion(gallery_get("equal3").expansion())
+    scheme.atoms = [(1, z) for z in range(3)]
+    return scheme
+
+
+BLOCK_MATRICES = {
+    "identity": lambda L: np.eye(L, dtype=int),
+    "ones": lambda L: np.ones((1, L), dtype=int),
+    "upper": lambda L: np.array([[2, 1], [0, 1]]),
+}
+# (ok, witness) recorded when the block encoders were scalar field loops
+BLOCK_SECURITY_PINS = {
+    ("and2", 1, "identity"): (True, None),
+    ("and2", 1, "ones"): (True, None),
+    ("and2", 2, "identity"): (True, None),
+    ("and2", 2, "ones"): (True, None),
+    ("and2", 2, "upper"): (True, None),
+    ("and2", 3, "identity"): (True, None),
+    ("and2", 3, "ones"): (True, None),
+    ("equal3", 1, "identity"): (False, ((0, 1), (0, 2), ((0,), (1,)))),
+    ("equal3", 1, "ones"): (False, ((0, 1), (0, 2), ((0,), (1,)))),
+    ("equal3", 2, "identity"): (False, ((0, 1), (0, 2), ((0, 0), (0, 1)))),
+    ("equal3", 2, "ones"): (False, ((0, 1), (0, 2), ((0,), (1,)))),
+    ("equal3", 2, "upper"): (False, ((0, 1), (0, 2), ((0, 0), (1, 1)))),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BLOCK_SECURITY_PINS))
+def test_block_security_matches_pinned_results(key):
+    name, L, matrix = key
+    scheme = _and_scheme() if name == "and2" else _pinned_gamma_equal3()
+    res = block_security_check(scheme, gallery_get(name).table, L, BLOCK_MATRICES[matrix](L))
+    assert (res.ok, res.witness) == BLOCK_SECURITY_PINS[key]
+
+
 def test_block_security_budget():
     and2 = gallery_get("and2").table
     with pytest.raises(BudgetExceeded):
-        block_security_check(_and_scheme(), and2, 6, np.eye(6, dtype=int), budget=1000)
+        block_security_check(_and_scheme(), and2, 6, np.eye(6, dtype=int))
 
 
 # digests of (R, T, pivots) recorded from the two elimination paths this one

@@ -180,6 +180,14 @@ def test_baseline_cli(capsys, tmp_path):
     assert payload["verification"]["rate2"]["bits"] == "2.000000"
 
 
+def test_baseline_oversized_support_exits_4(capsys, tmp_path):
+    # 7! * 2^7 = 645,120 atoms: past the cap, refused before they are built
+    table = write_table(tmp_path, "seven_rows.json", [[r % 2] for r in range(7)])
+    code, _, err = run(capsys, "baseline", "--table", table, "--json")
+    assert code == 4
+    assert "645120 baseline atoms exceed" in err
+
+
 def test_blockcode_cli(capsys, tmp_path):
     table = write_table(tmp_path, "and.json", [[0, 0], [0, 1]])
     code, out, _ = run(capsys, "blockcode", "--table", table, "--L", "16",

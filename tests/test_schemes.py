@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -184,14 +185,6 @@ def test_crt_equal_size_bound():
         crt_equal_scheme(9)
 
 
-def test_crt_equal_sampled_support_beyond_cap():
-    scheme = crt_equal_scheme(12, sample_permutations=(40, 5))
-    assert scheme.meta["sampled"] is True
-    assert scheme.rate1 == Rate.log2(12)
-    # correctness holds atom by atom even on a sampled permutation support
-    assert verify_correct(scheme, equal_table(12)).ok
-
-
 @pytest.mark.parametrize("m1,m2", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_baseline_verifies_for_every_small_table(m1, m2):
     for rows in all_tables(m1, m2, 3):
@@ -199,6 +192,19 @@ def test_baseline_verifies_for_every_small_table(m1, m2):
         s = row_mask_baseline(t)
         assert verify_correct(s, t).ok
         assert verify_secure(s, t).ok
+
+
+def test_baseline_refuses_oversized_support_before_building_it():
+    # 7! * 2^7 = 645,120 atoms; building them would take hundreds of MiB
+    seven_rows = FunctionTable.from_rows([[r % 2] for r in range(7)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBoundExceeded):
+            row_mask_baseline(seven_rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_baseline_rates():

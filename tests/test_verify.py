@@ -295,6 +295,26 @@ def test_verify_scheme_encodes_each_atom_once(case):
     if report.correct.ok:
         # dec runs once per distinct codeword pair of each input pair
         assert calls["dec"] == outcomes
+    # the serializer reads the same tables
+    serialize_scheme(counted)
+    assert (calls["enc1"], calls["enc2"]) == (scheme.m1 * n, scheme.m2 * n)
+
+
+def test_optimized_candidate_is_tabulated_once():
+    # each masked-sum encoder call makes one carrier.mul call, the decoder none
+    exp = gallery_get("equal3").expansion()
+    carrier = exp.structure.carrier
+    real_mul = carrier.mul
+    calls = Counter()
+
+    def mul(a, b):
+        calls["mul"] += 1
+        return real_mul(a, b)
+
+    carrier.mul = mul
+    scheme = scheme_from_expansion(exp, z_values=[0])
+    verify_secure(scheme, equal_table(3))
+    assert calls["mul"] == (scheme.m1 + scheme.m2) * len(scheme.atoms)
 
 
 def test_shared_encoder_is_tabulated_once():
