@@ -244,12 +244,21 @@ class FieldSpec(TableCarrier):
         for k in range(n):
             s = p ** k
             add = (digit_add[:, None, :, None] * s + add[None, :, None, :]).reshape(s * p, s * p)
+        # each table becomes rows before the next is built, so at most one
+        # numpy table lives next to the rows
+        self.neg_table = _row((add == 0).argmax(axis=1).astype(dt))
+        self.add_table = [_row(r) for r in add]
+        del add
         # mul: g^i * g^j = g^(i+j), a circulant in discrete-log coordinates;
-        # q copies of exp cut into q-1 rows of q: row i starts at exp[i]
+        # the row of g^i holds exp[i:] + exp[:i] at the columns exp
         e = np.array(exp, dtype=dt)
-        mul = np.zeros((q, q), dt)
-        mul[np.ix_(e, e)] = np.tile(e, q).reshape(q - 1, q)[:, : q - 1]
-        self.add_table, self.neg_table, self.mul_table = carrier_tables(add, mul)
+        ee = np.concatenate([e, e])
+        row = np.zeros(q, dt)
+        self.mul_table = [None] * q
+        self.mul_table[0] = _row(row)
+        for i, a in enumerate(exp):
+            row[e] = ee[i : i + q - 1]
+            self.mul_table[a] = _row(row)
 
     def inv(self, a: int) -> int:
         if a == 0:

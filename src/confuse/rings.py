@@ -1,4 +1,4 @@
-"""Z_n arithmetic: gcd classes, unit subgroups, and subgroup projection.
+"""Z_n arithmetic: unit subgroups and subgroup projection.
 
 Z_n computes through the same table-backed arithmetic as the fields
 (fields.TableCarrier); its tables are built once per modulus and shared by
@@ -84,25 +84,6 @@ class RingSpec(TableCarrier):
     @classmethod
     def from_json(cls, obj: dict) -> "RingSpec":
         return cls(obj["n"], tuple(obj["G"]))
-
-
-@dataclass(frozen=True)
-class GcdClass:
-    """All a in Z_n with gcd(a, n) = d, for a proper divisor d."""
-
-    d: int
-    members: tuple[int, ...]
-
-
-def gcd_classes(n: int) -> list[GcdClass]:
-    """One class per proper divisor, ascending by d.  {0} is not a class
-    (gcd(0, n) = n is not proper) and is reported separately by callers."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    buckets: dict[int, list[int]] = {}
-    for a in range(1, n):
-        buckets.setdefault(gcd(a, n), []).append(a)
-    return [GcdClass(d, tuple(buckets.get(d, ()))) for d in proper_divisors(n)]
 
 
 def closure_subgroups(table, identity: int, generators) -> list[tuple[int, ...]]:

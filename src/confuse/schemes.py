@@ -3,10 +3,11 @@
 A Scheme packages the shared-randomness support (atoms with integer weights),
 both encoders, the decoder, and exact rates.  Encoders/decoder are plain
 functions of (input, atom); the verifier's _enc_tables runs them over the
-support once per scheme, and the serializer and the optimized rates read
-those tables.  Supports past MAX_ATOMS_MATERIALIZED atoms are refused before
-anything is tabulated, and the row-mask baseline refuses one before building
-it.
+support once per scheme, into codeword ids and sorted codebooks.  The
+serializer reads its alphabets from the codebooks and each atom's codeword
+from the ids, and the optimized rates are the codebook sizes.  Supports past
+MAX_ATOMS_MATERIALIZED atoms are refused before anything is tabulated, and
+the row-mask baseline refuses one before building it.
 """
 
 from __future__ import annotations
@@ -88,9 +89,9 @@ def scheme_from_expansion(exp: FeasibleExpansion, z_values=None) -> Scheme:
         meta={"z_support": zs},
     )
     if not full:
-        _, _, rows1, rows2, _ = _enc_tables(scheme)
-        scheme.rate1 = Rate.log2(len({cw for row in rows1 for cw in row}))
-        scheme.rate2 = Rate.log2(len({cw for row in rows2 for cw in row}))
+        tables = _enc_tables(scheme)
+        scheme.rate1 = Rate.log2(len(tables.book1))
+        scheme.rate2 = Rate.log2(len(tables.book2))
     return scheme
 
 
@@ -383,26 +384,25 @@ def serialize_scheme(scheme: Scheme, name: str = "") -> dict:
 
     Symbols are remapped per codeword position onto compact 0..s-1 alphabets
     so reloaded rates equal the range-based rates of optimized schemes.  The
-    codewords are the verifier's encoder tables, shared with verify_scheme.
+    alphabets come from the verifier's codebooks and each atom's codeword
+    from its id tables, shared with verify_scheme.
     """
-    atoms, weights, cw1, cw2, _ = _enc_tables(scheme)
+    tables = _enc_tables(scheme)
 
-    def remap(rows):
-        arity = len(rows[0][0])
-        values = [sorted({cw[i] for row in rows for cw in row}) for i in range(arity)]
+    def remap(book):
+        values = [sorted({cw[i] for cw in book}) for i in range(len(book[0]))]
         lookup = [{v: j for j, v in enumerate(vals)} for vals in values]
-        mapped = [[tuple(lookup[i][cw[i]] for i in range(arity)) for cw in row] for row in rows]
-        return mapped, values
+        return [[lookup[i][s] for i, s in enumerate(cw)] for cw in book], values
 
-    mapped1, values1 = remap(cw1)
-    mapped2, values2 = remap(cw2)
+    mapped1, values1 = remap(tables.book1)
+    mapped2, values2 = remap(tables.book2)
     dec_rows = []
     for idx1 in itertools.product(*(range(len(v)) for v in values1)):
         raw1 = tuple(values1[i][s] for i, s in enumerate(idx1))
         for idx2 in itertools.product(*(range(len(v)) for v in values2)):
             raw2 = tuple(values2[i][s] for i, s in enumerate(idx2))
             dec_rows.append({"x1": list(idx1), "x2": list(idx2), "f": scheme.dec(raw1, raw2)})
-    weights = weights or [1] * len(atoms)
+    atoms, weights = tables.atoms, tables.weights.tolist()
     return {
         "name": name or scheme.kind,
         "m1": scheme.m1,
@@ -410,8 +410,8 @@ def serialize_scheme(scheme: Scheme, name: str = "") -> dict:
         "alphabets1": [len(v) for v in values1],
         "alphabets2": [len(v) for v in values2],
         "z_support": [{"atom": _jsonable_atom(a), "weight": w} for a, w in zip(atoms, weights)],
-        "enc1": [[list(cw) for cw in row] for row in mapped1],
-        "enc2": [[list(cw) for cw in row] for row in mapped2],
+        "enc1": [[list(mapped1[i]) for i in row] for row in tables.ids1.tolist()],
+        "enc2": [[list(mapped2[i]) for i in row] for row in tables.ids2.tolist()],
         "dec": dec_rows,
     }
 

@@ -1,106 +1,118 @@
 """Exact correctness and perfect-security verification by full enumeration.
 
-Each encoder is tabulated once per scheme (_enc_tables, the only code that
-runs a scheme's encoders over its support), and each input pair's
-codeword-pair distribution is counted once from those tables; the
-correctness, security and leakage passes, the serializer and the optimized
-rates all read the same tables.  Supports past MAX_ATOMS_MATERIALIZED atoms
-raise SizeBoundExceeded instead of being enumerated.
+Each scheme is tabulated once (_enc_tables, the only code that runs a
+scheme's encoders over its support) into integer tables: per party an int32
+id table (inputs x atoms) and a codebook of the distinct codewords sorted
+lexicographically, so id order is codeword order, plus one int64 weight per
+atom (all ones when unweighted).  An input pair's codeword-pair distribution
+is its sorted int64 outcome keys id1 * len(book2) + id2 with exact int64
+counts, counted once; the correctness, security and leakage passes, the
+serializer and the optimized rates all read these tables.  Supports past
+MAX_ATOMS_MATERIALIZED atoms, or whose total weight does not fit an int64,
+raise SizeBoundExceeded before any encoder runs.
 
-All pass/fail decisions run on integer outcome counts over the weighted
-randomness lattice; floats only appear when leakage is rendered in bits.
-Witnesses always name the lexicographically smallest failing instance so
-regression tests can pin them.
+All pass/fail decisions run on integer counts over the weighted randomness
+lattice; floats only appear when leakage is rendered in bits.  Witnesses
+always name the lexicographically smallest failing instance so regression
+tests can pin them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import starmap
-from math import gcd, log2
+from math import lcm, log2
+
+import numpy as np
 
 from .errors import SizeBoundExceeded
 
-
-class ExactDistribution:
-    """Outcome -> nonnegative integer count, plus the total weight.
-
-    Two distributions are equal when their count maps agree after dividing
-    everything by the common gcd.
-    """
-
-    __slots__ = ("counts", "total")
-
-    def __init__(self, counts: dict, total: int):
-        if total <= 0:
-            raise ValueError("total must be positive")
-        if sum(counts.values()) != total:
-            raise ValueError("counts must sum to total")
-        self.counts = dict(counts)
-        self.total = total
-
-    def normalized(self):
-        g = self.total
-        for c in self.counts.values():
-            g = gcd(g, c)
-        return (frozenset((o, c // g) for o, c in self.counts.items() if c), self.total // g)
-
-    def probability(self, outcome) -> Fraction:
-        return Fraction(self.counts.get(outcome, 0), self.total)
-
-    def __eq__(self, other):
-        return isinstance(other, ExactDistribution) and self.normalized() == other.normalized()
-
-    def __repr__(self):
-        return f"ExactDistribution({self.counts}, total={self.total})"
-
-
 MAX_ATOMS_MATERIALIZED = 300_000
+MAX_TOTAL_WEIGHT = 2**63 - 1  # the largest int64 count
 
 
-def _enc_tables(scheme):
-    """Tabulated encoder outputs and a per-pair distribution cache, kept on
-    the scheme (schemes are immutable after construction).  Every encoder is
-    called once per (input, atom), and a scheme whose enc2 is its enc1 over
-    the same inputs is tabulated once; supports past MAX_ATOMS_MATERIALIZED
-    raise SizeBoundExceeded before any encoder runs."""
+class EncTables:
+    """A scheme's encoders over its support as integer tables."""
+
+    def __init__(self, atoms, weights, ids1, book1, ids2, book2):
+        self.atoms = atoms
+        self.weights = weights
+        self.ids1, self.book1 = ids1, book1
+        self.ids2, self.book2 = ids2, book2
+        self._counts = {}
+
+    def keys(self, w1: int, w2: int) -> np.ndarray:
+        """One input pair's outcome key per atom, in atom order."""
+        return self.ids1[w1].astype(np.int64) * len(self.book2) + self.ids2[w2]
+
+    def counts(self, w1: int, w2: int):
+        """(keys, counts): one input pair's distinct outcome keys ascending
+        and their int64 weight sums, counted once per pair."""
+        pair = self._counts.get((w1, w2))
+        if pair is None:
+            keys = self.keys(w1, w2)
+            order = np.argsort(keys)
+            keys = keys[order]
+            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            pair = keys[starts], np.add.reduceat(self.weights[order], starts)
+            self._counts[(w1, w2)] = pair
+        return pair
+
+    def outcomes(self, keys: np.ndarray) -> list:
+        """The codeword pairs (c1, c2) that outcome keys stand for."""
+        i1, i2 = np.divmod(keys, len(self.book2))
+        book1, book2 = self.book1, self.book2
+        return [(book1[a], book2[b]) for a, b in zip(i1.tolist(), i2.tolist())]
+
+
+class _Ids(dict):
+    """Codeword -> id, a new codeword taking the next id on first lookup."""
+
+    def __missing__(self, codeword):
+        self[codeword] = i = len(self)
+        return i
+
+
+def _intern(enc, m: int, atoms):
+    """(ids, book): enc over inputs x atoms as int32 ids into the sorted
+    distinct codewords; each codeword is interned as the encoder returns it."""
+    index = _Ids()
+    ids = np.empty((m, len(atoms)), np.int32)
+    for w in range(m):
+        ids[w] = [index[enc(w, a)] for a in atoms]
+    book = sorted(index)
+    rank = np.empty(len(book), np.int32)
+    rank[[index[cw] for cw in book]] = np.arange(len(book), dtype=np.int32)
+    return rank[ids], book
+
+
+def _enc_tables(scheme) -> EncTables:
+    """The scheme's EncTables, kept on the scheme (schemes are immutable
+    after construction).  Every encoder is called once per (input, atom), and
+    a scheme whose enc2 is its enc1 over the same inputs is tabulated once;
+    supports past MAX_ATOMS_MATERIALIZED, or weighing more than
+    MAX_TOTAL_WEIGHT in all, raise SizeBoundExceeded before any encoder runs."""
     cache = getattr(scheme, "_enc_cache", None)
     if cache is not None:
         return cache
-    if len(scheme.atoms) > MAX_ATOMS_MATERIALIZED:
+    atoms = scheme.atoms
+    if len(atoms) > MAX_ATOMS_MATERIALIZED:
         raise SizeBoundExceeded(
-            f"{len(scheme.atoms)} atoms exceed the exact-verification cap of "
-            f"{MAX_ATOMS_MATERIALIZED}"
+            f"{len(atoms)} atoms exceed the exact-verification cap of {MAX_ATOMS_MATERIALIZED}"
         )
-    atoms = list(scheme.atoms)
-    weights = list(scheme.weights) if scheme.weights is not None else None
-    rows1 = [[scheme.enc1(w, a) for a in atoms] for w in range(scheme.m1)]
+    if scheme.weights is not None and sum(scheme.weights) > MAX_TOTAL_WEIGHT:
+        raise SizeBoundExceeded(
+            f"total weight {sum(scheme.weights)} exceeds the int64 count bound {MAX_TOTAL_WEIGHT}"
+        )
+    weights = (np.ones(len(atoms), np.int64) if scheme.weights is None
+               else np.array(scheme.weights, np.int64))
+    ids1, book1 = _intern(scheme.enc1, scheme.m1, atoms)
     if scheme.enc2 is scheme.enc1 and scheme.m2 == scheme.m1:
-        rows2 = rows1
+        ids2, book2 = ids1, book1
     else:
-        rows2 = [[scheme.enc2(w, a) for a in atoms] for w in range(scheme.m2)]
-    scheme._enc_cache = (atoms, weights, rows1, rows2, {})
+        ids2, book2 = _intern(scheme.enc2, scheme.m2, atoms)
+    scheme._enc_cache = EncTables(atoms, weights, ids1, book1, ids2, book2)
     return scheme._enc_cache
-
-
-def joint_distribution(scheme, w1: int, w2: int) -> ExactDistribution:
-    """Exact distribution of the codeword pair (X1, X2) for fixed inputs,
-    counted once per scheme and input pair."""
-    atoms, weights, rows1, rows2, dists = _enc_tables(scheme)
-    dist = dists.get((w1, w2))
-    if dist is not None:
-        return dist
-    if weights is None:
-        dist = ExactDistribution(Counter(zip(rows1[w1], rows2[w2])), len(atoms))
-    else:
-        counts = Counter()
-        for c1, c2, wt in zip(rows1[w1], rows2[w2], weights):
-            counts[(c1, c2)] += wt
-        dist = ExactDistribution(counts, sum(weights))
-    dists[(w1, w2)] = dist
-    return dist
 
 
 @dataclass
@@ -124,19 +136,21 @@ class SecurityResult:
 def verify_correct(scheme, f) -> CorrectnessResult:
     """dec(enc1, enc2) must reproduce f on every input pair and atom.
 
-    dec runs once per distinct codeword pair; a pair with a failing outcome
-    is rescanned atom by atom, so the witness names its first failing atom."""
-    atoms, _, rows1, rows2, _ = _enc_tables(scheme)
+    dec runs once per distinct outcome of each input pair; the witness names
+    the pair's first atom with a failing outcome."""
+    t = _enc_tables(scheme)
     dec = scheme.dec
     for w1 in range(f.m1):
         for w2 in range(f.m2):
             expected = f.outputs[w1][w2]
-            if set(starmap(dec, joint_distribution(scheme, w1, w2).counts)) == {expected}:
-                continue
-            for atom, c1, c2 in zip(atoms, rows1[w1], rows2[w2]):
-                got = dec(c1, c2)
-                if got != expected:
-                    return CorrectnessResult(False, (w1, w2, atom, got, expected))
+            keys = t.counts(w1, w2)[0]
+            decoded = dict(zip(keys.tolist(), [dec(c1, c2) for c1, c2 in t.outcomes(keys)]))
+            bad = [k for k, got in decoded.items() if got != expected]
+            if bad:
+                per_atom = t.keys(w1, w2)
+                i = int(np.flatnonzero(np.isin(per_atom, bad))[0])
+                got = decoded[int(per_atom[i])]
+                return CorrectnessResult(False, (w1, w2, t.atoms[i], got, expected))
     return CorrectnessResult(True)
 
 
@@ -150,23 +164,25 @@ def _groups_by_output(f):
 
 def verify_secure(scheme, f) -> SecurityResult:
     """Within every group of input pairs sharing an output, the codeword-pair
-    distributions must be identical (exact count comparison)."""
+    distributions must be identical.  Every pair's counts sum to the same
+    total weight, so the raw int64 counts are compared; the witness outcome
+    is the smallest key whose counts differ."""
+    t = _enc_tables(scheme)
     groups = _groups_by_output(f)
     for label in sorted(groups):
         pairs = groups[label]
         if len(pairs) < 2:
             continue
-        ref_pair = pairs[0]
-        ref = joint_distribution(scheme, *ref_pair)
+        ref_keys, ref_counts = t.counts(*pairs[0])
         for other in pairs[1:]:
-            dist = joint_distribution(scheme, *other)
-            if dist != ref:
-                outcome = min(
-                    o
-                    for o in set(ref.counts) | set(dist.counts)
-                    if ref.probability(o) != dist.probability(o)
-                )
-                return SecurityResult(False, (ref_pair, other, outcome))
+            keys, counts = t.counts(*other)
+            if np.array_equal(keys, ref_keys) and np.array_equal(counts, ref_counts):
+                continue
+            ref = dict(zip(ref_keys.tolist(), ref_counts.tolist()))
+            dist = dict(zip(keys.tolist(), counts.tolist()))
+            key = min(k for k in ref.keys() | dist.keys() if ref.get(k) != dist.get(k))
+            (outcome,) = t.outcomes(np.array([key]))
+            return SecurityResult(False, (pairs[0], other, outcome))
     return SecurityResult(True)
 
 
@@ -185,39 +201,31 @@ def leakage(scheme, f, input_dist: dict[tuple[int, int], Fraction]) -> LeakageRe
     """Conditional mutual information between the codewords and the inputs
     given the output, for one rational input distribution.
 
-    Probabilities stay rational throughout; log2 is applied to exact ratios,
-    so a secure scheme yields exactly 0.0 (every ratio is exactly 1).
+    With every probability n_w / D over one common denominator D and T the
+    total weight, the ratio P(w, x | f) / (P(w | f) P(x | f)) is the exact
+    integer ratio c_w(x) * n_f / sum_w' n_w' c_w'(x); log2 is applied only to
+    ratios that are not exactly 1, so a secure scheme yields exactly 0.0.
     """
     if any(p < 0 for p in input_dist.values()) or sum(input_dist.values()) != 1:
         raise ValueError("input_dist must be a distribution")
-    dists = {
-        pair: joint_distribution(scheme, *pair)
-        for pair, p in input_dist.items()
-        if p > 0
-    }
-    groups = _groups_by_output(f)
+    t = _enc_tables(scheme)
+    denom = lcm(*(p.denominator for p in input_dist.values()))
+    mass_of = {w: p.numerator * (denom // p.denominator) for w, p in input_dist.items() if p > 0}
+    scale = denom * int(t.weights.sum())
     bits = 0.0
-    for label, pairs in sorted(groups.items()):
-        pairs = [w for w in pairs if input_dist.get(w, 0) > 0]
-        p_f = sum((input_dist[w] for w in pairs), Fraction(0))
-        if p_f == 0:
-            continue
-        # P(x, f) marginal over the group
-        p_xf: dict = {}
-        for w in pairs:
-            d = dists[w]
-            for o, c in d.counts.items():
-                p_xf[o] = p_xf.get(o, Fraction(0)) + input_dist[w] * Fraction(c, d.total)
-        for w in pairs:
-            d = dists[w]
-            p_w = input_dist[w]
-            for o, c in d.counts.items():
-                if c == 0:
-                    continue
-                p_wx = p_w * Fraction(c, d.total)
-                ratio = (p_wx * p_f) / (p_w * p_xf[o])
-                if ratio != 1:
-                    bits += float(p_wx) * log2(ratio.numerator / ratio.denominator)
+    for label, pairs in sorted(_groups_by_output(f).items()):
+        pairs = [w for w in pairs if w in mass_of]
+        n_f = sum(mass_of[w] for w in pairs)
+        rows = [dict(zip(*(a.tolist() for a in t.counts(*w)))) for w in pairs]
+        # sum over the group of n_w * c_w(x), per outcome x
+        joint: dict = {}
+        for w, row in zip(pairs, rows):
+            for o, c in row.items():
+                joint[o] = joint.get(o, 0) + mass_of[w] * c
+        for w, row in zip(pairs, rows):
+            for o, c in row.items():
+                if c * n_f != joint[o]:
+                    bits += (mass_of[w] * c / scale) * log2(c * n_f / joint[o])
     # the boolean never consults the float: structural identity decides
     return LeakageResult(verify_secure(scheme, f).ok, bits)
 

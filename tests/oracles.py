@@ -143,6 +143,16 @@ def brute_force_first_correctness_failure(scheme, f):
     return None
 
 
+def pair_counts(scheme, w1: int, w2: int) -> Counter:
+    """Weighted count of each codeword pair (enc1(w1), enc2(w2)) over the
+    support, calling the encoders afresh on every atom."""
+    weights = scheme.weights or [1] * len(scheme.atoms)
+    counts = Counter()
+    for atom, weight in zip(scheme.atoms, weights):
+        counts[(scheme.enc1(w1, atom), scheme.enc2(w2, atom))] += weight
+    return counts
+
+
 def ring_arithmetic(n: int) -> dict:
     """Z_n's add/sub/neg/mul as plain % arithmetic."""
     return {

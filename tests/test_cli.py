@@ -132,6 +132,26 @@ def test_verify_corrupted_scheme_exit_2(capsys, tmp_path):
     assert payload["report"]["correctness_witness"] is not None
 
 
+def test_verify_total_weight_past_int64_exits_4(capsys, tmp_path):
+    # counts are int64: a support weighing 2**63 in all is refused
+    scheme = {
+        "m1": 1, "m2": 1, "alphabets1": [1], "alphabets2": [1],
+        "z_support": [{"atom": 0, "weight": 2**62}, {"atom": 1, "weight": 2**62}],
+        "enc1": [[[0], [0]]], "enc2": [[[0], [0]]],
+        "dec": [{"x1": [0], "x2": [0], "f": 0}],
+    }
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(scheme))
+    table = write_table(tmp_path, "one.json", [[0]])
+    code, _, err = run(capsys, "verify", "--scheme", str(path), "--table", table)
+    assert code == 4
+    assert "int64" in err
+    scheme["z_support"][1]["weight"] = 2**62 - 1
+    path.write_text(json.dumps(scheme))
+    code, _, _ = run(capsys, "verify", "--scheme", str(path), "--table", table)
+    assert code == 0
+
+
 def test_verify_with_input_dist(capsys, tmp_path, equal3_path):
     scheme_path = str(tmp_path / "scheme.json")
     run(capsys, "solve", "--table", equal3_path, "--emit-scheme", scheme_path)

@@ -1,7 +1,11 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import confuse
 from confuse.errors import DivisionByZero, NotADivisor, NotPrime, SizeBoundExceeded
 from confuse.fields import FieldSpec, field_make, is_prime, prime_power
 from confuse.structures import field_confusable_sets
@@ -159,3 +163,19 @@ def test_render():
     assert f9.render(3) == "x"
     assert f9.render(7) == "2x+1"
     assert field_make(7, 1).render(5) == "5"
+
+
+def test_largest_field_builds_within_a_memory_bound():
+    # F_4096's add and mul rows hold 32 MiB each; building them must not keep
+    # full numpy copies alongside (133 MiB peak before the rows-first build)
+    code = (
+        "import tracemalloc\n"
+        "from confuse.fields import field_make\n"
+        "tracemalloc.start()\n"
+        "field_make(2, 12)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = os.path.dirname(os.path.dirname(confuse.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 100 * 2**20

@@ -289,7 +289,7 @@ def test_serialize_round_trip_preserves_rates_and_verdicts():
 
 
 def test_weighted_support_equivalent_to_duplicated_atoms():
-    from confuse.verify import joint_distribution
+    from confuse.verify import _enc_tables
 
     obj = serialize_scheme(scheme_from_expansion(gallery_get("and2").expansion()))
     doubled = json.loads(json.dumps(obj))
@@ -301,8 +301,11 @@ def test_weighted_support_equivalent_to_duplicated_atoms():
     assert verify_scheme(plain, t).ok and verify_scheme(weighted, t).ok
     for w1 in range(2):
         for w2 in range(2):
-            # count maps differ by a factor of two but normalize equal
-            assert joint_distribution(plain, w1, w2) == joint_distribution(weighted, w1, w2)
+            # the same outcomes, each counted exactly twice as often
+            keys, counts = _enc_tables(plain).counts(w1, w2)
+            keys2, counts2 = _enc_tables(weighted).counts(w1, w2)
+            assert keys2.tolist() == keys.tolist()
+            assert counts2.tolist() == [2 * c for c in counts.tolist()]
 
 
 def test_optimizer_all_subsets_flag():

@@ -2,11 +2,15 @@ import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from oracles import brute_force_first_correctness_failure
+from oracles import brute_force_first_correctness_failure, pair_counts
 
+from confuse import blockcode
+from confuse.blockcode import block_security_check
 from confuse.errors import SizeBoundExceeded
 from confuse.expansion import FunctionTable, equal_table
 from confuse.gallery import get as gallery_get
@@ -21,8 +25,7 @@ from confuse.schemes import (
 )
 from confuse.verify import (
     MAX_ATOMS_MATERIALIZED,
-    ExactDistribution,
-    joint_distribution,
+    _enc_tables,
     leakage,
     uniform_input_dist,
     verify_correct,
@@ -36,36 +39,6 @@ def _pinned_gamma_equal3():
     scheme = scheme_from_expansion(gallery_get("equal3").expansion())
     scheme.atoms = [(1, z) for z in range(3)]
     return scheme
-
-
-def test_exact_distribution_equality_up_to_scaling():
-    a = ExactDistribution({"x": 2, "y": 4}, 6)
-    b = ExactDistribution({"x": 3, "y": 6}, 9)
-    c = ExactDistribution({"x": 3, "y": 5}, 8)
-    assert a == b
-    assert a != c
-    assert a.probability("x") == Fraction(1, 3)
-    with pytest.raises(ValueError):
-        ExactDistribution({"x": 1}, 2)
-
-
-def test_joint_distribution_equal3():
-    scheme = scheme_from_expansion(gallery_get("equal3").expansion())
-    dist = joint_distribution(scheme, 0, 0)
-    assert dist.total == 6
-    # X1 uniform over the carrier with X2 pinned to its negation
-    assert dist.counts == {((z,), ((3 - z) % 3,)): 2 for z in range(3)}
-
-
-def test_joint_distribution_point_mass_for_constant_encoders():
-    const = Scheme(
-        m1=1, m2=1, atoms=[0, 1, 2], weights=None,
-        enc1=lambda w, a: (0,), enc2=lambda w, a: (1,),
-        dec=lambda x1, x2: 0,
-        rate1=None, rate2=None, kind="test",
-    )
-    dist = joint_distribution(const, 0, 0)
-    assert dist.counts == {((0,), (1,)): 3}
 
 
 def test_optimized_three_label_paper_distribution():
@@ -285,13 +258,7 @@ def test_verify_scheme_encodes_each_atom_once(case):
     n = len(scheme.atoms)
     assert calls["enc1"] == scheme.m1 * n
     assert calls["enc2"] == scheme.m2 * n
-    outcomes = sum(
-        len(joint_distribution(counted, w1, w2).counts)
-        for w1 in range(f.m1)
-        for w2 in range(f.m2)
-    )
-    # the counts are cached: reading them again encodes nothing
-    assert (calls["enc1"], calls["enc2"]) == (scheme.m1 * n, scheme.m2 * n)
+    outcomes = sum(len(pair_counts(scheme, w1, w2)) for w1 in range(f.m1) for w2 in range(f.m2))
     if report.correct.ok:
         # dec runs once per distinct codeword pair of each input pair
         assert calls["dec"] == outcomes
@@ -347,7 +314,7 @@ def test_correctness_witness_matches_per_atom_oracle(case):
         o
         for w1 in range(f.m1)
         for w2 in range(f.m2)
-        for o in joint_distribution(scheme, w1, w2).counts
+        for o in pair_counts(scheme, w1, w2)
     })
     rng = random.Random(len(outcomes))
     corruptions = [()] + [(o,) for o in rng.sample(outcomes, min(len(outcomes), 40))]
@@ -358,3 +325,60 @@ def test_correctness_witness_matches_per_atom_oracle(case):
         res = verify_correct(broken, f)
         assert res.ok == (expected is None), targets
         assert res.witness == expected, targets
+
+
+def _crt_equal4():
+    return crt_equal_scheme(4), equal_table(4)
+
+
+def _optimized_three_label():
+    ex = gallery_get("three_label_2x2")
+    return optimize_additive_randomness(ex.expansion()), ex.table
+
+
+def _block_security_scheme():
+    """The vector scheme block_security_check hands the verifier, for and2
+    at L = 2 with a compressing A."""
+    ex = gallery_get("and2")
+    with mock.patch.object(blockcode, "verify_secure", wraps=verify_secure) as spy:
+        block_security_check(scheme_from_expansion(ex.expansion()), ex.table, 2, [[1, 1]])
+    return spy.call_args.args
+
+
+TABLE_CASES = VERIFIER_CASES + [_crt_equal4, _optimized_three_label, _block_security_scheme]
+
+
+@pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: c.__name__.lstrip("_"))
+def test_tables_match_encoders_atom_for_atom(case):
+    scheme, _ = case()
+    t = _enc_tables(scheme)
+    atoms = list(scheme.atoms)
+    for ids, book, enc, m in ((t.ids1, t.book1, scheme.enc1, scheme.m1),
+                              (t.ids2, t.book2, scheme.enc2, scheme.m2)):
+        assert all(a < b for a, b in zip(book, book[1:]))
+        assert ids.dtype == np.int32 and ids.shape == (m, len(atoms))
+        for w in range(m):
+            assert [book[i] for i in ids[w].tolist()] == [enc(w, a) for a in atoms]
+    assert t.weights.dtype == np.int64
+    assert t.weights.tolist() == (scheme.weights or [1] * len(atoms))
+    for w1 in range(scheme.m1):
+        for w2 in range(scheme.m2):
+            keys, counts = t.counts(w1, w2)
+            assert keys.dtype == counts.dtype == np.int64
+            assert np.all(keys[1:] > keys[:-1])
+            got = dict(zip(t.outcomes(keys), counts.tolist()))
+            assert got == pair_counts(scheme, w1, w2)
+
+
+def test_total_weight_past_int64_is_refused_before_encoding():
+    table = FunctionTable.from_rows([[0]])
+    for weights, refused in (([2**62, 2**62 - 1], False), ([2**62, 2**62], True)):
+        scheme = dataclasses.replace(_constant_scheme(2), weights=weights)
+        counted, calls = _counting(scheme)
+        if refused:
+            with pytest.raises(SizeBoundExceeded, match="int64"):
+                verify_scheme(counted, table)
+            assert not calls
+        else:
+            assert verify_scheme(counted, table).ok
+            assert _enc_tables(counted).counts(0, 0)[1].tolist() == [2**63 - 1]
