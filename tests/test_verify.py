@@ -41,6 +41,54 @@ def _pinned_gamma_equal3():
     return scheme
 
 
+def _pair_probabilities(scheme, w1, w2):
+    """One input pair's exact outcome probabilities from the int64 tables."""
+    t = _enc_tables(scheme)
+    keys, counts = t.counts(w1, w2)
+    total = int(counts.sum())
+    return {o: Fraction(c, total) for o, c in zip(t.outcomes(keys), counts.tolist())}
+
+
+def test_exact_distribution_equality_up_to_scaling():
+    def two_outcomes(weights):
+        return Scheme(
+            m1=1, m2=1, atoms=[0, 1], weights=weights,
+            enc1=lambda w, a: ("xy"[a],), enc2=lambda w, a: (0,),
+            dec=lambda x1, x2: 0, rate1=None, rate2=None, kind="test",
+        )
+
+    a = _pair_probabilities(two_outcomes([2, 4]), 0, 0)
+    b = _pair_probabilities(two_outcomes([3, 6]), 0, 0)
+    c = _pair_probabilities(two_outcomes([3, 5]), 0, 0)
+    assert a == b
+    assert a != c
+    assert a[(("x",), (0,))] == Fraction(1, 3)
+    # raw counts are compared because every pair's counts share one total;
+    # scaling every weight scales the counts and leaves the verdicts alone
+    scheme, table = _weighted_and2()
+    scaled = dataclasses.replace(scheme, weights=[3 * w for w in scheme.weights])
+    t, ts = _enc_tables(scheme), _enc_tables(scaled)
+    for w1 in range(scheme.m1):
+        for w2 in range(scheme.m2):
+            keys, counts = t.counts(w1, w2)
+            assert int(counts.sum()) == sum(scheme.weights)
+            skeys, scounts = ts.counts(w1, w2)
+            assert np.array_equal(skeys, keys) and np.array_equal(scounts, 3 * counts)
+            assert _pair_probabilities(scaled, w1, w2) == _pair_probabilities(scheme, w1, w2)
+    assert verify_scheme(scaled, table).to_json() == verify_scheme(scheme, table).to_json()
+
+
+def test_joint_distribution_equal3():
+    scheme = scheme_from_expansion(gallery_get("equal3").expansion())
+    t = _enc_tables(scheme)
+    keys, counts = t.counts(0, 0)
+    assert int(counts.sum()) == 6
+    # X1 uniform over the carrier with X2 pinned to its negation
+    assert dict(zip(t.outcomes(keys), counts.tolist())) == {
+        ((z,), ((3 - z) % 3,)): 2 for z in range(3)
+    }
+
+
 def test_optimized_three_label_paper_distribution():
     # (X1, X1+X2) is uniform over {(1,1),(3,1),(3,3),(1,3)} for both inputs
     # that share the output, hence identical
