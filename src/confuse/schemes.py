@@ -3,7 +3,9 @@
 A Scheme packages the shared-randomness support (atoms with integer weights),
 both encoders, the decoder, and exact rates.  Encoders/decoder are plain
 functions of (input, atom); the verifier's _enc_tables runs them over the
-support once per scheme, into codeword ids and sorted codebooks.  The
+support once per scheme, into codeword ids and sorted codebooks.  crt-equal's
+encoder also has a batch form (radix, symbols(w, atoms)) over an array of
+atom indices, which _enc_tables uses instead of one call per atom.  The
 serializer reads its alphabets from the codebooks and each atom's codeword
 from the ids, and the optimized rates are the codebook sizes.  Supports past
 MAX_ATOMS_MATERIALIZED atoms are refused before anything is tabulated, and
@@ -17,6 +19,8 @@ import json
 from dataclasses import dataclass, field as dc_field
 from math import factorial
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import SchemaError, SizeBoundExceeded, TotalityError
 from .expansion import FeasibleExpansion, FunctionTable
@@ -150,35 +154,12 @@ def crt_equal_scheme(m: int) -> Scheme:
         raise ValueError("m must be >= 2")
     factors = sorted(_factorize(m).items())
     fields = [field_make(p, k) for p, k in factors]
-    qs = [fs.q for fs in fields]
     if m > 8:
         raise SizeBoundExceeded(
             f"m = {m}: permutation support {m}! is past the enumeration bound m <= 8"
         )
-    perms = list(itertools.permutations(range(m)))
-    per_factor = [(q - 1) * q for q in qs]
-    block = 1
-    for b in per_factor:
-        block *= b
-    n_atoms = len(perms) * block
-
-    # decode atom index -> (perm, [(gamma, z)] per factor); mixed-radix layout
-    def atom_parts(a: int):
-        pi, rest = divmod(a, block)
-        parts = []
-        for q in qs:
-            rest, r = divmod(rest, (q - 1) * q)
-            gi, z = divmod(r, q)
-            parts.append((gi + 1, z))
-        return perms[pi], parts
-
-    def encode(w, atom):
-        perm, parts = atom_parts(atom)
-        pw = perm[w]
-        out = []
-        for fs, (g, z) in zip(fields, parts):
-            out.append(fs.add(fs.mul(g, pw % fs.q), z))
-        return tuple(out)
+    encode = _CrtEncoder(m, fields)
+    n_atoms = factorial(m) * encode.block
 
     def dec(x1, x2):
         return 1 if x1 == x2 else 0
@@ -197,6 +178,44 @@ def crt_equal_scheme(m: int) -> Scheme:
         kind="crt_equal",
         meta={"m": m, "factors": factors},
     )
+
+
+class _CrtEncoder:
+    """crt-equal's encoder, one expression over an atom index or an index
+    array alike.  An atom splits in mixed radix into the permutation (most
+    significant) and, per factor q, a digit r = (gamma - 1) * q + z (first
+    factor least significant); factor q's symbol is gamma * (perm[w] mod q)
+    + z in F_q, read at r * q + perm[w] mod q from a table built from the
+    field's add and mul tables.  symbols is the batch form the verifier
+    tabulates with, radix the alphabet size of each codeword position."""
+
+    def __init__(self, m: int, fields):
+        self.perms = np.array(list(itertools.permutations(range(m))), np.int8)
+        self.radix = tuple(fs.q for fs in fields)
+        self.tables = []  # (q, stride of its digit, symbol table) per factor
+        self.block = 1
+        for fs in fields:
+            q = fs.q
+            add, _, mul = fs.arrays()
+            r = np.arange((q - 1) * q)
+            self.tables.append((q, self.block, add[mul[r // q + 1], (r % q)[:, None]].ravel()))
+            self.block *= (q - 1) * q
+
+    def symbols(self, w: int, atoms):
+        """Input w's per-factor symbols under atoms (an index or an index array)."""
+        pw = self.perms[atoms // self.block, w]
+        out = []
+        for q, stride, table in self.tables:
+            i = atoms // stride  # in place from here on: one index array at a time
+            i %= (q - 1) * q
+            i *= q
+            i += pw % q
+            out.append(table[i])
+        return out
+
+    def __call__(self, w: int, atom: int) -> tuple:
+        # an intp scalar, so the digit arithmetic never narrows to perms' int8
+        return tuple(int(s) for s in self.symbols(w, np.intp(atom)))
 
 
 # ---------------------------------------------------------------------------

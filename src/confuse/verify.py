@@ -4,12 +4,15 @@ Each scheme is tabulated once (_enc_tables, the only code that runs a
 scheme's encoders over its support) into integer tables: per party an int32
 id table (inputs x atoms) and a codebook of the distinct codewords sorted
 lexicographically, so id order is codeword order, plus one int64 weight per
-atom (all ones when unweighted).  An input pair's codeword-pair distribution
-is its sorted int64 outcome keys id1 * len(book2) + id2 with exact int64
-counts, counted once; the correctness, security and leakage passes, the
-serializer and the optimized rates all read these tables.  Supports past
-MAX_ATOMS_MATERIALIZED atoms, or whose total weight does not fit an int64,
-raise SizeBoundExceeded before any encoder runs.
+atom (all ones when unweighted).  An encoder with a batch form (radix and
+symbols(w, atoms), as crt-equal's) is evaluated over a whole input row of
+atom indices at once as mixed-radix codes; any other is called per atom.
+An input pair's codeword-pair distribution is its sorted int64 outcome keys
+id1 * len(book2) + id2 with exact int64 counts, counted once; the
+correctness, security and leakage passes, the serializer and the optimized
+rates all read these tables.  Supports past MAX_ATOMS_MATERIALIZED atoms,
+or whose total weight does not fit an int64, raise SizeBoundExceeded before
+any encoder runs.
 
 All pass/fail decisions run on integer counts over the weighted randomness
 lattice; floats only appear when leakage is rendered in bits.  Witnesses
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log2
+from math import lcm, log2, prod
 
 import numpy as np
 
@@ -75,7 +78,12 @@ class _Ids(dict):
 
 def _intern(enc, m: int, atoms):
     """(ids, book): enc over inputs x atoms as int32 ids into the sorted
-    distinct codewords; each codeword is interned as the encoder returns it."""
+    distinct codewords.  An encoder with a batch form (radix, symbols(w,
+    atoms)) is read one input row at a time as lexicographic codes, ranked
+    in place; any other is called per atom and each codeword interned as it
+    returns it."""
+    if hasattr(enc, "symbols"):
+        return _intern_codes(enc, m, np.fromiter(atoms, np.intp, len(atoms)))
     index = _Ids()
     ids = np.empty((m, len(atoms)), np.int32)
     for w in range(m):
@@ -86,12 +94,32 @@ def _intern(enc, m: int, atoms):
     return rank[ids], book
 
 
+def _intern_codes(enc, m: int, atoms: np.ndarray):
+    """_intern's batch path: each row's codewords as mixed-radix codes over
+    enc.radix, first position most significant, so code order is codeword
+    order; ids are the ranks of the codes present."""
+    radix = enc.radix
+    ids = np.empty((m, len(atoms)), np.int32)
+    present = np.zeros(prod(radix), bool)
+    for w in range(m):
+        ids[w] = np.ravel_multi_index(enc.symbols(w, atoms), radix)
+        present[ids[w]] = True
+    codes = np.flatnonzero(present)
+    rank = np.zeros(len(present), np.int32)
+    rank[codes] = np.arange(len(codes), dtype=np.int32)
+    for w in range(m):
+        ids[w] = rank[ids[w]]
+    book = list(zip(*(d.tolist() for d in np.unravel_index(codes, radix))))
+    return ids, book
+
+
 def _enc_tables(scheme) -> EncTables:
     """The scheme's EncTables, kept on the scheme (schemes are immutable
-    after construction).  Every encoder is called once per (input, atom), and
-    a scheme whose enc2 is its enc1 over the same inputs is tabulated once;
-    supports past MAX_ATOMS_MATERIALIZED, or weighing more than
-    MAX_TOTAL_WEIGHT in all, raise SizeBoundExceeded before any encoder runs."""
+    after construction).  Every encoder is evaluated once per (input, atom),
+    by its batch form when it has one, and a scheme whose enc2 is its enc1
+    over the same inputs is tabulated once; supports past
+    MAX_ATOMS_MATERIALIZED, or weighing more than MAX_TOTAL_WEIGHT in all,
+    raise SizeBoundExceeded before any encoder runs."""
     cache = getattr(scheme, "_enc_cache", None)
     if cache is not None:
         return cache
@@ -104,13 +132,14 @@ def _enc_tables(scheme) -> EncTables:
         raise SizeBoundExceeded(
             f"total weight {sum(scheme.weights)} exceeds the int64 count bound {MAX_TOTAL_WEIGHT}"
         )
-    weights = (np.ones(len(atoms), np.int64) if scheme.weights is None
-               else np.array(scheme.weights, np.int64))
     ids1, book1 = _intern(scheme.enc1, scheme.m1, atoms)
     if scheme.enc2 is scheme.enc1 and scheme.m2 == scheme.m1:
         ids2, book2 = ids1, book1
     else:
         ids2, book2 = _intern(scheme.enc2, scheme.m2, atoms)
+    # built after interning, so it never coexists with an interning scratch
+    weights = (np.ones(len(atoms), np.int64) if scheme.weights is None
+               else np.array(scheme.weights, np.int64))
     scheme._enc_cache = EncTables(atoms, weights, ids1, book1, ids2, book2)
     return scheme._enc_cache
 
@@ -136,16 +165,20 @@ class SecurityResult:
 def verify_correct(scheme, f) -> CorrectnessResult:
     """dec(enc1, enc2) must reproduce f on every input pair and atom.
 
-    dec runs once per distinct outcome of each input pair; the witness names
-    the pair's first atom with a failing outcome."""
+    dec runs once per distinct outcome key of the scheme, shared by every
+    input pair it occurs in; the witness names the first pair's first atom
+    with a failing outcome."""
     t = _enc_tables(scheme)
     dec = scheme.dec
+    decoded = {}  # outcome key -> dec of its codeword pair
     for w1 in range(f.m1):
         for w2 in range(f.m2):
             expected = f.outputs[w1][w2]
-            keys = t.counts(w1, w2)[0]
-            decoded = dict(zip(keys.tolist(), [dec(c1, c2) for c1, c2 in t.outcomes(keys)]))
-            bad = [k for k, got in decoded.items() if got != expected]
+            keys = t.counts(w1, w2)[0].tolist()
+            new = [k for k in keys if k not in decoded]
+            outcomes = t.outcomes(np.array(new, np.int64))
+            decoded.update(zip(new, [dec(c1, c2) for c1, c2 in outcomes]))
+            bad = [k for k in keys if decoded[k] != expected]
             if bad:
                 per_atom = t.keys(w1, w2)
                 i = int(np.flatnonzero(np.isin(per_atom, bad))[0])

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
+
+from confuse.fields import field_make
 
 
 def brute_force_expansion_exists(f, structure) -> bool:
@@ -151,6 +154,45 @@ def pair_counts(scheme, w1: int, w2: int) -> Counter:
     for atom, weight in zip(scheme.atoms, weights):
         counts[(scheme.enc1(w1, atom), scheme.enc2(w2, atom))] += weight
     return counts
+
+
+@functools.lru_cache(maxsize=None)
+def _crt_equal_parts(m: int):
+    """(every permutation of 0..m-1 in itertools order, the field of each
+    prime-power factor of m, smallest prime first)."""
+    fields = []
+    n = m
+    for p in range(2, m + 1):
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            fields.append(field_make(p, k))
+    return list(itertools.permutations(range(m))), fields
+
+
+def crt_equal_atom_parts(m: int, atom: int):
+    """crt_equal_scheme(m)'s atom index -> (permutation, [(gamma, z)] per
+    factor), decoded digit by digit: the permutation index most significant,
+    then per factor q a digit (gamma - 1) * q + z, first factor least
+    significant."""
+    perms, fields = _crt_equal_parts(m)
+    pi, rest = divmod(atom, math.prod((fs.q - 1) * fs.q for fs in fields))
+    parts = []
+    for fs in fields:
+        rest, r = divmod(rest, (fs.q - 1) * fs.q)
+        gi, z = divmod(r, fs.q)
+        parts.append((gi + 1, z))
+    return perms[pi], parts
+
+
+def crt_equal_encode(m: int, w: int, atom: int) -> tuple:
+    """crt_equal_scheme(m)'s codeword for input w: per factor field F_q,
+    gamma * (perm[w] mod q) + z through the field's scalar add and mul."""
+    perm, parts = crt_equal_atom_parts(m, atom)
+    _, fields = _crt_equal_parts(m)
+    return tuple(fs.add(fs.mul(g, perm[w] % fs.q), z) for fs, (g, z) in zip(fields, parts))
 
 
 def ring_arithmetic(n: int) -> dict:

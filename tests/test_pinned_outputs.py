@@ -2,7 +2,9 @@
 
 The digests were recorded from the Counter-of-tuples verifier that preceded
 the integer-table one, so any change in a serialized scheme, a verdict, a
-witness, exact_zero or the leakage (to 12 places) shows up here.
+witness, exact_zero or the leakage (to 12 places) shows up here.  The
+crt_equal/7 digests (report, id table and codebook) were recorded from the
+per-atom crt-equal encoder that preceded the array one.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ from confuse.schemes import (
     scheme_from_expansion,
     serialize_scheme,
 )
-from confuse.verify import verify_scheme
+from confuse.verify import _enc_tables, verify_scheme
 
 
 def _pinned_gamma_equal3():
@@ -261,3 +263,21 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_pinned_digests(name):
     assert outputs(name) == PINNED[name]
+
+
+def test_crt_equal_m7_matches_pinned_digests():
+    # 211,680 atoms: the serialized form is too large to pin here, so the
+    # report is pinned with the tables it is read from
+    scheme = crt_equal_scheme(7)
+    report = verify_scheme(scheme, equal_table(7)).to_json()
+    report["leakage_bits"] = round(report["leakage_bits"], 12)
+    t = _enc_tables(scheme)
+    assert {
+        "report": _digest(report),
+        "ids1": hashlib.sha256(t.ids1.tobytes()).hexdigest(),
+        "book1": _digest(t.book1),
+    } == {
+        "report": "a1edd0cafa27e817f4bf9197c5755f8e46e0d51f98bd31815d7796651caff02f",
+        "ids1": "88845d829b28da561bbf7b5a41bb429c16b4b63536cfd48834b5191f1fba6066",
+        "book1": "806e702b9ea0e9ef298a659dab8ecda9f4b0821b36b80e9ce130d4ac55d6c6fa",
+    }

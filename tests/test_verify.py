@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -7,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import brute_force_first_correctness_failure, pair_counts
+from oracles import brute_force_first_correctness_failure, crt_equal_encode, pair_counts
 
 from confuse import blockcode
 from confuse.blockcode import block_security_check
@@ -306,10 +308,10 @@ def test_verify_scheme_encodes_each_atom_once(case):
     n = len(scheme.atoms)
     assert calls["enc1"] == scheme.m1 * n
     assert calls["enc2"] == scheme.m2 * n
-    outcomes = sum(len(pair_counts(scheme, w1, w2)) for w1 in range(f.m1) for w2 in range(f.m2))
+    outcomes = set().union(*(pair_counts(scheme, w1, w2) for w1 in range(f.m1) for w2 in range(f.m2)))
     if report.correct.ok:
-        # dec runs once per distinct codeword pair of each input pair
-        assert calls["dec"] == outcomes
+        # dec runs once per distinct codeword pair of the scheme, not per pair
+        assert calls["dec"] == len(outcomes)
     # the serializer reads the same tables
     serialize_scheme(counted)
     assert (calls["enc1"], calls["enc2"]) == (scheme.m1 * n, scheme.m2 * n)
@@ -416,6 +418,55 @@ def test_tables_match_encoders_atom_for_atom(case):
             assert np.all(keys[1:] > keys[:-1])
             got = dict(zip(t.outcomes(keys), counts.tolist()))
             assert got == pair_counts(scheme, w1, w2)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_crt_equal_tables_match_per_atom_oracle(m):
+    # crt-equal is tabulated by its batch form; the oracle walks each atom's
+    # mixed-radix digits and calls the fields' scalar add and mul
+    scheme = crt_equal_scheme(m)
+    t = _enc_tables(scheme)
+    assert t.ids2 is t.ids1 and t.book2 is t.book1
+    # z alone reaches every symbol of each factor field, so every tuple occurs
+    qs = [p**k for p, k in scheme.meta["factors"]]
+    assert t.book1 == list(itertools.product(*map(range, qs)))
+    assert all(type(cw) is tuple and all(type(s) is int for s in cw) for cw in t.book1)
+    n = len(scheme.atoms)
+    rng = random.Random(m)
+    for w in range(m):
+        atoms = range(n) if m < 7 else rng.sample(range(n), 5000)
+        for a in atoms:
+            expected = crt_equal_encode(m, w, a)
+            assert t.book1[t.ids1[w, a]] == expected, (w, a)
+            assert scheme.enc1(w, a) == expected, (w, a)
+
+
+def _traced_peak(fn):
+    """tracemalloc's peak over one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_crt_equal_m7_tabulates_within_a_memory_bound():
+    # the ids alone are 7 x 211,680 int32, 5.7 MiB; no inputs x atoms int64
+    # scratch may sit next to them
+    scheme = crt_equal_scheme(7)
+    assert _traced_peak(lambda: _enc_tables(scheme)) < 11 << 20
+
+
+def test_crt_equal_m8_is_refused_before_tabulating():
+    # the real encoder, not a counting wrapper, so the batch path is the one refused
+    scheme = crt_equal_scheme(8)
+
+    def verify():
+        with pytest.raises(SizeBoundExceeded):
+            verify_scheme(scheme, equal_table(8))
+
+    assert _traced_peak(verify) < 1 << 20
 
 
 def test_total_weight_past_int64_is_refused_before_encoding():
