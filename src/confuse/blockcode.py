@@ -5,6 +5,15 @@ vectors are then multiplied by one shared matrix A over F_q.  The decoder
 adds the received vectors to get A*U (U the per-position randomized sum) and
 picks the most probable U in the solution coset under the iid prior.
 
+Every matrix product over F_q is _matmul: float64 GEMMs over base-p digit
+planes, reduced mod p once at the end (delayed modular reduction, as in
+FFLAS-FFPACK).  Its sums stay below 2^53, so every float is an exact
+integer, and an operand for which they could not raises SizeBoundExceeded
+before anything is converted; no decision reads a float.  A's elimination
+(blocked, one _matmul per 64-column panel), the encoder and the syndrome
+solve all run through it, and run_trials stacks its trials as the columns
+of one product by A per party and one by the row transform T.
+
 The coset search is exact maximum-likelihood when the coset is small enough
 to enumerate; otherwise a greedy per-coordinate fallback assigns each free
 coordinate its prior argmax.  The greedy path is a documented heuristic:
@@ -20,7 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded, LengthMismatch, NotAFieldScheme, Undecodable
+from .errors import (
+    BudgetExceeded, LengthMismatch, NotAFieldScheme, SizeBoundExceeded, Undecodable,
+)
 from .expansion import FunctionTable
 from .fields import table_dtype
 from .rates import Rate
@@ -68,39 +79,67 @@ def entropy_of_U(scheme, input_dist: dict[tuple[int, int], Fraction]) -> Entropy
 
 
 # ---------------------------------------------------------------------------
-# vectorized field arithmetic: numpy copies of the carrier's add/neg/mul tables
+# F_q matrix products and elimination
 # ---------------------------------------------------------------------------
 
-def _matvec(fs, mul):
-    """A*v over F_q.  Prime fields reduce the integer product mod p;
-    extension fields sum the table products digitwise mod p."""
-    p = fs.p
-    if fs.n == 1:
-        return lambda A, v: (A @ v) % p
-    digits = (np.arange(fs.q)[:, None] // p ** np.arange(fs.n)) % p
-    weights = p ** np.arange(fs.n)
-    return lambda A, v: (digits[mul[A, v[None, :]]].sum(axis=1) % p) @ weights
+_BLOCK = 64  # rows per float64 GEMM, and columns per elimination panel
+TRIAL_CHUNK = 64  # trials stacked into one L x 64 matrix per party
 
 
-def _rref(fs, A: np.ndarray):
-    """Reduced row echelon form of A over F_q with the row transform tracked.
+def _matmul(fs, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y over F_q, entries in table_dtype(q).
 
-    Gauss-Jordan on the augmented matrix [A | I], entries in the smallest
-    unsigned dtype holding q-1.  Each pivot updates only the rows with a
-    nonzero entry in its column, 64 rows at a time, by lookups in the
-    carrier's tables: the pivot row's multiples are tabulated once, then
-    added to each row.
-    Returns (R, T, pivots): R = T*A in RREF, pivots the pivot columns.
+    Elements are base-p digit vectors (x^i encoded as p^i), so X*Y is
+    sum_i X_i * (x^i Y) with X_i the digit-i plane of X, and digit d of the
+    product is sum_i X_i @ digit_d(x^i Y) mod p.  Every 64-row block of X is
+    one float64 GEMM against the stacked planes of Y (Y itself for a prime
+    field), cast to integers and reduced mod p.  Each output entry sums
+    inner * n products below p^2; an operand pair for which that could reach
+    2^53 raises SizeBoundExceeded before anything is converted, so every
+    float is an exact integer.
     """
-    add, neg, mul = fs.arrays()
-    q = fs.q
+    p, n = fs.p, fs.n
+    inner = X.shape[1]
+    if inner * n * (p - 1) ** 2 >= 2**53:
+        raise SizeBoundExceeded(
+            f"an F_{fs.q} product over {inner} terms is not exact in float64"
+        )
+    dt = table_dtype(fs.q)
+    cols = Y.shape[1]
+    if n == 1:
+        planes = Y.astype(np.float64)
+    else:
+        planes = np.empty((n, inner, n, cols))
+        for i in range(n):
+            xiY = np.frombuffer(fs.mul_table[p**i], dt)[Y]
+            for d in range(n):
+                planes[i, :, d, :] = xiY // p**d % p
+        planes = planes.reshape(n * inner, n * cols)
+        powers = p ** np.arange(n)
+    out = np.empty((X.shape[0], cols), dt)
+    for s in range(0, X.shape[0], _BLOCK):
+        block = X[s : s + _BLOCK]
+        if n > 1:
+            block = (block[:, None, :] // powers[:, None] % p).reshape(len(block), n * inner)
+        prod = (block.astype(np.float64) @ planes).astype(np.int64)
+        prod %= p
+        out[s : s + _BLOCK] = prod if n == 1 else powers @ prod.reshape(len(block), n, cols)
+    return out
+
+
+def _reduce(tables, inv, M: np.ndarray):
+    """Gauss-Jordan on M in place by lookups in the carrier's tables: each
+    column's pivot is the first row at or below the pivot count with a
+    nonzero entry, swapped up, scaled to 1 and cleared from every other row.
+    Returns (pivots, order): M holds the reduction of the input's rows taken
+    in that order.  tables are the carrier's (add, neg, mul) arrays, inv
+    its inverses (inv[0] unused)."""
+    add, neg, mul = tables
+    q = len(add)
     # add[x, y] = add_flat[x*q + y]: one flat gather beats a 2-D one
     add_flat, flat_index = add.ravel(), table_dtype(q * q)
-    inv = np.array([0] + [fs.inv(a) for a in range(1, q)])
-    rows, cols = A.shape
-    M = np.zeros((rows, cols + rows), dtype=add.dtype)
-    M[:, :cols] = A
-    M[:, cols:] = np.eye(rows, dtype=add.dtype)
+    rows, cols = M.shape
+    order = np.arange(rows)
     pivots = []
     r = 0
     for c in range(cols):
@@ -112,21 +151,68 @@ def _rref(fs, A: np.ndarray):
         i = r + int(nz[0])
         if i != r:
             M[[r, i]] = M[[i, r]]
+            order[[r, i]] = order[[i, r]]
         # columns left of c are already clear in the pivot row
         M[r, c:] = mul[inv[M[r, c]], M[r, c:]]
         others = np.flatnonzero(M[:, c])
         others = others[others != r]
-        multiples = mul[:, M[r, c:]]
-        # blocks of rows keep the temporaries small: faster, and peak RSS
-        # stays flat where one temporary per pivot fragments the heap
-        for s in range(0, len(others), 64):
-            block = others[s : s + 64]
-            sums = M[block, c:].astype(flat_index, copy=False)
-            sums *= q
-            sums += multiples[neg[M[block, c]]]
-            M[block, c:] = add_flat.take(sums)
+        sums = M[others, c:].astype(flat_index)
+        sums *= q
+        sums += mul[:, M[r, c:]][neg[M[others, c]]]
+        M[others, c:] = add_flat.take(sums)
         pivots.append(c)
         r += 1
+    return pivots, order
+
+
+def _rref(fs, A: np.ndarray):
+    """Reduced row echelon form of A over F_q with the row transform tracked.
+
+    Blocked Gauss-Jordan on the augmented matrix [A | I], entries in
+    table_dtype(q), one 64-column panel of A at a time.  _reduce finds the
+    panel's pivots on its rows at and below the pivot count, which makes
+    the row swaps of an unblocked pass, and inverts the pivot block K on
+    [K | I].  The new pivot rows are K^-1 times their rows; every row then
+    loses its pivot-column entries times them, by _matmul 64 rows at a time.
+    R is unique and the swaps and the other rows are forced, so the result
+    is that of the unblocked pass.
+    Returns (R, T, pivots): R = T*A in RREF, pivots the pivot columns.
+    """
+    tables = fs.arrays()
+    add, neg, _ = tables
+    q = fs.q
+    inv = np.array([0] + [fs.inv(a) for a in range(1, q)])
+    add_flat, flat_index = add.ravel(), table_dtype(q * q)
+    dt = add.dtype
+    rows, cols = A.shape
+    M = np.zeros((rows, cols + rows), dtype=dt)
+    M[:, :cols] = A
+    M[:, cols:] = np.eye(rows, dtype=dt)
+    pivots = []
+    r = 0
+    for c0 in range(0, cols, _BLOCK):
+        if r == rows:
+            break
+        # rows at and below r are clear left of c0
+        found, order = _reduce(tables, inv, M[r:, c0 : min(c0 + _BLOCK, cols)].copy())
+        if not found:
+            continue
+        moved = np.flatnonzero(order != np.arange(len(order)))
+        M[r + moved] = M[r + order[moved]]
+        k = len(found)
+        piv = [c0 + c for c in found]
+        KI = np.concatenate([M[r : r + k, piv], np.eye(k, dtype=dt)], axis=1)
+        _reduce(tables, inv, KI)
+        new_rows = _matmul(fs, KI[:, k:], M[r : r + k, c0:])
+        # 64 rows at a time keeps every temporary block-sized
+        for s in range(0, rows, _BLOCK):
+            sums = M[s : s + _BLOCK, c0:].astype(flat_index)
+            sums *= q
+            sums += _matmul(fs, neg[M[s : s + _BLOCK, piv]], new_rows)
+            M[s : s + _BLOCK, c0:] = add_flat.take(sums)
+        M[r : r + k, c0:] = new_rows
+        pivots += piv
+        r += k
     return M[:, :cols], M[:, cols:], pivots
 
 
@@ -181,35 +267,73 @@ def make_block_spec(
 
 
 def _solver(spec: BlockCodeSpec):
+    """The spec's decoding state, built once: the row transform T of A's
+    elimination, the pivots, the log-prior and the coset offsets.  Every
+    candidate for U is u0 + offsets[i], u0 the solution that is 0 on the free
+    coordinates: offsets are all combinations of the null-space basis when
+    the coset has at most COSET_BUDGET members, else the one greedy shift
+    that gives every free coordinate its prior argmax."""
     if "rank" not in spec._state:
         fs = spec.base.expansion.structure.carrier
         add, neg, mul = fs.arrays()
         R, T, pivots = _rref(fs, spec.A)
         rank = len(pivots)
-        free = [c for c in range(spec.L) if c not in set(pivots)]
+        pivot_set = set(pivots)
+        free = [c for c in range(spec.L) if c not in pivot_set]
+        k = len(free)
         # null-space basis: one vector per free column
-        V = np.zeros((len(free), spec.L), dtype=add.dtype)
-        for k, fc in enumerate(free):
-            V[k, fc] = 1
-            V[k, pivots] = neg[R[:rank, fc]]
+        V = np.zeros((k, spec.L), dtype=add.dtype)
+        for j, fc in enumerate(free):
+            V[j, fc] = 1
+            V[j, pivots] = neg[R[:rank, fc]]
         logp = np.full(fs.q, -1e18)
         for u, p in spec.dist_U.items():
             if p > 0:
                 logp[u] = math.log2(p)
+        if fs.q**k <= COSET_BUDGET:
+            # exact ML: the whole coset, first free coordinate most significant
+            combos = np.array(
+                list(itertools.product(range(fs.q), repeat=k)), add.dtype
+            ).reshape(fs.q**k, k)
+        else:
+            # greedy typicality: V[j] is 1 at its free slot, so each free
+            # coordinate takes the prior argmax and the pivots follow
+            combos = np.full((1, k), np.argmax(logp), add.dtype)
         spec._state.update(
-            tables=(add, neg, mul), matvec=_matvec(fs, mul), R=R[:rank],
-            T=T.astype(np.int64), pivots=pivots, free=free, V=V, rank=rank, logp=logp,
+            field=fs, tables=(add, neg, mul), T=T, pivots=pivots, rank=rank,
+            logp=logp, offsets=_matmul(fs, combos, V),
         )
     return spec._state
 
 
-def _encode_pre(tables, w_vec, mapping, gamma_vec, z_vec, subtract: bool):
-    """Per-position masked values gamma * mapping[w] + z (or - z), read from
-    the carrier's (add, neg, mul) tables."""
-    add, neg, mul = tables
-    mapped = np.array([mapping[w] for w in w_vec], dtype=np.int64)
-    masked = mul[gamma_vec, mapped]
-    return add[masked, neg[z_vec] if subtract else z_vec]
+def _encode(spec: BlockCodeSpec, mapped1, mapped2, G, Z):
+    """Both parties' codewords, one column per block: A * (G * mapped1 + Z)
+    and A * (G * mapped2 - Z), per-position masking read from the carrier's
+    tables."""
+    s = _solver(spec)
+    add, neg, mul = s["tables"]
+    fs = s["field"]
+    return (_matmul(fs, spec.A, add[mul[G, mapped1], Z]),
+            _matmul(fs, spec.A, add[mul[G, mapped2], neg[Z]]))
+
+
+def _decode(spec: BlockCodeSpec, X1, X2):
+    """The most probable U with A*U = x1 + x2 for each column of received
+    codewords: T*(x1 + x2) gives the coset's pivot coordinates, and each
+    column takes the candidate u0 + offsets[i] of highest log-prior."""
+    s = _solver(spec)
+    add = s["tables"][0]
+    rank, logp, offsets = s["rank"], s["logp"], s["offsets"]
+    y = _matmul(s["field"], s["T"], add[X1, X2])
+    if np.any(y[rank:]):
+        raise Undecodable("syndrome outside the column space of A")
+    u0 = np.zeros((y.shape[1], spec.L), dtype=y.dtype)
+    u0[:, s["pivots"]] = y[:rank].T
+    U = np.empty((spec.L, y.shape[1]), dtype=y.dtype)
+    for j, u in enumerate(u0):
+        cands = add[u, offsets]
+        U[:, j] = cands[int(np.argmax(logp[cands].sum(axis=1)))]
+    return U
 
 
 def block_encode(spec: BlockCodeSpec, w1_vec, w2_vec, gamma_vec, z_vec):
@@ -217,53 +341,38 @@ def block_encode(spec: BlockCodeSpec, w1_vec, w2_vec, gamma_vec, z_vec):
     if not (len(w1_vec) == len(w2_vec) == len(gamma_vec) == len(z_vec) == spec.L):
         raise LengthMismatch(f"all vectors must have length L = {spec.L}")
     exp = spec.base.expansion
-    s = _solver(spec)
-    tables, matvec = s["tables"], s["matvec"]
-    g = np.asarray(gamma_vec, dtype=np.int64)
-    z = np.asarray(z_vec, dtype=np.int64)
-    pre1 = _encode_pre(tables, w1_vec, exp.map1, g, z, subtract=False)
-    pre2 = _encode_pre(tables, w2_vec, exp.map2, g, z, subtract=True)
-    return matvec(spec.A, pre1), matvec(spec.A, pre2)
+
+    def column(values):
+        return np.asarray(values, dtype=np.int64)[:, None]
+
+    X1, X2 = _encode(
+        spec,
+        column([exp.map1[w] for w in w1_vec]),
+        column([exp.map2[w] for w in w2_vec]),
+        column(gamma_vec),
+        column(z_vec),
+    )
+    return X1[:, 0].astype(np.int64), X2[:, 0].astype(np.int64)
 
 
 def block_decode(spec: BlockCodeSpec, x1_vec, x2_vec):
     """Recover the most probable U vector with A*U = x1 + x2, then map each
-    position through the expansion's output labeling."""
-    s = _solver(spec)
-    (add, _, mul), rank = s["tables"], s["rank"]
-    syndrome = add[np.asarray(x1_vec, dtype=np.int64), np.asarray(x2_vec, dtype=np.int64)]
-    y = s["matvec"](s["T"], syndrome)
-    if np.any(y[rank:]):
-        raise Undecodable("syndrome outside the column space of A")
-    u0 = np.zeros(spec.L, dtype=np.int64)
-    u0[s["pivots"]] = y[:rank]
-    free = s["free"]
-    k = len(free)
-    q = len(add)
-    logp = s["logp"]
-    if k == 0:
-        u_hat = u0
-    elif q ** k <= COSET_BUDGET:
-        # exact ML: enumerate the whole coset
-        combos = np.array(
-            np.meshgrid(*([np.arange(q)] * k), indexing="ij"), dtype=np.int64
-        ).reshape(k, -1).T
-        cands = np.repeat(u0[None, :], combos.shape[0], axis=0)
-        for j in range(k):
-            cands = add[cands, mul[combos[:, j][:, None], s["V"][j][None, :]]]
-        scores = logp[cands].sum(axis=1)
-        u_hat = cands[int(np.argmax(scores))].astype(np.int64)
-    else:
-        # greedy typicality: every free coordinate takes its prior argmax;
-        # pivots follow from the null-basis shift (V[j] is 1 at the free slot)
-        best = int(np.argmax(logp))
-        u_hat = u0
-        for j in range(k):
-            u_hat = add[u_hat, mul[best, s["V"][j]]]
-        u_hat = u_hat.astype(np.int64)
+    position through the expansion's output labeling; a U in a confusable
+    set no input pair reaches raises Undecodable."""
+    U = _decode(
+        spec,
+        np.asarray(x1_vec, dtype=np.int64)[:, None],
+        np.asarray(x2_vec, dtype=np.int64)[:, None],
+    )
+    u_hat = U[:, 0].astype(np.int64)
     exp = spec.base.expansion
     st = exp.structure
-    f_vec = [exp.out_map.get(st.index_of(int(u)), 0) for u in u_hat]
+    f_vec = []
+    for u in u_hat.tolist():
+        label = exp.out_map.get(st.index_of(u))
+        if label is None:
+            raise Undecodable(f"U = {u} lies in a confusable set no input pair reaches")
+        f_vec.append(label)
     return u_hat, f_vec
 
 
@@ -274,7 +383,9 @@ def run_trials(
     input_dist: dict[tuple[int, int], Fraction] | None = None,
 ) -> dict:
     """Monte Carlo decode-error estimate; trial t is keyed by SeedSequence
-    (seed, trial) so results are reproducible and order-independent."""
+    (seed, trial) so results are reproducible and order-independent.
+    Trials run TRIAL_CHUNK at a time as the columns of one encode and one
+    decode; the solver is built even for zero trials."""
     base = spec.base
     exp = base.expansion
     st = exp.structure
@@ -286,22 +397,24 @@ def run_trials(
     probs = probs / probs.sum()
     gammas = np.array(st.randomizer, dtype=np.int64)
     add, _, mul = _solver(spec)["tables"]
+    map1 = np.array([exp.map1[a] for a, _ in pairs], dtype=add.dtype)
+    map2 = np.array([exp.map2[b] for _, b in pairs], dtype=add.dtype)
     # U = g*map1[w1] + z + g*map2[w2] - z = g * (map1[w1] + map2[w2]) per pair
-    pair_sums = np.array([add[exp.map1[a], exp.map2[b]] for a, b in pairs], dtype=np.int64)
-
-    def one_trial(t: int) -> int:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, t))))
-        idx = rng.choice(len(pairs), size=spec.L, p=probs)
-        w1 = [pairs[i][0] for i in idx]
-        w2 = [pairs[i][1] for i in idx]
-        g = gammas[rng.integers(0, len(gammas), size=spec.L)]
-        z = rng.integers(0, q, size=spec.L, dtype=np.int64)
-        x1, x2 = block_encode(spec, w1, w2, g, z)
-        true_u = mul[g, pair_sums[idx]]
-        u_hat, _ = block_decode(spec, x1, x2)
-        return 0 if np.array_equal(u_hat, true_u) else 1
-
-    errors = sum(one_trial(t) for t in range(trials))
+    pair_sums = add[map1, map2]
+    errors = 0
+    for start in range(0, trials, TRIAL_CHUNK):
+        ts = range(start, min(start + TRIAL_CHUNK, trials))
+        idx = np.empty((spec.L, len(ts)), dtype=np.intp)
+        G = np.empty((spec.L, len(ts)), dtype=add.dtype)
+        Z = np.empty((spec.L, len(ts)), dtype=add.dtype)
+        for j, t in enumerate(ts):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, t))))
+            idx[:, j] = rng.choice(len(pairs), size=spec.L, p=probs)
+            G[:, j] = gammas[rng.integers(0, len(gammas), size=spec.L)]
+            Z[:, j] = rng.integers(0, q, size=spec.L, dtype=np.int64)
+        X1, X2 = _encode(spec, map1[idx], map2[idx], G, Z)
+        wrong = _decode(spec, X1, X2) != mul[G, pair_sums[idx]]
+        errors += int(np.count_nonzero(wrong.any(axis=0)))
     return {
         "trials": trials,
         "errors": errors,
@@ -312,6 +425,34 @@ def run_trials(
         "rng": RNG_NAME,
         "seed": seed,
     }
+
+
+class _BlockEncoder:
+    """One party's encoder of the L-block scheme block_security_check
+    verifies, one expression over an atom index or an index array alike.
+    An atom splits in mixed radix into one base-atom index per position,
+    first position most significant (itertools.product order); position
+    i's value is gamma * mapping[w_i] + z (or - z), read from a table over
+    (symbol, base atom), and the codeword is A times the L values.  symbols
+    is the batch form the verifier tabulates with, radix the alphabet size
+    of each codeword position."""
+
+    def __init__(self, fs, A, w_vecs, mapping, base_atoms, subtract: bool):
+        add, neg, mul = fs.arrays()
+        g, z = np.array(base_atoms, dtype=np.int64).T
+        self.values = add[mul[g, np.array(mapping)[:, None]], neg[z] if subtract else z]
+        self.fs, self.A = fs, A
+        self.w_vecs = np.array(w_vecs, dtype=np.intp)
+        self.shape = (len(base_atoms),) * A.shape[1]
+        self.radix = (fs.q,) * A.shape[0]
+
+    def symbols(self, w: int, atoms):
+        """Input w's codeword positions under atoms (an index array)."""
+        per_position = np.array(np.unravel_index(atoms, self.shape))
+        return list(_matmul(self.fs, self.A, self.values[self.w_vecs[w][:, None], per_position]))
+
+    def __call__(self, w: int, atom: int) -> tuple:
+        return tuple(int(s[0]) for s in self.symbols(w, np.array([atom])))
 
 
 def block_security_check(base, f: FunctionTable, L_small: int, A: np.ndarray) -> SecurityResult:
@@ -332,14 +473,6 @@ def block_security_check(base, f: FunctionTable, L_small: int, A: np.ndarray) ->
 
     w1_vecs = list(itertools.product(range(f.m1), repeat=L_small))
     w2_vecs = list(itertools.product(range(f.m2), repeat=L_small))
-    tables = fs.arrays()
-    matvec = _matvec(fs, tables[2])
-
-    def codeword(w_vec, mapping, atom, subtract):
-        # atom holds one (gamma, z) per position, as in block_encode
-        g, z = np.array(atom, dtype=np.int64).T
-        return tuple(matvec(A, _encode_pre(tables, w_vec, mapping, g, z, subtract)).tolist())
-
     # vector function table: one label per distinct f-vector, in first-use order
     fvecs = {}
     rows = []
@@ -353,10 +486,10 @@ def block_security_check(base, f: FunctionTable, L_small: int, A: np.ndarray) ->
     vec_scheme = Scheme(
         m1=len(w1_vecs),
         m2=len(w2_vecs),
-        atoms=list(itertools.product(atoms, repeat=L_small)),
+        atoms=range(len(atoms) ** L_small),
         weights=None,
-        enc1=lambda w, atom: codeword(w1_vecs[w], exp.map1, atom, False),
-        enc2=lambda w, atom: codeword(w2_vecs[w], exp.map2, atom, True),
+        enc1=_BlockEncoder(fs, A, w1_vecs, exp.map1, atoms, subtract=False),
+        enc2=_BlockEncoder(fs, A, w2_vecs, exp.map2, atoms, subtract=True),
         dec=lambda x1, x2: 0,
         rate1=rate,
         rate2=rate,

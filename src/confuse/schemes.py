@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, SizeBoundExceeded, TotalityError
+from .errors import SchemaError, SizeBoundExceeded, TotalityError, Undecodable
 from .expansion import FeasibleExpansion, FunctionTable
 from .fields import field_make
 from .rates import Rate, _factorize
@@ -74,7 +74,10 @@ def scheme_from_expansion(exp: FeasibleExpansion, z_values=None) -> Scheme:
         return (sub(mul(g, map2[w2]), z),)
 
     def dec(x1, x2):
-        return out_map.get(st.index_of(add(x1[0], x2[0])), 0)
+        index = st.index_of(add(x1[0], x2[0]))
+        if index not in out_map:
+            raise Undecodable(f"the sum lies in confusable set {index}, which no input pair reaches")
+        return out_map[index]
 
     full = z_values is None
     rate = Rate.log2(carrier.size)
@@ -404,7 +407,9 @@ def serialize_scheme(scheme: Scheme, name: str = "") -> dict:
     Symbols are remapped per codeword position onto compact 0..s-1 alphabets
     so reloaded rates equal the range-based rates of optimized schemes.  The
     alphabets come from the verifier's codebooks and each atom's codeword
-    from its id tables, shared with verify_scheme.
+    from its id tables, shared with verify_scheme.  The decoder table is
+    total: a codeword pair that dec finds Undecodable, which no input pair
+    yields, is written as output 0.
     """
     tables = _enc_tables(scheme)
 
@@ -420,7 +425,11 @@ def serialize_scheme(scheme: Scheme, name: str = "") -> dict:
         raw1 = tuple(values1[i][s] for i, s in enumerate(idx1))
         for idx2 in itertools.product(*(range(len(v)) for v in values2)):
             raw2 = tuple(values2[i][s] for i, s in enumerate(idx2))
-            dec_rows.append({"x1": list(idx1), "x2": list(idx2), "f": scheme.dec(raw1, raw2)})
+            try:
+                label = scheme.dec(raw1, raw2)
+            except Undecodable:
+                label = 0  # no input pair yields this pair, but the table is total
+            dec_rows.append({"x1": list(idx1), "x2": list(idx2), "f": label})
     atoms, weights = tables.atoms, tables.weights.tolist()
     return {
         "name": name or scheme.kind,

@@ -11,6 +11,9 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
+
+from confuse.blockcode import block_decode, block_encode
 from confuse.fields import field_make
 
 
@@ -236,3 +239,31 @@ def field_arithmetic(p: int, n: int, h) -> dict:
         return encode([x + y for x, y in zip(digits(a), digits(b))])
 
     return {"add": add, "sub": lambda a, b: add(a, neg(b)), "neg": neg, "mul": mul}
+
+
+def block_trial_errors(spec, trials: int, seed: int, input_dist) -> list[int]:
+    """run_trials one trial at a time: trial t draws its pairs, gammas and
+    masks from SeedSequence((seed, t)) in run_trials' order, goes through
+    block_encode and block_decode, and scores 1 when the decoded U differs
+    from the true one."""
+    exp = spec.base.expansion
+    st = exp.structure
+    fs = st.carrier
+    pairs = sorted(input_dist)
+    probs = np.array([float(input_dist[x]) for x in pairs])
+    probs = probs / probs.sum()
+    gammas = np.array(st.randomizer, dtype=np.int64)
+    out = []
+    for t in range(trials):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, t))))
+        idx = rng.choice(len(pairs), size=spec.L, p=probs)
+        w1 = [pairs[i][0] for i in idx]
+        w2 = [pairs[i][1] for i in idx]
+        g = gammas[rng.integers(0, len(gammas), size=spec.L)]
+        z = rng.integers(0, fs.q, size=spec.L, dtype=np.int64)
+        x1, x2 = block_encode(spec, w1, w2, g, z)
+        true_u = [fs.mul(int(gi), fs.add(exp.map1[a], exp.map2[b]))
+                  for gi, a, b in zip(g, w1, w2)]
+        u_hat, _ = block_decode(spec, x1, x2)
+        out.append(int(u_hat.tolist() != true_u))
+    return out

@@ -1,12 +1,18 @@
 import hashlib
+import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from confuse.blockcode import (
+    COSET_BUDGET,
+    TRIAL_CHUNK,
+    _matmul,
+    _solver,
     block_decode,
     block_encode,
     block_security_check,
@@ -14,13 +20,16 @@ from confuse.blockcode import (
     make_block_spec,
     run_trials,
 )
-from confuse.errors import BudgetExceeded, LengthMismatch, NotAFieldScheme
+from confuse.errors import (
+    BudgetExceeded, LengthMismatch, NotAFieldScheme, SizeBoundExceeded, Undecodable,
+)
 from confuse.expansion import equal_table, find_expansion
 from confuse.fields import field_make
 from confuse.gallery import get as gallery_get
-from confuse.schemes import crt_equal_scheme, scheme_from_expansion
+from confuse.schemes import crt_equal_scheme, scheme_from_expansion, serialize_scheme
 from confuse.structures import field_confusable_sets
-from confuse.verify import verify_secure
+from confuse.verify import verify_scheme, verify_secure
+from oracles import block_trial_errors, field_arithmetic
 
 
 def _and_scheme():
@@ -129,7 +138,6 @@ def test_length_mismatch():
 
 
 def test_undecodable_on_inconsistent_syndrome():
-    from confuse.errors import Undecodable
     from confuse.blockcode import BlockCodeSpec
     from fractions import Fraction as F
 
@@ -198,8 +206,6 @@ def test_extension_field_block_code():
     spec = make_block_spec(scheme, L=6, identity=True, input_dist=dist)
     res = run_trials(spec, 30, seed=9, input_dist=dist)
     assert res["errors"] == 0
-    from confuse.blockcode import _solver
-
     full_rank_seed = next(
         s for s in range(50)
         if _solver(make_block_spec(scheme, L=6, rows=6, seed=s, input_dist=dist))["rank"] == 6
@@ -325,3 +331,135 @@ def test_block_code_returns_int64_arrays_on_every_decode_path():
             x1, x2 = block_encode(spec, [0] * 20, [1] * 20, [1] * 20, list(range(2)) * 10)
             u, _ = block_decode(spec, x1, x2)
             assert x1.dtype == x2.dtype == u.dtype == np.int64
+
+
+FIELDS_UP_TO_16 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
+# (rows of X, inner, columns of Y): one column, exactly one 64-row block,
+# and a partial third block
+MATMUL_SHAPES = [(5, 9, 1), (64, 7, 3), (130, 11, 2)]
+
+
+@pytest.mark.parametrize("p, n", FIELDS_UP_TO_16)
+def test_matmul_matches_scalar_field_oracle(p, n):
+    fs = field_make(p, n)
+    oracle = field_arithmetic(p, n, fs.h)
+    rng = np.random.default_rng([p, n])
+    for rows, inner, cols in MATMUL_SHAPES:
+        X = rng.integers(0, fs.q, size=(rows, inner))
+        Y = rng.integers(0, fs.q, size=(inner, cols)).astype(np.uint8)
+        expected = np.zeros((rows, cols), dtype=np.int64)
+        for i, t, j in itertools.product(range(rows), range(inner), range(cols)):
+            product = oracle["mul"](int(X[i, t]), int(Y[t, j]))
+            expected[i, j] = oracle["add"](int(expected[i, j]), product)
+        got = _matmul(fs, X, Y)
+        assert got.dtype == np.uint8
+        assert got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (13, 1)])
+def test_matmul_refuses_inexact_sums_before_allocating(p, n):
+    # the smallest inner length whose sums could reach 2^53
+    inner = -(-(2**53) // (n * (p - 1) ** 2))
+    X = np.broadcast_to(np.uint8(1), (1, inner))
+    Y = np.broadcast_to(np.uint8(1), (inner, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBoundExceeded):
+            _matmul(field_make(p, n), X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_solver_keeps_T_in_the_table_dtype():
+    spec = make_block_spec(_and_scheme(), L=1024, rows=1024, seed=0)
+    T = _solver(spec)["T"]
+    assert T.dtype == np.uint8 and T.shape == (1024, 1024) and T.nbytes == 1 << 20
+
+
+_P1 = [Fraction(9, 10), Fraction(1, 10)]
+TRIAL_DISTS = {
+    "and2": {(a, b): _P1[a] * _P1[b] for a in range(2) for b in range(2)},
+    "equal4": {(a, b): Fraction(9, 40) if a == b else Fraction(1, 120)
+               for a in range(4) for b in range(4)},
+}
+# every decode path on F_3 and F_4: no free coordinate, exact coset ML (two
+# specs sharing q and the coset size), the greedy fallback, and a rank-deficient A
+TRIAL_SPECS = {
+    "identity": {"identity": True},
+    "coset": {"rows": 17, "seed": 1},
+    "coset-b": {"rows": 17, "seed": 3},
+    "greedy": {"rows": 8, "seed": 1},
+    "deficient": {"rows": 20, "seed": 2},
+}
+# sha256 of the run_trials results over the grid, 150 trials each, recorded
+# when each trial went through block_encode and block_decode in turn
+TRIAL_GRID_DIGEST = "c72dd91605e7ef9d"
+
+
+def _trial_spec(name, kind):
+    scheme = _and_scheme() if name == "and2" else _f4_equal_scheme()
+    spec = make_block_spec(scheme, L=20, input_dist=TRIAL_DISTS[name], **TRIAL_SPECS[kind])
+    if kind == "deficient":
+        spec.A[-1] = spec.A[0]
+    return spec
+
+
+def _f4_equal_scheme():
+    if "equal4" not in _cache:
+        exp = find_expansion(equal_table(4), field_confusable_sets(field_make(2, 2), 1))
+        _cache["equal4"] = scheme_from_expansion(exp)
+    return _cache["equal4"]
+
+
+@pytest.mark.parametrize("name", sorted(TRIAL_DISTS))
+@pytest.mark.parametrize("kind", sorted(TRIAL_SPECS))
+def test_run_trials_equal_per_trial_round_trips(name, kind):
+    spec = _trial_spec(name, kind)
+    s = _solver(spec)
+    k = spec.L - s["rank"]
+    if kind == "identity":
+        assert k == 0
+    elif kind == "greedy":
+        assert spec.q**k > COSET_BUDGET
+    else:
+        assert 0 < k and spec.q**k <= COSET_BUDGET
+    if kind == "deficient":
+        assert s["rank"] < spec.rows
+    per_trial = block_trial_errors(spec, 150, 5, TRIAL_DISTS[name])
+    # trial counts on both sides of every chunk boundary
+    for trials in (1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 2 * TRIAL_CHUNK + 3, 150):
+        res = run_trials(spec, trials, seed=5, input_dist=TRIAL_DISTS[name])
+        assert res["errors"] == sum(per_trial[:trials]), trials
+
+
+def test_run_trials_match_pinned_digest():
+    out = []
+    for name in TRIAL_DISTS:
+        for kind in TRIAL_SPECS:
+            res = run_trials(_trial_spec(name, kind), 150, seed=5, input_dist=TRIAL_DISTS[name])
+            out.append([name, kind, res])
+    blob = json.dumps(out, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == TRIAL_GRID_DIGEST
+
+
+def test_unreached_confusable_set_is_undecodable():
+    # AND over F_5 with S* = {1, 4}: the sets are {0}, {1, 4} and {2, 3}, and
+    # no cell sum lands in {0}
+    exp = find_expansion(gallery_get("and2").table, field_confusable_sets(field_make(5, 1), 2))
+    assert sorted(exp.out_map) == [1, 2]
+    scheme = scheme_from_expansion(exp)
+    assert scheme.dec((1,), (0,)) == exp.out_map[1]
+    with pytest.raises(Undecodable):
+        scheme.dec((1,), (4,))
+    spec = make_block_spec(scheme, L=2, identity=True)
+    u, fvec = block_decode(spec, [1, 2], [0, 0])
+    assert u.tolist() == [1, 2] and fvec == [exp.out_map[1], exp.out_map[2]]
+    with pytest.raises(Undecodable):
+        block_decode(spec, [1, 2], [4, 0])
+    # the verifier never decodes an unreachable pair, and the serializer's
+    # total decoder table labels it 0
+    assert verify_scheme(scheme, gallery_get("and2").table).ok
+    rows = serialize_scheme(scheme)["dec"]
+    assert {r["f"] for r in rows if (r["x1"][0] + r["x2"][0]) % 5 == 0} == {0}
