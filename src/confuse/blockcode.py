@@ -84,6 +84,7 @@ def entropy_of_U(scheme, input_dist: dict[tuple[int, int], Fraction]) -> Entropy
 
 _BLOCK = 64  # rows per float64 GEMM, and columns per elimination panel
 TRIAL_CHUNK = 64  # trials stacked into one L x 64 matrix per party
+_CANDIDATES = 1024  # coset candidates scored per float64 block in exact-ML decoding
 
 
 def _matmul(fs, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -331,8 +332,15 @@ def _decode(spec: BlockCodeSpec, X1, X2):
     u0[:, s["pivots"]] = y[:rank].T
     U = np.empty((spec.L, y.shape[1]), dtype=y.dtype)
     for j, u in enumerate(u0):
-        cands = add[u, offsets]
-        U[:, j] = cands[int(np.argmax(logp[cands].sum(axis=1)))]
+        # the first maximum over all blocks, as one argmax over the coset would give
+        best = -np.inf
+        for c0 in range(0, len(offsets), _CANDIDATES):
+            cands = add[u, offsets[c0 : c0 + _CANDIDATES]]
+            scores = logp[cands].sum(axis=1)
+            i = int(np.argmax(scores))
+            if scores[i] > best:
+                best = scores[i]
+                U[:, j] = cands[i]
     return U
 
 

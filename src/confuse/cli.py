@@ -82,15 +82,25 @@ def _load_table(path: str) -> FunctionTable:
 
 
 def _load_input_dist(path: str, f: FunctionTable) -> dict:
+    """{(w1, w2): probability} from an m1 x m2 JSON matrix, bare or under
+    "probs"; strings such as "1/4" are exact.  Anything but m1 rows of m2
+    entries, each >= 0, summing to exactly 1 raises ValueError."""
     with open(path) as fh:
         obj = json.load(fh)
-    probs = obj["probs"] if isinstance(obj, dict) else obj
-    dist = {}
-    for w1, row in enumerate(probs):
-        for w2, v in enumerate(row):
-            dist[(w1, w2)] = Fraction(v) if isinstance(v, str) else Fraction(v).limit_denominator(10**9)
-    if len(dist) != f.m1 * f.m2:
-        raise ValueError("input distribution shape must match the table")
+    probs = obj.get("probs") if isinstance(obj, dict) else obj
+    if not (isinstance(probs, list) and len(probs) == f.m1
+            and all(isinstance(row, list) and len(row) == f.m2 for row in probs)):
+        raise ValueError(f"input distribution must be {f.m1} rows of {f.m2} entries")
+    try:
+        dist = {
+            (w1, w2): Fraction(v) if isinstance(v, str) else Fraction(v).limit_denominator(10**9)
+            for w1, row in enumerate(probs)
+            for w2, v in enumerate(row)
+        }
+    except TypeError as e:  # null, lists or objects as entries
+        raise ValueError(f"input distribution entries must be numbers or strings: {e}") from None
+    if any(v < 0 for v in dist.values()) or sum(dist.values()) != 1:
+        raise ValueError("input distribution entries must be >= 0 and sum to exactly 1")
     return dist
 
 

@@ -20,52 +20,29 @@ from array import array
 import numpy as np
 
 from .errors import DivisionByZero, NotPrime, SizeBoundExceeded
+from .rates import factorize
 
 MAX_Q = 4096
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    return factorize(m) == {m: 1}
 
 
 def prime_power(m: int):
     """Return (p, n) with m = p^n, or None if m is not a prime power."""
-    if m < 2:
-        return None
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            n = 0
-            while m % d == 0:
-                m //= d
-                n += 1
-            return (d, n) if m == 1 else None
-        d += 1
-    return (m, 1)
+    f = factorize(m)
+    return next(iter(f.items())) if len(f) == 1 else None
 
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p; coefficient tuples, a_0 first
 # ---------------------------------------------------------------------------
 
-def _poly_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
 def _poly_mulmod(a, b, h, p):
-    """(a * b) mod h over F_p.  h is monic."""
+    """(a * b) mod h over F_p, trimmed of leading zeros.  h is monic."""
     n = len(h) - 1
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
@@ -79,34 +56,18 @@ def _poly_mulmod(a, b, h, p):
         prod[k] = 0
         for j in range(n):
             prod[k - n + j] = (prod[k - n + j] - c * h[j]) % p
-    return _poly_trim(prod)
+    while prod and prod[-1] == 0:
+        prod.pop()
+    return tuple(prod)
 
 
-def _poly_mod(a, d, p):
-    """a mod d over F_p, for monic d."""
-    r = list(a)
-    dd = len(d) - 1
-    for k in range(len(r) - 1, dd - 1, -1):
-        c = r[k]
-        if c == 0:
-            continue
-        r[k] = 0
-        for j in range(dd):
-            r[k - dd + j] = (r[k - dd + j] - c * d[j]) % p
-    return _poly_trim(r)
-
-
-def _poly_divides(d, a, p):
-    """True if monic d divides a over F_p."""
-    return not _poly_mod(a, d, p)
-
-
-def _enc_to_poly(enc, p, n):
+def _enc_to_poly(enc, p):
+    """Base-p digits of enc, a_0 first, without leading zeros."""
     coeffs = []
-    for _ in range(n):
+    while enc:
         coeffs.append(enc % p)
         enc //= p
-    return _poly_trim(coeffs)
+    return tuple(coeffs)
 
 
 def _poly_to_enc(coeffs, p):
@@ -116,18 +77,36 @@ def _poly_to_enc(coeffs, p):
     return enc
 
 
-def _is_irreducible(h, p):
-    """Trial division by every lower-degree monic divisor candidate."""
-    n = len(h) - 1
-    if n == 1:
-        return True
-    for deg in range(1, n // 2 + 1):
-        for enc in range(p ** deg):
-            d = list(_enc_to_poly(enc, p, deg)) + [0] * (deg - len(_enc_to_poly(enc, p, deg)))
-            d = tuple(d[:deg]) + (1,)
-            if _poly_divides(d, h, p):
-                return False
-    return True
+def _is_primitive(p, n, h, g) -> bool:
+    """True when g has multiplicative order q - 1 mod h over F_p, q = p^n:
+    g^(q-1) = 1 and g^((q-1)/r) != 1 for every prime r dividing q - 1.
+    Powers of such a g are q - 1 distinct units, so every nonzero residue is
+    a unit and h is irreducible too."""
+    q = p**n
+    x = _enc_to_poly(g, p)
+
+    def is_one(e):  # g^e == 1, by square-and-multiply
+        acc, base = (1,), x
+        while e:
+            if e & 1:
+                acc = _poly_mulmod(acc, base, h, p)
+            base = _poly_mulmod(base, base, h, p)
+            e >>= 1
+        return acc == (1,)
+
+    return is_one(q - 1) and not any(is_one((q - 1) // r) for r in factorize(q - 1))
+
+
+def _render_poly(coeffs) -> str:
+    """Descending polynomial string, such as x^2+2x+1, of coefficients a_0 first."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        xs = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+        terms.append(str(c) if not xs else xs if c == 1 else f"{c}{xs}")
+    return "+".join(terms) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -214,27 +193,24 @@ class FieldSpec(TableCarrier):
         h = tuple(int(c) % p for c in h)
         if len(h) != n + 1 or h[-1] != 1:
             raise ValueError("h must be monic of degree n")
-        if n > 1 and not _is_irreducible(h, p):
-            raise ValueError(f"h = {h} is reducible over F_{p}")
+        g = int(g)
+        if not (0 < g < q and _is_primitive(p, n, h, g)):
+            raise ValueError(f"g = {g} does not have order {q - 1} mod h = {h} over F_{p}")
         self.p = p
         self.n = n
         self.q = q
         self.h = h
-        self.g = int(g)
+        self.g = g
         self._build_tables()
 
     def _build_tables(self):
         p, n, q = self.p, self.n, self.q
-        if not 0 < self.g < q:
-            raise ValueError("g out of range")
         exp = [1]
-        cur = _enc_to_poly(1, p, n)
-        gp = _enc_to_poly(self.g, p, n)
+        cur = (1,)
+        gp = _enc_to_poly(self.g, p)
         for _ in range(q - 2):
             cur = _poly_mulmod(cur, gp, self.h, p)
             exp.append(_poly_to_enc(cur, p))
-        if len(set(exp)) != q - 1:
-            raise ValueError(f"g = {self.g} does not generate F_{q}^x")
         self._exp = exp
         self._dlog = {e: k for k, e in enumerate(exp)}
         dt = table_dtype(q)
@@ -277,35 +253,10 @@ class FieldSpec(TableCarrier):
 
     def render(self, a: int) -> str:
         """Integer for prime fields, descending polynomial string otherwise."""
-        if self.n == 1:
-            return str(a)
-        if a == 0:
-            return "0"
-        terms = []
-        coeffs = list(_enc_to_poly(a, self.p, self.n))
-        for i in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                terms.append(xs if c == 1 else f"{c}{xs}")
-        return "+".join(terms)
+        return str(a) if self.n == 1 else _render_poly(_enc_to_poly(a, self.p))
 
     def render_h(self) -> str:
-        terms = []
-        for i in range(self.n, -1, -1):
-            c = self.h[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                terms.append(xs if c == 1 else f"{c}{xs}")
-        return "+".join(terms)
+        return _render_poly(self.h)
 
     def describe(self) -> str:
         return f"F_{self.q}"
@@ -330,27 +281,13 @@ class FieldSpec(TableCarrier):
         return f"FieldSpec(p={self.p}, n={self.n}, h={self.render_h()!r}, g={self.render(self.g)!r})"
 
 
-def _x_order_is_full(h, p, n) -> bool:
-    """True when x generates all q-1 nonzero elements mod h."""
-    q = p ** n
-    x = _enc_to_poly(p, p, n)
-    cur = x
-    steps = 1
-    while _poly_to_enc(cur, p) != 1:
-        cur = _poly_mulmod(cur, x, h, p)
-        steps += 1
-        if steps > q:
-            return False
-    return steps == q - 1
-
-
 def field_make(p: int, n: int) -> FieldSpec:
     """Canonical construction of F_{p^n}.
 
     For n = 1 the modulus is the unused placeholder x and g is the smallest
     primitive root mod p.  For n > 1, h is the smallest-encoding monic degree-n
-    polynomial that is irreducible with x a generator of the multiplicative
-    group (so the printed tables stay stable), and g = x.
+    polynomial modulo which x has order q - 1 (so h is irreducible, and the
+    printed tables stay stable), and g = x.
     """
     if not is_prime(p):
         raise NotPrime(p)
@@ -359,24 +296,11 @@ def field_make(p: int, n: int) -> FieldSpec:
     if p ** n > MAX_Q:
         raise SizeBoundExceeded(f"q = {p ** n} exceeds bound {MAX_Q}")
     if n == 1:
-        h = (0, 1)
-        g = 1
-        if p > 2:
-            for cand in range(2, p):
-                seen = set()
-                cur = 1
-                for _ in range(p - 1):
-                    cur = (cur * cand) % p
-                    seen.add(cur)
-                if len(seen) == p - 1:
-                    g = cand
-                    break
-        return FieldSpec(p, n, h, g)
-    for enc in range(p ** n):
-        low = _enc_to_poly(enc, p, n)
-        h = tuple(list(low) + [0] * (n - len(low)) + [1])
-        if not _is_irreducible(h, p):
-            continue
-        if _x_order_is_full(h, p, n):
-            return FieldSpec(p, n, h, p)
+        candidates = (((0, 1), g) for g in range(1, p))
+    else:
+        # h = x^n + (the polynomial of enc), whose encoding is p^n + enc
+        candidates = ((_enc_to_poly(p**n + enc, p), p) for enc in range(p**n))
+    for h, g in candidates:
+        if _is_primitive(p, n, h, g):
+            return FieldSpec(p, n, h, g)
     raise RuntimeError(f"no primitive modulus found for p={p}, n={n}")  # unreachable

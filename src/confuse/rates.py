@@ -12,7 +12,8 @@ import math
 from fractions import Fraction
 
 
-def _factorize(m: int) -> dict[int, int]:
+def factorize(m: int) -> dict[int, int]:
+    """{prime: exponent} of m by trial division; {} for m < 2."""
     out: dict[int, int] = {}
     d = 2
     while d * d <= m:
@@ -43,7 +44,7 @@ class Rate:
         if m <= 0:
             raise ValueError(f"log2 of non-positive alphabet size {m}")
         c = Fraction(coeff)
-        return cls({p: k * c for p, k in _factorize(m).items()})
+        return cls({p: k * c for p, k in factorize(m).items()})
 
     @classmethod
     def zero(cls) -> "Rate":

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import SchemaError, SizeBoundExceeded, TotalityError, Undecodable
 from .expansion import FeasibleExpansion, FunctionTable
 from .fields import field_make
-from .rates import Rate, _factorize
+from .rates import Rate, factorize
 from .rings import closure_subgroups
 from .verify import MAX_ATOMS_MATERIALIZED, _enc_tables, verify_secure
 
@@ -155,7 +155,7 @@ def crt_equal_scheme(m: int) -> Scheme:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    factors = sorted(_factorize(m).items())
+    factors = sorted(factorize(m).items())
     fields = [field_make(p, k) for p, k in factors]
     if m > 8:
         raise SizeBoundExceeded(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import NotADivisor
-from .fields import FieldSpec, field_make, prime_power
+from .fields import FieldSpec, field_make, is_prime, prime_power
 from .rings import RingSpec, enumerate_subgroups, project_subgroup, proper_divisors, units
 
 
@@ -176,7 +176,7 @@ def catalog_rings(max_n: int) -> list[CatalogEntry]:
     already covered by the prime-field catalog)."""
     entries = []
     for n in range(4, max_n + 1):
-        if prime_power(n) is not None and prime_power(n)[1] == 1:
+        if is_prime(n):
             continue
         for G in enumerate_subgroups(n):
             entries.append(CatalogEntry(ring_confusable_sets(RingSpec(n, G))))

@@ -241,6 +241,38 @@ def field_arithmetic(p: int, n: int, h) -> dict:
     return {"add": add, "sub": lambda a, b: add(a, neg(b)), "neg": neg, "mul": mul}
 
 
+def is_irreducible(h, p: int) -> bool:
+    """Trial division of the monic h (coefficients a_0 first) over F_p by
+    every monic polynomial of degree 1..deg(h)/2."""
+    n = len(h) - 1
+
+    def remainder(a, d):  # a mod the monic d
+        r = list(a)
+        for k in range(len(r) - 1, len(d) - 2, -1):
+            c = r[k]
+            for j in range(len(d)):
+                r[k - len(d) + 1 + j] = (r[k - len(d) + 1 + j] - c * d[j]) % p
+        return r[: len(d) - 1]
+
+    for deg in range(1, n // 2 + 1):
+        for low in itertools.product(range(p), repeat=deg):
+            if not any(remainder(h, low + (1,))):
+                return False
+    return True
+
+
+def multiplicative_order(p: int, n: int, h, g: int):
+    """The least k >= 1 with g^k = 1 mod h over F_p, by repeated
+    multiplication, or None when no power up to p^n is 1."""
+    mul = field_arithmetic(p, n, h)["mul"]
+    cur = g
+    for k in range(1, p**n + 1):
+        if cur == 1:
+            return k
+        cur = mul(cur, g)
+    return None
+
+
 def block_trial_errors(spec, trials: int, seed: int, input_dist) -> list[int]:
     """run_trials one trial at a time: trial t draws its pairs, gammas and
     masks from SeedSequence((seed, t)) in run_trials' order, goes through

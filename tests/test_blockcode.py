@@ -8,9 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from confuse import blockcode
 from confuse.blockcode import (
     COSET_BUDGET,
     TRIAL_CHUNK,
+    _decode,
     _matmul,
     _solver,
     block_decode,
@@ -370,6 +372,45 @@ def test_matmul_refuses_inexact_sums_before_allocating(p, n):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _coset_spec(input_dist=None):
+    # and2 at L = 256 with 247 rows of full rank: 3^9 = 19,683 coset candidates
+    spec = make_block_spec(_and_scheme(), L=256, rows=247, seed=3, input_dist=input_dist)
+    s = _solver(spec)
+    assert s["rank"] == 247 and len(s["offsets"]) == 19_683 <= COSET_BUDGET
+    return spec
+
+
+def test_exact_ml_decode_memory_is_bounded():
+    # scoring the whole coset at once peaked at 43.4 MiB for these 4 trials
+    spec = _coset_spec()
+    tracemalloc.start()
+    try:
+        res = run_trials(spec, 4, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert res["errors"] == 2
+
+
+@pytest.mark.parametrize("flat_prior", [False, True])
+def test_blocked_coset_scoring_keeps_the_first_maximum(monkeypatch, flat_prior):
+    # mass 1/3 on (1, 1) makes U uniform over F_3, so every candidate ties
+    # and the first one must win; one block over the whole coset, uneven
+    # blocks and the default must pick the same U
+    dist = {(a, b): Fraction(1, 3) if a == b == 1 else Fraction(2, 9) for a in range(2) for b in range(2)}
+    spec = _coset_spec(dist if flat_prior else None)
+    fs = spec.base.expansion.structure.carrier
+    V = np.random.default_rng(0).integers(0, fs.q, size=(spec.L, 3), dtype=np.uint8)
+    X1 = _matmul(fs, spec.A, V)
+    X2 = np.zeros_like(X1)
+    decoded = []
+    for block in (19_683, blockcode._CANDIDATES, 4_000):
+        monkeypatch.setattr(blockcode, "_CANDIDATES", block)
+        decoded.append(_decode(spec, X1, X2).tolist())
+    assert decoded[0] == decoded[1] == decoded[2]
 
 
 def test_solver_keeps_T_in_the_table_dtype():

@@ -242,3 +242,23 @@ def test_no_subcommand_accepts_jobs():
         with pytest.raises(SystemExit):
             parser.parse_args(argv + ["--jobs", "2"])
         assert not hasattr(parser.parse_args(argv), "jobs")
+
+
+@pytest.mark.parametrize("probs", [
+    [["1/4", "1/4", "1/4", "1/4"]],  # one row of four entries for a 2x2 table
+    [["1/2", "1/2"], ["1/2", "1/2"]],  # sums to 2
+    [["1/2", "-1/4"], ["1/2", "1/4"]],  # a negative entry
+    [[None, "1/2"], ["1/4", "1/4"]],  # an entry that is no number
+])
+def test_malformed_input_dist_exits_4(capsys, tmp_path, probs):
+    table = write_table(tmp_path, "and.json", [[0, 0], [0, 1]])
+    scheme_path = str(tmp_path / "scheme.json")
+    assert run(capsys, "solve", "--table", table, "--emit-scheme", scheme_path)[0] == 0
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"probs": probs}))
+    code, _, err = run(capsys, "verify", "--scheme", scheme_path, "--table", table,
+                       "--input-dist", str(dist))
+    assert code == 4 and "input distribution" in err
+    code, _, err = run(capsys, "blockcode", "--table", table, "--L", "8", "--trials", "2",
+                       "--input-dist", str(dist))
+    assert code == 4 and "input distribution" in err

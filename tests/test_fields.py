@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +13,16 @@ from confuse.fields import FieldSpec, field_make, is_prime, prime_power
 from confuse.structures import field_confusable_sets
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
+
+
+# sha256 over every field of PINNED_Q, recorded before field construction
+# moved to the single primitivity test: per q, field_make's to_json(), the
+# sha256 of its (add, neg, mul) arrays, render_h() and render(a) for a < 50
+PINNED_Q = [q for q in range(2, 1025) if prime_power(q) is not None] + [2048, 2187, 2401, 3125, 4096]
+PINNED_FIELDS_DIGEST = "6a45138842d8b4c936bcff28ff14a04668a06fa71e86c0a2e9f342153a54f166"
+
+# every monic h of degree n and every g in 1..q-1 at these q
+ORACLE_GRID_Q = [2, 3, 5, 7, 11, 13, 4, 8, 16, 32, 9, 27, 25, 49]
 
 
 def test_prime_power_detection():
@@ -179,3 +191,37 @@ def test_largest_field_builds_within_a_memory_bound():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert int(out.stdout) < 100 * 2**20
+
+
+def test_canonical_fields_match_pinned_digest():
+    outer = hashlib.sha256()
+    for q in PINNED_Q:
+        fs = field_make(*prime_power(q))
+        tables = hashlib.sha256(b"".join(t.tobytes() for t in fs.arrays())).hexdigest()
+        record = [fs.to_json(), tables, fs.render_h(), [fs.render(a) for a in range(min(q, 50))]]
+        outer.update(json.dumps(record).encode())
+    assert outer.hexdigest() == PINNED_FIELDS_DIGEST
+
+
+def test_field_acceptance_matches_irreducibility_and_order_oracles():
+    from oracles import is_irreducible, multiplicative_order
+
+    accepted, pairs = set(), 0
+    for q in ORACLE_GRID_Q:
+        p, n = prime_power(q)
+        for low in itertools.product(range(p), repeat=n):
+            h = low + (1,)
+            irreducible = is_irreducible(h, p)
+            for g in range(1, q):
+                expected = irreducible and multiplicative_order(p, n, h, g) == q - 1
+                try:
+                    FieldSpec(p, n, h, g)
+                    accepted.add((p, n, h, g))
+                except ValueError:
+                    pass
+                assert ((p, n, h, g) in accepted) == expected, (p, n, h, g)
+                pairs += 1
+    assert pairs == 5362 and 0 < len(accepted) < pairs
+    # over F_2 mod x^2 the powers of x are 1, x, 0: distinct, yet x^2 is
+    # reducible, so a distinctness check alone would accept it
+    assert not is_irreducible((0, 0, 1), 2) and (2, 2, (0, 0, 1), 2) not in accepted
