@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -39,12 +38,7 @@ DEFAULT_MAX_CARRIER = 16
 
 
 def _max_carrier(args) -> int:
-    if getattr(args, "max_carrier", None):
-        return args.max_carrier
-    env = os.environ.get("CONFUSE_MAX_CARRIER")
-    if env:
-        return int(env)
-    return DEFAULT_MAX_CARRIER
+    return DEFAULT_MAX_CARRIER if args.max_carrier is None else args.max_carrier
 
 
 def _digest(path: str) -> str:
@@ -110,7 +104,7 @@ def _load_input_dist(path: str, f: FunctionTable) -> dict:
 
 def cmd_catalog(args) -> int:
     make = catalog_fields if args.kind == "field" else catalog_rings
-    entries = make(args.max)
+    structures = make(args.max)
     diff = None
     if args.reference is not None:
         if args.reference == "":
@@ -118,29 +112,28 @@ def cmd_catalog(args) -> int:
         else:
             with open(args.reference) as fh:
                 reference = json.load(fh)
-        diff = diff_against_reference(entries, reference)
+        diff = diff_against_reference(structures, reference)
     payload = {
         "manifest": _manifest(args, [args.reference] if args.reference else []),
-        "entries": [e.to_json() for e in entries],
+        "entries": [s.to_json() for s in structures],
         # round-trippable: feed this sub-object back through --reference
         "reference": {
             "kind": args.kind,
             "max_carrier": args.max,
             "rows": [
                 {
-                    "label": e.structure.carrier.describe(),
-                    "randomizer": e.structure.rendered_randomizer(),
-                    "sets": e.structure.rendered_sets(),
+                    "label": s.carrier.describe(),
+                    "randomizer": s.rendered_randomizer(),
+                    "sets": s.rendered_sets(),
                 }
-                for e in entries
-                if not e.trivial
+                for s in structures
+                if not s.trivial
             ],
         },
         "diff": diff,
     }
     lines = []
-    for e in entries:
-        s = e.structure
+    for s in structures:
         star = ",".join(s.rendered_randomizer())
         sets = " ".join("{" + ",".join(m) + "}" for m in s.rendered_sets())
         flag = "  (trivial)" if s.trivial else ""

@@ -18,7 +18,12 @@ from .errors import AlphabetTooLarge
 from .fields import field_make, is_prime, prime_power
 from .rates import Rate
 from .rings import RingSpec, enumerate_subgroups
-from .structures import ConfusableStructure, field_confusable_sets, ring_confusable_sets
+from .structures import (
+    ConfusableStructure,
+    check_carrier_bound,
+    field_confusable_sets,
+    ring_confusable_sets,
+)
 
 
 @dataclass(frozen=True)
@@ -171,15 +176,12 @@ def find_expansion(f: FunctionTable, structure: ConfusableStructure):
             f"table is {f.m1}x{f.m2} but the carrier has only {size} elements"
         )
     add = structure.carrier.add
-    mul = structure.carrier.mul
     index_of = structure._index
     cell = [[index_of[add(a, b)] for b in range(size)] for a in range(size)]
     m1, m2 = f.m1, f.m2
     label_cols = [tuple(row[j] for row in f.outputs) for j in range(m2)]
     label_shapes = [_shape(c) for c in label_cols]
-    orbit_minima = [
-        v for v in range(1, size) if all(mul(g, v) >= v for g in structure.randomizer)
-    ]
+    orbit_minima = [s[0] for s in structure.sets[1:]]
     map1 = [0] * m1
     map2 = [0] * m2
     used1 = set()
@@ -284,6 +286,7 @@ def search_expansions(
 ):
     """All (structure, expansion) hits up to the carrier-size bound, in
     deterministic search order.  Empty list when nothing fits."""
+    check_carrier_bound(max_size, kinds)
     hits = []
     for structure in iter_carrier_structures(max_size, kinds):
         if f.m1 > structure.size or f.m2 > structure.size:

@@ -8,7 +8,7 @@ mod p when n = 1.
 Every carrier, F_q here and Z_n in rings.py, answers add/sub/neg/mul from
 dense add and mul tables plus a neg vector (TableCarrier).  A field builds
 them once from base-p digits and its discrete-log tables, which serve only
-construction, inverses and the confusable-set partition afterwards.
+construction, inverses and the d-th-power randomizers afterwards.
 Everything is immutable after construction, so specs are safe to share
 across threads.
 """
@@ -163,8 +163,25 @@ class TableCarrier:
         q = self.size
         dt = table_dtype(q)
         add = np.frombuffer(b"".join(self.add_table), dt).reshape(q, q)
-        mul = np.frombuffer(b"".join(self.mul_table), dt).reshape(q, q)
-        return add, np.frombuffer(bytes(self.neg_table), dt), mul
+        return add, np.frombuffer(bytes(self.neg_table), dt), self.mul_rows(range(q))
+
+    def mul_rows(self, members) -> np.ndarray:
+        """The mul-table rows of members, one per member, as a read-only
+        numpy copy with entries in table_dtype(size)."""
+        rows = b"".join(self.mul_table[a] for a in members)
+        return np.frombuffer(rows, table_dtype(self.size)).reshape(-1, self.size)
+
+    def is_unit_subgroup(self, members) -> bool:
+        """True when members are distinct units closed under mul.  A
+        nonempty finite set of units closed under mul is a group."""
+        s = [int(a) for a in members]
+        if not s or len(set(s)) != len(s) or not all(0 <= a < self.size for a in s):
+            return False
+        rows = self.mul_rows(s)
+        inside = np.zeros(self.size, bool)
+        inside[s] = True
+        # a is a unit iff 1 is in its row
+        return bool((rows == 1).any(axis=1).all() and inside[rows[:, s]].all())
 
 
 # ---------------------------------------------------------------------------

@@ -31,19 +31,6 @@ def proper_divisors(n: int) -> list[int]:
     return [d for d in range(1, n) if n % d == 0]
 
 
-def _is_unit_subgroup(n: int, members) -> bool:
-    ms = set(members)
-    if 1 not in ms:
-        return False
-    for a in ms:
-        if gcd(a, n) != 1 or not 0 < a < n:
-            return False
-        for b in ms:
-            if (a * b) % n not in ms:
-                return False
-    return True
-
-
 @functools.cache
 def _ring_tables(n: int):
     """Z_n's add, neg and mul tables, built once per modulus."""
@@ -67,10 +54,10 @@ class RingSpec(TableCarrier):
         if self.n > MAX_N:
             raise SizeBoundExceeded(f"n = {self.n} exceeds bound {MAX_N}")
         object.__setattr__(self, "G", tuple(sorted(set(int(g) for g in self.G))))
-        if not _is_unit_subgroup(self.n, self.G):
-            raise ValueError(f"G = {self.G} is not a subgroup of Z_{self.n}^x")
         for name, table in zip(("add_table", "neg_table", "mul_table"), _ring_tables(self.n)):
             object.__setattr__(self, name, table)
+        if not self.is_unit_subgroup(self.G):
+            raise ValueError(f"G = {self.G} is not a subgroup of Z_{self.n}^x")
 
     def render(self, a: int) -> str:
         return str(a)
@@ -151,6 +138,8 @@ def project_subgroup(spec: RingSpec, d: int) -> ProjectionReport:
             f"non-uniform cover: G mod {d} has multiplicities {sorted(mults)}"
         )
     base = tuple(sorted(counts))
-    if not _is_unit_subgroup(d, base) and d > 1:
-        raise LemmaViolation(f"G mod {d} = {base} is not a subgroup of Z_{d}^x")
+    try:
+        RingSpec(d, base)
+    except ValueError:
+        raise LemmaViolation(f"G mod {d} = {base} is not a subgroup of Z_{d}^x") from None
     return ProjectionReport(d, base, mults.pop())

@@ -4,6 +4,10 @@ from importlib import resources
 
 import pytest
 
+import confuse.expansion
+import confuse.fields
+import confuse.rings
+import confuse.structures
 from confuse.cli import build_parser, main
 
 
@@ -90,13 +94,29 @@ def test_solve_not_found_exit_3(capsys, equal3_path):
     assert code == 3
 
 
-def test_env_bound_override(capsys, equal3_path, monkeypatch):
-    monkeypatch.setenv("CONFUSE_MAX_CARRIER", "2")
-    code, _, _ = run(capsys, "solve", "--table", equal3_path)
-    assert code == 3
-    monkeypatch.setenv("CONFUSE_MAX_CARRIER", "8")
-    code, _, _ = run(capsys, "solve", "--table", equal3_path)
-    assert code == 0
+def test_max_carrier_zero_exits_3(capsys, equal3_path):
+    # an explicit 0 is a bound, not a request for the default
+    code, _, err = run(capsys, "solve", "--table", equal3_path, "--max-carrier", "0")
+    assert code == 3 and "size <= 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "ring", "--max", "513"),
+    ("catalog", "field", "--max", "4097"),
+    ("solve", "--max-carrier", "513"),
+], ids=["catalog-ring-513", "catalog-field-4097", "solve-513"])
+def test_over_bound_exits_4_before_building(capsys, equal3_path, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("a carrier was built past the bound")
+
+    for module in (confuse.fields, confuse.rings, confuse.structures, confuse.expansion):
+        for name in ("field_make", "enumerate_subgroups"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    if argv[0] == "solve":
+        argv += ("--table", equal3_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 4 and "exceeds" in err
 
 
 def test_solve_optimize_z(capsys, tmp_path):

@@ -114,9 +114,7 @@ def test_optimizer_xor_over_f2():
 
 def test_masked_sum_verifies_over_every_cataloged_structure_up_to_16():
     # each structure's own canonical table (cell label = confusable-set index)
-    structures = [e.structure for e in catalog_fields(16)] + [
-        e.structure for e in catalog_rings(16)
-    ]
+    structures = catalog_fields(16) + catalog_rings(16)
     assert len(structures) > 50
     for st in structures:
         size = st.size

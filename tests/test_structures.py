@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from oracles import randomization_multiset_ok
 
+from confuse.expansion import iter_carrier_structures
 from confuse.fields import field_make
 from confuse.rings import RingSpec, enumerate_subgroups
 from confuse.structures import (
@@ -36,38 +40,70 @@ def test_structure_index_of():
 
 
 def test_structure_validation_rejects_bad_partitions():
-    fs = field_make(5, 1)
-    with pytest.raises(ValueError):
-        ConfusableStructure(fs, (1, 4), [(0,), (1, 4), (2,), (3,)])  # not closed under gamma
-    with pytest.raises(ValueError):
-        ConfusableStructure(fs, (1, 4), [(0,), (1, 4), (2, 3), (2, 3)])  # duplicate member
-    with pytest.raises(ValueError):
-        ConfusableStructure(fs, (1, 4), [(0, 1, 4), (2, 3)])  # zero not alone
+    # S* must be a nonempty set of units closed under mul
+    f5 = field_make(5, 1)
+    z6 = RingSpec(6, (1,))
+    z8 = RingSpec(8, (1,))
+    for carrier, sstar in [
+        (f5, (1, 2)),  # 2 * 2 = 4 is missing
+        (f5, (0, 1)),  # 0 is not a unit
+        (f5, ()),
+        (z6, (1, 2)),  # 2 is not a unit of Z_6
+        (z8, (1, 3, 5)),  # 3 * 5 = 7 is missing
+    ]:
+        with pytest.raises(ValueError):
+            ConfusableStructure(carrier, sstar)
+
+
+def _structure_digest(structures) -> str:
+    h = hashlib.sha256()
+    for st in structures:
+        row = (
+            st.carrier.describe(),
+            st.randomizer,
+            st.sets,
+            tuple(st.index_of(a) for a in st.carrier.elements()),
+            st.trivial,
+            json.dumps(st.provenance, sort_keys=True),
+            st.key(),
+        )
+        h.update(repr(row).encode())
+    return h.hexdigest()
+
+
+def test_structures_match_pinned_digest():
+    # recorded from the discrete-log and projected-coset constructions that
+    # the S*-orbit pass replaced; 2,835 structures in all
+    structures = catalog_fields(256) + catalog_rings(128) + list(iter_carrier_structures(64))
+    assert len(structures) == 2835
+    assert _structure_digest(structures) == (
+        "bfdea699d0fa37721f88e51cb6b70642ea1190995d027b944b2452089fbdcc80"
+    )
 
 
 def test_catalog_fields_rows():
-    entries = catalog_fields(5)
-    keyed = {(e.structure.carrier.describe(), e.structure.provenance["d"]): e for e in entries}
-    f5 = keyed[("F_5", 2)].structure
+    structures = catalog_fields(5)
+    keyed = {(st.carrier.describe(), st.provenance["d"]): st for st in structures}
+    f5 = keyed[("F_5", 2)]
     assert f5.sets == ((0,), (1, 4), (2, 3))
     assert f5.randomizer == (1, 4)
     assert keyed[("F_5", 1)].trivial and keyed[("F_5", 4)].trivial
     # trivial d=1 row has just {0} and everything else
-    assert keyed[("F_4", 1)].structure.sets == ((0,), (1, 2, 3))
+    assert keyed[("F_4", 1)].sets == ((0,), (1, 2, 3))
 
-    f13 = {(e.structure.provenance["d"]): e for e in catalog_fields(13) if e.structure.carrier.describe() == "F_13"}
-    assert f13[3].structure.sets == ((0,), (1, 5, 8, 12), (2, 3, 10, 11), (4, 6, 7, 9))
+    f13 = {st.provenance["d"]: st for st in catalog_fields(13) if st.carrier.describe() == "F_13"}
+    assert f13[3].sets == ((0,), (1, 5, 8, 12), (2, 3, 10, 11), (4, 6, 7, 9))
 
 
 def test_catalog_rings_rows():
-    entries = catalog_rings(9)
-    by_key = {(e.structure.carrier.n, e.structure.randomizer): e.structure for e in entries}
+    structures = catalog_rings(9)
+    by_key = {(st.carrier.n, st.randomizer): st for st in structures}
     assert by_key[(8, (1, 5))].sets == ((0,), (1, 5), (2,), (3, 7), (4,), (6,))
     assert by_key[(4, (1, 3))].sets == ((0,), (1, 3), (2,))
     assert by_key[(9, (1, 4, 7))].sets == ((0,), (1, 4, 7), (2, 5, 8), (3,), (6,))
     # primes excluded, subgroup {1} rows flagged trivial
-    assert all(e.structure.carrier.n in (4, 6, 8, 9) for e in entries)
-    assert all(e.trivial == (len(e.structure.randomizer) == 1) for e in entries)
+    assert all(st.carrier.n in (4, 6, 8, 9) for st in structures)
+    assert all(st.trivial == (len(st.randomizer) == 1) for st in structures)
 
 
 def test_catalog_reference_diff_clean():
@@ -77,19 +113,18 @@ def test_catalog_reference_diff_clean():
 
 def test_catalog_reference_diff_detects_mutations():
     ref = load_reference("ring")
-    entries = catalog_rings(20)
+    structures = catalog_rings(20)
     mutated = {
         "max_carrier": ref["max_carrier"],
         "rows": [dict(r) for r in ref["rows"]],
     }
     mutated["rows"][0] = dict(mutated["rows"][0], sets=[["0"], ["1"], ["2"], ["3"]])
-    problems = diff_against_reference(entries, mutated)
+    problems = diff_against_reference(structures, mutated)
     assert problems and any("Z_4" in p for p in problems)
 
 
 def test_every_cataloged_structure_randomizes_exactly():
-    for entry in catalog_fields(20) + catalog_rings(20):
-        st = entry.structure
+    for st in catalog_fields(64) + catalog_rings(20):
         assert randomization_multiset_ok(st.carrier, st.randomizer, st.sets)
 
 
