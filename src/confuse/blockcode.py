@@ -35,7 +35,7 @@ from .errors import (
 from .expansion import FunctionTable
 from .fields import table_dtype
 from .rates import Rate
-from .schemes import Scheme
+from .schemes import Scheme, masked_values
 from .verify import SecurityResult, uniform_input_dist, verify_secure
 
 RNG_NAME = "pcg64"  # numpy PCG64 behind SeedSequence(seed)
@@ -442,14 +442,13 @@ class _BlockEncoder:
     first position most significant (itertools.product order); position
     i's value is gamma * mapping[w_i] + z (or - z), read from a table over
     (symbol, base atom), and the codeword is A times the L values.  symbols
-    is the batch form the verifier tabulates with, radix the alphabet size
-    of each codeword position."""
+    is the batch form the verifier tabulates with, over indices into atoms
+    (here the indices themselves), radix the alphabet size of each codeword
+    position."""
 
-    def __init__(self, fs, A, w_vecs, mapping, base_atoms, subtract: bool):
-        add, neg, mul = fs.arrays()
-        g, z = np.array(base_atoms, dtype=np.int64).T
-        self.values = add[mul[g, np.array(mapping)[:, None]], neg[z] if subtract else z]
-        self.fs, self.A = fs, A
+    def __init__(self, fs, A, w_vecs, mapping, base_atoms, atoms: range, subtract: bool):
+        self.values = masked_values(fs, base_atoms, mapping, subtract)
+        self.fs, self.A, self.atoms = fs, A, atoms
         self.w_vecs = np.array(w_vecs, dtype=np.intp)
         self.shape = (len(base_atoms),) * A.shape[1]
         self.radix = (fs.q,) * A.shape[0]
@@ -491,13 +490,14 @@ def block_security_check(base, f: FunctionTable, L_small: int, A: np.ndarray) ->
             row.append(fvecs.setdefault(fv, len(fvecs)))
         rows.append(row)
     rate = Rate.log2(fs.q).scaled(A.shape[0])
+    vec_atoms = range(len(atoms) ** L_small)
     vec_scheme = Scheme(
         m1=len(w1_vecs),
         m2=len(w2_vecs),
-        atoms=range(len(atoms) ** L_small),
+        atoms=vec_atoms,
         weights=None,
-        enc1=_BlockEncoder(fs, A, w1_vecs, exp.map1, atoms, subtract=False),
-        enc2=_BlockEncoder(fs, A, w2_vecs, exp.map2, atoms, subtract=True),
+        enc1=_BlockEncoder(fs, A, w1_vecs, exp.map1, atoms, vec_atoms, subtract=False),
+        enc2=_BlockEncoder(fs, A, w2_vecs, exp.map2, atoms, vec_atoms, subtract=True),
         dec=lambda x1, x2: 0,
         rate1=rate,
         rate2=rate,

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
-from .errors import ConfuseError, NoExpansionFound
+from .errors import ConfuseError, NoExpansionFound, SchemaError
 from .expansion import FunctionTable, converse_report, search_expansions
 from .schemes import (
     crt_equal_scheme,
@@ -72,7 +72,10 @@ def _emit(args, payload: dict, human_lines: list[str]):
 
 def _load_table(path: str) -> FunctionTable:
     with open(path) as fh:
-        return FunctionTable.from_json(json.load(fh))
+        obj = json.load(fh)
+    if not isinstance(obj, dict) or "outputs" not in obj:
+        raise SchemaError("a table file must be a JSON object with an 'outputs' matrix")
+    return FunctionTable.from_json(obj)
 
 
 def _load_input_dist(path: str, f: FunctionTable) -> dict:
@@ -212,6 +215,12 @@ def cmd_verify(args) -> int:
 def cmd_blockcode(args) -> int:
     from .blockcode import entropy_of_U, make_block_spec, run_trials
 
+    if args.L < 1:
+        raise ValueError(f"--L must be at least 1, got {args.L}")
+    if args.trials < 0:
+        raise ValueError(f"--trials must be at least 0, got {args.trials}")
+    if args.rows is not None and not 1 <= args.rows <= args.L:
+        raise ValueError(f"--rows must be in 1..L = 1..{args.L}, got {args.rows}")
     f = _load_table(args.table)
     hits = _search_or_fail(f, _max_carrier(args), ("field",), limit=1)
     scheme = scheme_from_expansion(hits[0][1])

@@ -1,30 +1,36 @@
 """Concrete scheme constructions.
 
 A Scheme packages the shared-randomness support (atoms with integer weights),
-both encoders, the decoder, and exact rates.  Encoders/decoder are plain
-functions of (input, atom); the verifier's _enc_tables runs them over the
-support once per scheme, into codeword ids and sorted codebooks.  crt-equal's
-encoder also has a batch form (radix, symbols(w, atoms)) over an array of
-atom indices, which _enc_tables uses instead of one call per atom.  The
-serializer reads its alphabets from the codebooks and each atom's codeword
-from the ids, and the optimized rates are the codebook sizes.  Supports past
-MAX_ATOMS_MATERIALIZED atoms are refused before anything is tabulated, and
-the row-mask baseline refuses one before building it.
+both encoders, the decoder, and exact rates.  Every encoder built or loaded
+here has a batch form for the verifier's _enc_tables: atoms (the support it
+was built over), radix (the alphabet size of each codeword position) and
+symbols(w, i), input w's codeword positions under the atoms at the index
+array i, read from arrays: crt-equal's mixed-radix split of an atom index,
+the masked-sum scheme's gather from the carrier's add and mul tables, the
+row-mask baseline's gather from arrays of permutations, masks and outputs,
+and a loaded scheme's stored mixed-radix codes.  Each also takes one atom
+per call, computed from the atom itself, the oracle the tests check the
+batch form against; only caller-supplied callables are tabulated that way.
+The serializer reads its alphabets from the codebooks and each atom's
+codeword from the ids, and the optimized rates are the codebook sizes.
+Supports past MAX_ATOMS_MATERIALIZED atoms are refused before anything is
+tabulated, and the row-mask baseline refuses one before building it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field as dc_field
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import SchemaError, SizeBoundExceeded, TotalityError, Undecodable
 from .expansion import FeasibleExpansion, FunctionTable
-from .fields import field_make
+from .fields import field_make, table_dtype
 from .rates import Rate, factorize
 from .rings import closure_subgroups
 from .verify import MAX_ATOMS_MATERIALIZED, _enc_tables, verify_secure
@@ -63,15 +69,9 @@ def scheme_from_expansion(exp: FeasibleExpansion, z_values=None) -> Scheme:
     zs = list(carrier.elements()) if z_values is None else sorted(z_values)
     atoms = [(g, z) for g in st.randomizer for z in zs]
     map1, map2, out_map = exp.map1, exp.map2, dict(exp.out_map)
-    add, sub, mul = carrier.add, carrier.sub, carrier.mul
-
-    def enc1(w1, atom):
-        g, z = atom
-        return (add(mul(g, map1[w1]), z),)
-
-    def enc2(w2, atom):
-        g, z = atom
-        return (sub(mul(g, map2[w2]), z),)
+    add = carrier.add
+    enc1 = _MaskedSumEncoder(carrier, atoms, map1, subtract=False)
+    enc2 = _MaskedSumEncoder(carrier, atoms, map2, subtract=True)
 
     def dec(x1, x2):
         index = st.index_of(add(x1[0], x2[0]))
@@ -100,6 +100,39 @@ def scheme_from_expansion(exp: FeasibleExpansion, z_values=None) -> Scheme:
         scheme.rate1 = Rate.log2(len(tables.book1))
         scheme.rate2 = Rate.log2(len(tables.book2))
     return scheme
+
+
+def masked_values(carrier, atoms, mapping, subtract: bool) -> np.ndarray:
+    """gamma * mapping[w] + z, or - z when subtract, for every input w and
+    atom (gamma, z): an (inputs, atoms) array read from the carrier's add,
+    neg and mul tables."""
+    add, neg, mul = carrier.arrays()
+    g, z = np.array(atoms, np.intp).T
+    return add[mul[g, np.array(mapping, np.intp)[:, None]], neg[z] if subtract else z]
+
+
+class _MaskedSumEncoder:
+    """One party's masked-sum encoder over atoms (gamma, z): gamma * map[w]
+    + z for Alice, gamma * map[w] - z for Bob.  symbols(w, i) is the batch
+    form over indices into atoms, one gather from masked_values (built on
+    first use, after the verifier's size checks); a call on one atom tuple
+    computes it with the carrier's scalar arithmetic."""
+
+    def __init__(self, carrier, atoms, mapping, subtract: bool):
+        self.carrier, self.atoms, self.mapping, self.subtract = carrier, atoms, mapping, subtract
+        self.radix = (carrier.size,)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return masked_values(self.carrier, self.atoms, self.mapping, self.subtract)
+
+    def symbols(self, w: int, atoms):
+        return (self.values[w, atoms],)
+
+    def __call__(self, w: int, atom) -> tuple:
+        g, z = atom
+        x = self.carrier.mul(g, self.mapping[w])
+        return (self.carrier.sub(x, z) if self.subtract else self.carrier.add(x, z),)
 
 
 def optimize_additive_randomness(exp: FeasibleExpansion, all_subsets: bool = False) -> Scheme:
@@ -162,7 +195,6 @@ def crt_equal_scheme(m: int) -> Scheme:
             f"m = {m}: permutation support {m}! is past the enumeration bound m <= 8"
         )
     encode = _CrtEncoder(m, fields)
-    n_atoms = factorial(m) * encode.block
 
     def dec(x1, x2):
         return 1 if x1 == x2 else 0
@@ -171,7 +203,7 @@ def crt_equal_scheme(m: int) -> Scheme:
     return Scheme(
         m1=m,
         m2=m,
-        atoms=range(n_atoms),
+        atoms=encode.atoms,
         weights=None,
         enc1=encode,
         enc2=encode,
@@ -190,7 +222,8 @@ class _CrtEncoder:
     factor least significant); factor q's symbol is gamma * (perm[w] mod q)
     + z in F_q, read at r * q + perm[w] mod q from a table built from the
     field's add and mul tables.  symbols is the batch form the verifier
-    tabulates with, radix the alphabet size of each codeword position."""
+    tabulates with, over indices into atoms (here the indices themselves),
+    radix the alphabet size of each codeword position."""
 
     def __init__(self, m: int, fields):
         self.perms = np.array(list(itertools.permutations(range(m))), np.int8)
@@ -203,6 +236,7 @@ class _CrtEncoder:
             r = np.arange((q - 1) * q)
             self.tables.append((q, self.block, add[mul[r // q + 1], (r % q)[:, None]].ravel()))
             self.block *= (q - 1) * q
+        self.atoms = range(len(self.perms) * self.block)
 
     def symbols(self, w: int, atoms):
         """Input w's per-factor symbols under atoms (an index or an index array)."""
@@ -238,23 +272,23 @@ def row_mask_baseline(f: FunctionTable) -> Scheme:
         raise SizeBoundExceeded(
             f"{n_atoms} baseline atoms exceed the cap of {MAX_ATOMS_MATERIALIZED}"
         )
-    atoms = [
-        (pi, zs)
-        for pi in itertools.permutations(range(m1))
-        for zs in itertools.product(range(k), repeat=m1)
-    ]
-    outputs = f.outputs
-
-    def enc1(w1, atom):
-        pi, zs = atom
-        return (pi[w1], zs[w1])
-
-    def enc2(w2, atom):
-        pi, zs = atom
-        slots = [0] * m1
-        for row in range(m1):
-            slots[pi[row]] = (outputs[row][w2] + zs[row]) % k
-        return tuple(slots)
+    perms = list(itertools.permutations(range(m1)))
+    masks = list(itertools.product(range(k), repeat=m1))
+    atoms = [(pi, zs) for pi in perms for zs in masks]
+    # atom i is (perms[i // len(masks)], masks[i % len(masks)]); each party's
+    # symbols as (inputs, positions, perms, masks), flattened to atoms below,
+    # in the smallest dtype that holds an output plus a mask
+    dt = table_dtype(2 * max(m1, k))
+    P, Z = np.array(perms, dt), np.array(masks, dt)
+    alice = np.empty((m1, 2, len(P), len(Z)), dt)
+    alice[:, 0] = P.T[:, :, None]
+    alice[:, 1] = Z.T[:, None, :]
+    rows = np.argsort(P, axis=1)  # rows[j, s]: the row Bob's slot s holds under perms[j]
+    bob = np.array(f.outputs, dt).T[:, rows][:, :, None] + Z.T[rows].transpose(0, 2, 1)
+    bob %= k
+    enc1 = _RowMaskEncoder(alice.reshape(m1, 2, -1), (m1, k), atoms, f.outputs, k, bob=False)
+    enc2 = _RowMaskEncoder(bob.reshape(f.m2, len(atoms), m1).transpose(0, 2, 1), (k,) * m1,
+                           atoms, f.outputs, k, bob=True)
 
     def dec(x1, x2):
         pos, mask = x1
@@ -271,24 +305,118 @@ def row_mask_baseline(f: FunctionTable) -> Scheme:
         rate1=Rate.log2(m1) + Rate.log2(k),
         rate2=Rate.log2(k).scaled(m1),
         kind="row_mask_baseline",
-        meta={"outputs": [list(r) for r in outputs], "labels": k},
+        meta={"outputs": [list(r) for r in f.outputs], "labels": k},
     )
+
+
+class _RowMaskEncoder:
+    """One party's row-mask baseline encoder over atoms (pi, zs): Alice
+    sends (pi[w1], zs[w1]), Bob the slots with slots[pi[row]] =
+    (outputs[row][w2] + zs[row]) mod k.  symbols(w, i) is the batch form
+    over indices into atoms, one gather from values, the party's (inputs,
+    positions, atoms) symbol array; a call on one atom tuple computes it
+    row by row."""
+
+    def __init__(self, values: np.ndarray, radix: tuple, atoms, outputs, k: int, bob: bool):
+        self.values, self.radix, self.atoms = values, radix, atoms
+        self.outputs, self.k, self.bob = outputs, k, bob
+
+    def symbols(self, w: int, atoms):
+        return self.values[w][:, atoms]
+
+    def __call__(self, w: int, atom) -> tuple:
+        pi, zs = atom
+        if not self.bob:
+            return (pi[w], zs[w])
+        slots = [0] * len(pi)
+        for row in range(len(pi)):
+            slots[pi[row]] = (self.outputs[row][w] + zs[row]) % self.k
+        return tuple(slots)
 
 
 # ---------------------------------------------------------------------------
 # fully tabulated schemes as data
 # ---------------------------------------------------------------------------
 
-def _to_hashable(x):
+def _atom_form(atoms: list) -> list:
+    """JSON atoms in their hashable form: an integer array's rows as nested
+    tuples, grouped one axis at a time; anything else through the per-value
+    path.  A JSON object as an atom raises SchemaError."""
+    try:
+        arr = np.array(atoms)
+    except (ValueError, OverflowError):  # ragged lists
+        arr = None
+    if arr is None or arr.dtype.kind != "i":
+        return [_hashable(a) for a in atoms]
+    items = arr.ravel().tolist()
+    for size in reversed(arr.shape[1:]):
+        items = list(zip(*[iter(items)] * size))
+    return items
+
+
+def _hashable(x):
     if isinstance(x, list):
-        return tuple(_to_hashable(v) for v in x)
+        return tuple(_hashable(v) for v in x)
+    if isinstance(x, dict):
+        raise SchemaError("an atom must be a number, string or list, not an object")
     return x
+
+
+class _TableEncoder:
+    """A loaded encoder table: codes[w, i] is the codeword of input w under
+    atom i, as a mixed-radix code over radix (first position most
+    significant), so code order is codeword order.  symbols(w, i) is the
+    batch form over indices into atoms; a call on one atom looks it up."""
+
+    def __init__(self, codes: np.ndarray, radix: tuple, atoms: list):
+        self.codes, self.radix, self.atoms = codes, radix, atoms
+        self._index = None
+
+    def symbols(self, w: int, atoms):
+        return np.unravel_index(self.codes[w, atoms], self.radix)
+
+    def __call__(self, w: int, atom) -> tuple:
+        if self._index is None:
+            self._index = {a: i for i, a in enumerate(self.atoms)}
+        return tuple(int(s) for s in self.symbols(w, self._index[atom]))
+
+
+def _read_codes(table, name: str, m: int, n_atoms: int, alphabets: list) -> np.ndarray:
+    """An encoder table's (m, n_atoms) mixed-radix codes.  One np.array
+    reads a well-formed table; any other goes through the per-codeword
+    checks, which raise the SchemaError or TotalityError it deserves, or
+    accept it (bool symbols are ints)."""
+    try:
+        arr = np.array(table)
+    except (ValueError, OverflowError):  # ragged rows
+        arr = None
+    ok = (arr is not None and arr.shape == (m, n_atoms, len(alphabets)) and arr.dtype.kind == "i"
+          and (arr >= 0).all() and (arr < np.array(alphabets)).all())
+    if not ok:
+        _check_codewords(table, name, m, n_atoms, alphabets)
+        arr = np.array(table, np.int64)
+    return np.ravel_multi_index(np.moveaxis(arr, -1, 0), alphabets)
+
+
+def _check_codewords(table, name: str, m: int, n_atoms: int, alphabets: list) -> None:
+    if not isinstance(table, list) or len(table) != m:
+        raise TotalityError(f"{name} must have one row per input value")
+    for w, row in enumerate(table):
+        if not isinstance(row, list) or len(row) != n_atoms:
+            raise TotalityError(f"{name}[{w}] must have one codeword per atom")
+        for c in row:
+            if not isinstance(c, list) or len(c) != len(alphabets):
+                raise SchemaError(f"{name}[{w}] codeword has wrong arity")
+            for s, size in zip(c, alphabets):
+                if not isinstance(s, int) or not 0 <= s < size:
+                    raise SchemaError(f"{name}[{w}] symbol {s} outside alphabet of size {size}")
 
 
 def load_custom_scheme(source) -> Scheme:
     """Load a fully tabulated scheme from a JSON file path, file object, or
     already-parsed dict.  Raises SchemaError on malformed input and
-    TotalityError when an encoder or decoder table has holes."""
+    TotalityError when an encoder or decoder table has holes.  Each encoder
+    table is stored as mixed-radix codes over its alphabets."""
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
             obj = json.load(fh)
@@ -309,10 +437,19 @@ def load_custom_scheme(source) -> Scheme:
     for a in (alph1, alph2):
         if not (isinstance(a, list) and a and all(isinstance(s, int) and s >= 1 for s in a)):
             raise SchemaError("alphabets must be non-empty lists of positive sizes")
+    dec_rows = obj["dec"]
+    if not isinstance(dec_rows, list):
+        raise SchemaError("dec must be a list of {x1, x2, f} rows")
+    # a total decoder has a row per codeword pair; checked before the
+    # alphabets' codes are formed or their pairs enumerated
+    if prod(alph1) * prod(alph2) > len(dec_rows):
+        raise TotalityError(
+            f"dec has {len(dec_rows)} rows for {prod(alph1) * prod(alph2)} codeword pairs"
+        )
     support = obj["z_support"]
     if not isinstance(support, list) or not support:
         raise SchemaError("z_support must be a non-empty list")
-    atoms = []
+    raw_atoms = []
     weights = []
     for row in support:
         if not isinstance(row, dict) or "atom" not in row:
@@ -320,37 +457,15 @@ def load_custom_scheme(source) -> Scheme:
         wt = row.get("weight", 1)
         if not isinstance(wt, int) or wt <= 0:
             raise SchemaError("weights must be positive integers")
-        atoms.append(_to_hashable(row["atom"]))
+        raw_atoms.append(row["atom"])
         weights.append(wt)
+    atoms = _atom_form(raw_atoms)
     if len(set(atoms)) != len(atoms):
         raise SchemaError("atoms must be distinct")
-    atom_index = {a: i for i, a in enumerate(atoms)}
 
-    def read_enc(name, m, alphabets):
-        table = obj[name]
-        if not isinstance(table, list) or len(table) != m:
-            raise TotalityError(f"{name} must have one row per input value")
-        parsed = []
-        for w, row in enumerate(table):
-            if not isinstance(row, list) or len(row) != len(atoms):
-                raise TotalityError(f"{name}[{w}] must have one codeword per atom")
-            cw = []
-            for c in row:
-                if not isinstance(c, list) or len(c) != len(alphabets):
-                    raise SchemaError(f"{name}[{w}] codeword has wrong arity")
-                for s, size in zip(c, alphabets):
-                    if not isinstance(s, int) or not 0 <= s < size:
-                        raise SchemaError(f"{name}[{w}] symbol {s} outside alphabet of size {size}")
-                cw.append(tuple(c))
-            parsed.append(cw)
-        return parsed
+    codes1 = _read_codes(obj["enc1"], "enc1", m1, len(atoms), alph1)
+    codes2 = _read_codes(obj["enc2"], "enc2", m2, len(atoms), alph2)
 
-    enc1_table = read_enc("enc1", m1, alph1)
-    enc2_table = read_enc("enc2", m2, alph2)
-
-    dec_rows = obj["dec"]
-    if not isinstance(dec_rows, list):
-        raise SchemaError("dec must be a list of {x1, x2, f} rows")
     dec_map = {}
     for row in dec_rows:
         try:
@@ -370,12 +485,6 @@ def load_custom_scheme(source) -> Scheme:
             if (x1, x2) not in dec_map:
                 raise TotalityError(f"dec undefined on {(x1, x2)}")
 
-    def enc1(w1, atom):
-        return enc1_table[w1][atom_index[atom]]
-
-    def enc2(w2, atom):
-        return enc2_table[w2][atom_index[atom]]
-
     def dec(x1, x2):
         return dec_map[(x1, x2)]
 
@@ -391,8 +500,8 @@ def load_custom_scheme(source) -> Scheme:
         m2=m2,
         atoms=atoms,
         weights=None if uniform else weights,
-        enc1=enc1,
-        enc2=enc2,
+        enc1=_TableEncoder(codes1, tuple(alph1), atoms),
+        enc2=_TableEncoder(codes2, tuple(alph2), atoms),
         dec=dec,
         rate1=rate1,
         rate2=rate2,

@@ -27,7 +27,9 @@ class ConfusableStructure:
 
     def __init__(self, carrier, randomizer, provenance=None, trivial=False):
         sstar = sorted(int(g) for g in randomizer)
-        if not carrier.is_unit_subgroup(sstar):
+        # a ring carrier has checked its own G, once, when it was built
+        checked = carrier.kind == "ring" and tuple(sstar) == carrier.G
+        if not checked and not carrier.is_unit_subgroup(sstar):
             raise ValueError(f"S* = {sstar} is not a group of units of {carrier.describe()}")
         self.carrier = carrier
         self.randomizer = tuple(sstar)

@@ -4,11 +4,22 @@ Each scheme is tabulated once (_enc_tables, the only code that runs a
 scheme's encoders over its support) into integer tables: per party an int32
 id table (inputs x atoms) and a codebook of the distinct codewords sorted
 lexicographically, so id order is codeword order, plus one int64 weight per
-atom (all ones when unweighted).  An encoder with a batch form (radix and
-symbols(w, atoms), as crt-equal's) is evaluated over a whole input row of
-atom indices at once as mixed-radix codes; any other is called per atom.
-An input pair's codeword-pair distribution is its sorted int64 outcome keys
-id1 * len(book2) + id2 with exact int64 counts, counted once; the
+atom (all ones when unweighted).
+
+Every scheme the program builds or loads has encoders with a batch form:
+radix, the alphabet size of each codeword position, and symbols(w, i), input
+w's codeword positions under the atoms at the index array i of enc.atoms,
+the support the encoder was built over.  _intern passes every index of the
+scheme's support at once and reads each input row as mixed-radix codes,
+first position most significant, so code order is codeword order.  Only
+caller-supplied callables, and encoders whose scheme's atoms were replaced
+after construction, are still called once per atom.
+
+An input pair's codeword-pair distribution is its ascending int64 outcome
+keys id1 * len(book2) + id2 with exact int64 weight sums, counted once per
+pair: by np.add.at into one int64 cell per possible key when there are at
+most as many keys, len(book1) * len(book2), as atoms, and by sorting the
+atoms' keys otherwise, where a dense array would dwarf the support.  The
 correctness, security and leakage passes, the serializer and the optimized
 rates all read these tables.  Supports past MAX_ATOMS_MATERIALIZED atoms,
 or whose total weight does not fit an int64, raise SizeBoundExceeded before
@@ -28,7 +39,7 @@ from math import lcm, log2, prod
 
 import numpy as np
 
-from .errors import SizeBoundExceeded
+from .errors import SchemaError, SizeBoundExceeded
 
 MAX_ATOMS_MATERIALIZED = 300_000
 MAX_TOTAL_WEIGHT = 2**63 - 1  # the largest int64 count
@@ -50,14 +61,26 @@ class EncTables:
 
     def counts(self, w1: int, w2: int):
         """(keys, counts): one input pair's distinct outcome keys ascending
-        and their int64 weight sums, counted once per pair."""
+        and their int64 weight sums, counted once per pair.  With at most
+        as many possible keys as atoms they are summed into one cell per
+        key; past that the atoms' keys are sorted and summed per run."""
         pair = self._counts.get((w1, w2))
         if pair is None:
             keys = self.keys(w1, w2)
-            order = np.argsort(keys)
-            keys = keys[order]
-            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-            pair = keys[starts], np.add.reduceat(self.weights[order], starts)
+            cells = len(self.book1) * len(self.book2)
+            if cells <= len(keys):
+                dense = np.zeros(cells, np.int64)
+                np.add.at(dense, keys, self.weights)
+                present = np.flatnonzero(dense)
+                pair = present, dense[present]
+            else:
+                order = np.argsort(keys)
+                keys = keys[order]
+                first = np.empty(len(keys), bool)  # the first atom of each key
+                first[0] = True
+                np.not_equal(keys[1:], keys[:-1], out=first[1:])
+                starts = first.nonzero()[0]
+                pair = keys[starts], np.add.reduceat(self.weights[order], starts)
             self._counts[(w1, w2)] = pair
         return pair
 
@@ -78,12 +101,12 @@ class _Ids(dict):
 
 def _intern(enc, m: int, atoms):
     """(ids, book): enc over inputs x atoms as int32 ids into the sorted
-    distinct codewords.  An encoder with a batch form (radix, symbols(w,
-    atoms)) is read one input row at a time as lexicographic codes, ranked
-    in place; any other is called per atom and each codeword interned as it
+    distinct codewords.  An encoder with a batch form over these very atoms
+    is read one input row at a time as lexicographic codes, ranked in
+    place; any other is called per atom and each codeword interned as it
     returns it."""
-    if hasattr(enc, "symbols"):
-        return _intern_codes(enc, m, np.fromiter(atoms, np.intp, len(atoms)))
+    if hasattr(enc, "symbols") and enc.atoms is atoms:
+        return _intern_codes(enc, m, np.arange(len(atoms)))
     index = _Ids()
     ids = np.empty((m, len(atoms)), np.int32)
     for w in range(m):
@@ -101,14 +124,14 @@ def _intern_codes(enc, m: int, atoms: np.ndarray):
     radix = enc.radix
     ids = np.empty((m, len(atoms)), np.int32)
     present = np.zeros(prod(radix), bool)
-    for w in range(m):
-        ids[w] = np.ravel_multi_index(enc.symbols(w, atoms), radix)
-        present[ids[w]] = True
+    for w, row in enumerate(ids):
+        row[...] = np.ravel_multi_index(enc.symbols(w, atoms), radix)
+        present[row] = True
     codes = np.flatnonzero(present)
-    rank = np.zeros(len(present), np.int32)
-    rank[codes] = np.arange(len(codes), dtype=np.int32)
-    for w in range(m):
-        ids[w] = rank[ids[w]]
+    rank = np.cumsum(present, dtype=np.int32)  # a present code's rank, plus one
+    rank -= 1
+    for row in ids:
+        row[...] = rank[row]
     book = list(zip(*(d.tolist() for d in np.unravel_index(codes, radix))))
     return ids, book
 
@@ -119,7 +142,8 @@ def _enc_tables(scheme) -> EncTables:
     by its batch form when it has one, and a scheme whose enc2 is its enc1
     over the same inputs is tabulated once; supports past
     MAX_ATOMS_MATERIALIZED, or weighing more than MAX_TOTAL_WEIGHT in all,
-    raise SizeBoundExceeded before any encoder runs."""
+    raise SizeBoundExceeded, and a weight below 1 SchemaError, before any
+    encoder runs."""
     cache = getattr(scheme, "_enc_cache", None)
     if cache is not None:
         return cache
@@ -128,10 +152,15 @@ def _enc_tables(scheme) -> EncTables:
         raise SizeBoundExceeded(
             f"{len(atoms)} atoms exceed the exact-verification cap of {MAX_ATOMS_MATERIALIZED}"
         )
-    if scheme.weights is not None and sum(scheme.weights) > MAX_TOTAL_WEIGHT:
-        raise SizeBoundExceeded(
-            f"total weight {sum(scheme.weights)} exceeds the int64 count bound {MAX_TOTAL_WEIGHT}"
-        )
+    if scheme.weights is not None:
+        # positive weights keep every partial sum within the total, and
+        # every outcome that occurs at a nonzero count
+        if min(scheme.weights) < 1:
+            raise SchemaError("weights must be positive integers")
+        if sum(scheme.weights) > MAX_TOTAL_WEIGHT:
+            raise SizeBoundExceeded(
+                f"total weight {sum(scheme.weights)} exceeds the int64 count bound {MAX_TOTAL_WEIGHT}"
+            )
     ids1, book1 = _intern(scheme.enc1, scheme.m1, atoms)
     if scheme.enc2 is scheme.enc1 and scheme.m2 == scheme.m1:
         ids2, book2 = ids1, book1
@@ -142,6 +171,15 @@ def _enc_tables(scheme) -> EncTables:
                else np.array(scheme.weights, np.int64))
     scheme._enc_cache = EncTables(atoms, weights, ids1, book1, ids2, book2)
     return scheme._enc_cache
+
+
+def _require_shape(scheme, f) -> None:
+    """Refuse, before anything is tabulated, a scheme over other inputs
+    than the table's."""
+    if (scheme.m1, scheme.m2) != (f.m1, f.m2):
+        raise SchemaError(
+            f"the scheme takes {scheme.m1} x {scheme.m2} inputs but the table is {f.m1} x {f.m2}"
+        )
 
 
 @dataclass
@@ -168,6 +206,7 @@ def verify_correct(scheme, f) -> CorrectnessResult:
     dec runs once per distinct outcome key of the scheme, shared by every
     input pair it occurs in; the witness names the first pair's first atom
     with a failing outcome."""
+    _require_shape(scheme, f)
     t = _enc_tables(scheme)
     dec = scheme.dec
     decoded = {}  # outcome key -> dec of its codeword pair
@@ -200,6 +239,7 @@ def verify_secure(scheme, f) -> SecurityResult:
     distributions must be identical.  Every pair's counts sum to the same
     total weight, so the raw int64 counts are compared; the witness outcome
     is the smallest key whose counts differ."""
+    _require_shape(scheme, f)
     t = _enc_tables(scheme)
     groups = _groups_by_output(f)
     for label in sorted(groups):
@@ -241,6 +281,7 @@ def leakage(scheme, f, input_dist: dict[tuple[int, int], Fraction]) -> LeakageRe
     """
     if any(p < 0 for p in input_dist.values()) or sum(input_dist.values()) != 1:
         raise ValueError("input_dist must be a distribution")
+    _require_shape(scheme, f)
     t = _enc_tables(scheme)
     denom = lcm(*(p.denominator for p in input_dist.values()))
     mass_of = {w: p.numerator * (denom // p.denominator) for w, p in input_dist.items() if p > 0}

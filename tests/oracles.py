@@ -159,6 +159,40 @@ def pair_counts(scheme, w1: int, w2: int) -> Counter:
     return counts
 
 
+def sorted_counts(tables, w1: int, w2: int):
+    """(keys, counts) of one input pair by sorting every atom's outcome key
+    and summing the int64 weights of each run, whatever the codebook sizes."""
+    keys = tables.keys(w1, w2)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(tables.weights[order], starts)
+
+
+def loop_codes(table, name: str, m: int, n_atoms: int, alphabets: list) -> np.ndarray:
+    """A custom scheme's encoder table read one symbol at a time: the
+    SchemaError or TotalityError of the first bad entry, or the (m, n_atoms)
+    mixed-radix codes, first position most significant."""
+    from confuse.errors import SchemaError, TotalityError
+
+    if not isinstance(table, list) or len(table) != m:
+        raise TotalityError(f"{name} rows")
+    codes = np.zeros((m, n_atoms), np.int64)
+    for w, row in enumerate(table):
+        if not isinstance(row, list) or len(row) != n_atoms:
+            raise TotalityError(f"{name}[{w}] length")
+        for i, c in enumerate(row):
+            if not isinstance(c, list) or len(c) != len(alphabets):
+                raise SchemaError(f"{name}[{w}] arity")
+            code = 0
+            for s, size in zip(c, alphabets):
+                if not isinstance(s, int) or not 0 <= s < size:
+                    raise SchemaError(f"{name}[{w}] symbol {s}")
+                code = code * size + int(s)
+            codes[w, i] = code
+    return codes
+
+
 @functools.lru_cache(maxsize=None)
 def _crt_equal_parts(m: int):
     """(every permutation of 0..m-1 in itertools order, the field of each

@@ -282,3 +282,58 @@ def test_malformed_input_dist_exits_4(capsys, tmp_path, probs):
     code, _, err = run(capsys, "blockcode", "--table", table, "--L", "8", "--trials", "2",
                        "--input-dist", str(dist))
     assert code == 4 and "input distribution" in err
+
+
+def test_table_file_that_is_not_an_object_exits_4(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([[0, 1], [1, 0]]))
+    code, _, err = run(capsys, "solve", "--table", str(path))
+    assert code == 4 and "JSON object" in err
+
+
+def test_verify_scheme_of_another_shape_exits_4(capsys, tmp_path):
+    scheme = {
+        "m1": 1, "m2": 1, "alphabets1": [1], "alphabets2": [1],
+        "z_support": [{"atom": 0}], "enc1": [[[0]]], "enc2": [[[0]]],
+        "dec": [{"x1": [0], "x2": [0], "f": 0}],
+    }
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(scheme))
+    table = write_table(tmp_path, "and.json", [[0, 0], [0, 1]])
+    code, _, err = run(capsys, "verify", "--scheme", str(path), "--table", table)
+    assert code == 4 and "1 x 1" in err
+
+
+def test_verify_object_atom_exits_4(capsys, tmp_path):
+    data = json.loads((resources.files("confuse.data") / "bespoke_row_reveal_2x3.json").read_text())
+    data["z_support"][0]["atom"] = {"gamma": 1}
+    path = tmp_path / "object_atom.json"
+    path.write_text(json.dumps(data))
+    table = write_table(tmp_path, "reveal.json", [[0, 0, 1], [2, 3, 4]])
+    code, _, err = run(capsys, "verify", "--scheme", str(path), "--table", table)
+    assert code == 4 and "object" in err
+
+
+def _blockcode_refusal(capsys, tmp_path, monkeypatch, *flags):
+    """Exit code and stderr of blockcode on the AND table; the table loader
+    is removed, so a refusal must come before anything is read."""
+    table = write_table(tmp_path, "and.json", [[0, 0], [0, 1]])
+    monkeypatch.setattr("confuse.cli._load_table", None)
+    code, _, err = run(capsys, "blockcode", "--table", table, *flags)
+    return code, err
+
+
+def test_blockcode_L_below_1_exits_4(capsys, tmp_path, monkeypatch):
+    code, err = _blockcode_refusal(capsys, tmp_path, monkeypatch, "--L", "0")
+    assert code == 4 and "--L" in err
+
+
+def test_blockcode_negative_trials_exits_4(capsys, tmp_path, monkeypatch):
+    code, err = _blockcode_refusal(capsys, tmp_path, monkeypatch, "--L", "8", "--trials", "-3")
+    assert code == 4 and "--trials" in err
+
+
+def test_blockcode_rows_outside_1_to_L_exits_4(capsys, tmp_path, monkeypatch):
+    for rows in ("0", "9"):
+        code, err = _blockcode_refusal(capsys, tmp_path, monkeypatch, "--L", "8", "--rows", rows)
+        assert code == 4 and "--rows" in err

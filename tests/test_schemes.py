@@ -2,12 +2,14 @@ import itertools
 import json
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from oracles import all_tables
+from oracles import all_tables, loop_codes
 
+from confuse import schemes
 from confuse.errors import SchemaError, SizeBoundExceeded, TotalityError
 from confuse.expansion import FunctionTable, equal_table, find_expansion
 from confuse.fields import field_make
@@ -269,6 +271,75 @@ def test_load_custom_scheme_schema_errors():
     dup["z_support"] = [{"atom": 0, "weight": 1}, {"atom": 0, "weight": 1}]
     with pytest.raises(SchemaError):
         load_custom_scheme(dup)
+
+    # four dec rows cannot cover 2^40 x 2 codeword pairs: refused from the
+    # row count, before any pair is enumerated
+    huge = json.loads(json.dumps(good))
+    huge["alphabets1"] = [2**40]
+    with pytest.raises(TotalityError):
+        load_custom_scheme(huge)
+
+
+def _codewords(symbols):
+    """A 2-input, 3-atom encoder table over alphabets [3, 2]: input w's
+    codeword under atom i is symbols(w, i)."""
+    return [[symbols(w, i) for i in range(3)] for w in range(2)]
+
+
+ENCODER_TABLES = {
+    "ints": _codewords(lambda w, i: [(w + i) % 3, i % 2]),
+    "bool_symbols": _codewords(lambda w, i: [i, bool(w)]),
+    "all_bools": _codewords(lambda w, i: [i == 1, w == 0]),
+    "floats": _codewords(lambda w, i: [float(i), 0]),
+    "ragged_rows": [_codewords(lambda w, i: [i, 0])[0], _codewords(lambda w, i: [i, 0])[1][:2]],
+    "ragged_codeword": _codewords(lambda w, i: [i, 0] if (w, i) != (1, 2) else [2]),
+    "out_of_range": _codewords(lambda w, i: [i, 2 * i]),
+    "negative": _codewords(lambda w, i: [i - 1, 0]),
+    "past_int64": _codewords(lambda w, i: [i, 2**64 if (w, i) == (1, 1) else 0]),
+    "wrong_arity": _codewords(lambda w, i: [i, 0, 0]),
+    "missing_row": _codewords(lambda w, i: [i, 0])[:1],
+    "not_a_list": {"0": [[0, 0]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENCODER_TABLES))
+def test_loader_array_path_matches_its_loop(name):
+    table = ENCODER_TABLES[name]
+    try:
+        expected = loop_codes(table, "enc1", 2, 3, [3, 2])
+    except (SchemaError, TotalityError) as e:
+        with pytest.raises(type(e)):
+            schemes._read_codes(table, "enc1", 2, 3, [3, 2])
+    else:
+        got = schemes._read_codes(table, "enc1", 2, 3, [3, 2])
+        assert got.tolist() == expected.tolist()
+
+
+def test_loader_reads_a_well_formed_table_in_one_array_pass():
+    with mock.patch.object(schemes, "_check_codewords", side_effect=AssertionError):
+        codes = schemes._read_codes(ENCODER_TABLES["ints"], "enc1", 2, 3, [3, 2])
+    assert codes.tolist() == loop_codes(ENCODER_TABLES["ints"], "enc1", 2, 3, [3, 2]).tolist()
+
+
+@pytest.mark.parametrize("atoms", [
+    [0, 1, 2],
+    [[0, 1], [1, 0]],
+    [[[0, 1, 2], [1, 0, 2]], [[0, 1, 2], [0, 0, 2]]],
+    ["a", "b"],
+    [True, False],
+    [[1, [2]], [1, 2]],
+    [2**70, 1],
+    [1.5, [2, 3]],
+])
+def test_atom_tuple_form_matches_the_per_value_form(atoms):
+    got = schemes._atom_form(atoms)
+    assert repr(got) == repr([schemes._hashable(a) for a in atoms])
+
+
+def test_a_bool_among_integer_atoms_reads_as_its_integer():
+    # one integer array: true is 1, the same atom under == and hash
+    assert repr(schemes._atom_form([[True, 2], [0, 2]])) == "[(1, 2), (0, 2)]"
+    assert schemes._atom_form([[True, 2], [0, 2]]) == [schemes._hashable(a) for a in ([True, 2], [0, 2])]
 
 
 def test_serialize_round_trip_preserves_rates_and_verdicts():

@@ -1,12 +1,13 @@
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
 from oracles import randomization_multiset_ok
 
 from confuse.expansion import iter_carrier_structures
-from confuse.fields import field_make
+from confuse.fields import TableCarrier, field_make
 from confuse.rings import RingSpec, enumerate_subgroups
 from confuse.structures import (
     ConfusableStructure,
@@ -53,6 +54,19 @@ def test_structure_validation_rejects_bad_partitions():
     ]:
         with pytest.raises(ValueError):
             ConfusableStructure(carrier, sstar)
+
+
+def test_unit_subgroup_check_runs_once_per_structure():
+    # a ring's G is checked when its RingSpec is built and not again by its
+    # structure; a field's S* is checked by its structure
+    with mock.patch.object(TableCarrier, "is_unit_subgroup", autospec=True,
+                           side_effect=TableCarrier.is_unit_subgroup) as check:
+        structures = list(iter_carrier_structures(16))
+    assert check.call_count == len(structures)
+    with pytest.raises(ValueError):
+        RingSpec(8, (1, 3, 5))
+    with pytest.raises(ValueError):
+        ConfusableStructure(RingSpec(8, (1, 3)), (1, 3, 5))
 
 
 def _structure_digest(structures) -> str:

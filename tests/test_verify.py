@@ -9,15 +9,16 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import brute_force_first_correctness_failure, crt_equal_encode, pair_counts
+from oracles import brute_force_first_correctness_failure, crt_equal_encode, pair_counts, sorted_counts
 
 from confuse import blockcode
 from confuse.blockcode import block_security_check
-from confuse.errors import SizeBoundExceeded
+from confuse.errors import SchemaError, SizeBoundExceeded
 from confuse.expansion import FunctionTable, equal_table
 from confuse.gallery import get as gallery_get
 from confuse.schemes import (
     Scheme,
+    _MaskedSumEncoder,
     crt_equal_scheme,
     load_custom_scheme,
     optimize_additive_randomness,
@@ -27,6 +28,7 @@ from confuse.schemes import (
 )
 from confuse.verify import (
     MAX_ATOMS_MATERIALIZED,
+    MAX_TOTAL_WEIGHT,
     _enc_tables,
     leakage,
     uniform_input_dist,
@@ -275,7 +277,28 @@ def _threshold_baseline():
     return row_mask_baseline(threshold), threshold
 
 
-VERIFIER_CASES = [_masked_sum_equal3, _weighted_and2, _threshold_baseline, _flipped_dec_baseline]
+def _masked_sum_selected_switch():
+    """A masked-sum scheme over the ring Z_6."""
+    ex = gallery_get("selected_switch")
+    return scheme_from_expansion(ex.expansion()), ex.table
+
+
+def _baseline_3x2():
+    """A row-mask baseline with 6 x 8 codeword pairs on its 48 atoms: as
+    many possible outcome keys as atoms, so its counts are dense."""
+    f = FunctionTable.from_rows([[0, 1], [1, 1], [1, 0]])
+    return row_mask_baseline(f), f
+
+
+def _baseline_3x3():
+    """A row-mask baseline with 9 x 27 codeword pairs on 162 atoms, counted
+    by sorting."""
+    f = FunctionTable.from_rows([[0, 1, 2], [1, 1, 0], [2, 0, 0]])
+    return row_mask_baseline(f), f
+
+
+VERIFIER_CASES = [_masked_sum_equal3, _weighted_and2, _threshold_baseline, _flipped_dec_baseline,
+                  _masked_sum_selected_switch, _baseline_3x2, _baseline_3x3]
 
 
 def test_atom_cap_admits_crt_equal_m7_and_refuses_m8_before_encoding():
@@ -318,20 +341,29 @@ def test_verify_scheme_encodes_each_atom_once(case):
 
 
 def test_optimized_candidate_is_tabulated_once():
-    # each masked-sum encoder call makes one carrier.mul call, the decoder none
+    # the masked-sum encoders are tabulated by their batch form, one call
+    # per input row, and never through the carrier's scalar mul
     exp = gallery_get("equal3").expansion()
     carrier = exp.structure.carrier
-    real_mul = carrier.mul
+    real_mul, real_symbols = carrier.mul, _MaskedSumEncoder.symbols
     calls = Counter()
 
     def mul(a, b):
         calls["mul"] += 1
         return real_mul(a, b)
 
+    def symbols(self, w, atoms):
+        calls["rows"] += 1
+        calls["atoms"] += len(atoms)
+        return real_symbols(self, w, atoms)
+
     carrier.mul = mul
-    scheme = scheme_from_expansion(exp, z_values=[0])
-    verify_secure(scheme, equal_table(3))
-    assert calls["mul"] == (scheme.m1 + scheme.m2) * len(scheme.atoms)
+    with mock.patch.object(_MaskedSumEncoder, "symbols", symbols):
+        scheme = scheme_from_expansion(exp, z_values=[0])
+        verify_secure(scheme, equal_table(3))
+    assert calls["rows"] == scheme.m1 + scheme.m2
+    assert calls["atoms"] == (scheme.m1 + scheme.m2) * len(scheme.atoms)
+    assert calls["mul"] == 0
 
 
 def test_shared_encoder_is_tabulated_once():
@@ -395,7 +427,17 @@ def _block_security_scheme():
     return spy.call_args.args
 
 
-TABLE_CASES = VERIFIER_CASES + [_crt_equal4, _optimized_three_label, _block_security_scheme]
+def _replaced_atoms():
+    """equal3's masked-sum scheme with its atoms replaced after construction
+    by gamma = 2 only: its encoders' batch form indexes the full (gamma, z)
+    grid, so they must be called per atom."""
+    scheme = scheme_from_expansion(gallery_get("equal3").expansion())
+    scheme.atoms = [(2, z) for z in range(3)]
+    return scheme, equal_table(3)
+
+
+TABLE_CASES = VERIFIER_CASES + [_crt_equal4, _optimized_three_label, _block_security_scheme,
+                                _replaced_atoms]
 
 
 @pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: c.__name__.lstrip("_"))
@@ -481,3 +523,89 @@ def test_total_weight_past_int64_is_refused_before_encoding():
         else:
             assert verify_scheme(counted, table).ok
             assert _enc_tables(counted).counts(0, 0)[1].tolist() == [2**63 - 1]
+
+
+def test_non_positive_weight_is_refused_before_encoding():
+    # [2**63 - 1, 5, -5] sums within the bound, but a partial sum does not
+    table = FunctionTable.from_rows([[0]])
+    for weights in ([1, 0], [2**63 - 1, 5, -5]):
+        scheme = dataclasses.replace(_constant_scheme(len(weights)), weights=weights)
+        counted, calls = _counting(scheme)
+        with pytest.raises(SchemaError, match="positive"):
+            verify_scheme(counted, table)
+        assert not calls
+
+
+def _heavy_custom(dense: bool):
+    """A 2 x 2 custom scheme on four atoms weighing MAX_TOTAL_WEIGHT in all.
+    Atoms 0 and 1 share an outcome, so its count is a sum float64 cannot
+    hold exactly.  Bob sends [0, 0, 1, 1] by atom; Alice sends the same
+    (2 x 2 codeword pairs, dense) or [0, 0, 1, 2] (3 x 2, sorted)."""
+    weights = [2**62, 1, 2**61, 2**61 - 2]
+    assert sum(weights) == MAX_TOTAL_WEIGHT
+    bob = [[0], [0], [1], [1]]
+    alice = bob if dense else [[0], [0], [1], [2]]
+    n1 = 2 if dense else 3
+    obj = {
+        "m1": 2, "m2": 2, "alphabets1": [n1], "alphabets2": [2],
+        "z_support": [{"atom": i, "weight": w} for i, w in enumerate(weights)],
+        "enc1": [alice, alice], "enc2": [bob, bob],
+        "dec": [{"x1": [a], "x2": [b], "f": 0} for a in range(n1) for b in range(2)],
+    }
+    return load_custom_scheme(obj), FunctionTable.from_rows([[0, 0], [0, 0]])
+
+
+def _heavy_dense():
+    return _heavy_custom(True)
+
+
+def _heavy_sorted():
+    return _heavy_custom(False)
+
+
+# (case, whether its counts are dense: len(book1) * len(book2) <= atoms)
+COUNT_CASES = [
+    (_crt_equal4, True),
+    (_baseline_3x2, True),
+    (_heavy_dense, True),
+    (_block_security_scheme, True),
+    (_masked_sum_equal3, False),
+    (_baseline_3x3, False),
+    (_heavy_sorted, False),
+    (_threshold_baseline, False),
+]
+
+
+@pytest.mark.parametrize("case,dense", COUNT_CASES, ids=[c.__name__.lstrip("_") for c, _ in COUNT_CASES])
+def test_dense_and_sorted_counts_agree(case, dense):
+    scheme, f = case()
+    t = _enc_tables(scheme)
+    assert (len(t.book1) * len(t.book2) <= len(t.atoms)) == dense
+    for w1 in range(scheme.m1):
+        for w2 in range(scheme.m2):
+            keys, counts = t.counts(w1, w2)
+            ref_keys, ref_counts = sorted_counts(t, w1, w2)
+            assert keys.dtype == counts.dtype == np.int64
+            assert keys.tolist() == ref_keys.tolist()
+            assert counts.tolist() == ref_counts.tolist()
+    assert verify_secure(scheme, f).ok  # the block scheme's decoder is a stub
+
+
+def test_counts_near_the_int64_bound_are_exact():
+    dense, _ = _heavy_dense()
+    keys, counts = _enc_tables(dense).counts(0, 1)
+    assert (keys.tolist(), counts.tolist()) == ([0, 3], [2**62 + 1, 2**62 - 2])
+    by_sort, _ = _heavy_sorted()
+    keys, counts = _enc_tables(by_sort).counts(0, 1)
+    assert (keys.tolist(), counts.tolist()) == ([0, 3, 5], [2**62 + 1, 2**61, 2**61 - 2])
+
+
+def test_verify_refuses_a_scheme_of_another_shape_before_tabulating():
+    scheme, calls = _counting(_constant_scheme(3))  # a 1 x 1 scheme
+    table = FunctionTable.from_rows([[0, 1], [1, 0]])
+    for check in (verify_correct, verify_secure, verify_scheme):
+        with pytest.raises(SchemaError, match="1 x 1"):
+            check(scheme, table)
+    with pytest.raises(SchemaError):
+        leakage(scheme, table, uniform_input_dist(table))
+    assert not calls
