@@ -9,13 +9,14 @@ found, 4 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, jsonout
 from .errors import ConfuseError, NoExpansionFound, SchemaError
 from .expansion import FunctionTable, converse_report, search_expansions
 from .schemes import (
@@ -63,7 +64,7 @@ def _manifest(args, inputs: list[str], seed=None) -> dict:
 
 def _emit(args, payload: dict, human_lines: list[str]):
     if args.json:
-        json.dump(payload, sys.stdout, indent=1, sort_keys=True)
+        jsonout.dump(payload, sys.stdout)
         sys.stdout.write("\n")
     else:
         for line in human_lines:
@@ -136,13 +137,14 @@ def cmd_catalog(args) -> int:
         "diff": diff,
     }
     lines = []
-    for s in structures:
-        star = ",".join(s.rendered_randomizer())
-        sets = " ".join("{" + ",".join(m) + "}" for m in s.rendered_sets())
-        flag = "  (trivial)" if s.trivial else ""
-        lines.append(f"{s.carrier.describe():<6} S*={{{star}}}  {sets}{flag}")
-    if diff is not None:
-        lines.append(f"reference diff: {'clean' if not diff else diff}")
+    if not args.json:
+        for s in structures:
+            star = ",".join(s.rendered_randomizer())
+            sets = " ".join("{" + ",".join(m) + "}" for m in s.rendered_sets())
+            flag = "  (trivial)" if s.trivial else ""
+            lines.append(f"{s.carrier.describe():<6} S*={{{star}}}  {sets}{flag}")
+        if diff is not None:
+            lines.append(f"reference diff: {'clean' if not diff else diff}")
     _emit(args, payload, lines)
     if diff:
         return EXIT_VERIFY
@@ -189,7 +191,7 @@ def cmd_solve(args) -> int:
     ]
     if args.emit_scheme:
         with open(args.emit_scheme, "w") as fh:
-            json.dump(payload["scheme"], fh, indent=1, sort_keys=True)
+            jsonout.dump(payload["scheme"], fh)
         lines.append(f"scheme written to {args.emit_scheme}")
     _emit(args, payload, lines)
     return EXIT_OK if report.ok else EXIT_VERIFY
@@ -295,13 +297,15 @@ def cmd_baseline(args) -> int:
     ]
     if args.emit_scheme:
         with open(args.emit_scheme, "w") as fh:
-            json.dump(payload["scheme"], fh, indent=1, sort_keys=True)
+            jsonout.dump(payload["scheme"], fh)
         lines.append(f"scheme written to {args.emit_scheme}")
     _emit(args, payload, lines)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     ap = argparse.ArgumentParser(
         prog="confuse",
         description="build, search, and exhaustively verify expand-and-randomize "

@@ -14,7 +14,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import AlphabetTooLarge
+from .errors import AlphabetTooLarge, SchemaError
 from .fields import field_make, is_prime, prime_power
 from .rates import Rate
 from .rings import RingSpec, enumerate_subgroups
@@ -49,7 +49,17 @@ class FunctionTable:
 
     @classmethod
     def from_rows(cls, rows) -> "FunctionTable":
-        rows = tuple(tuple(int(v) for v in r) for r in rows)
+        """The table of a nonempty list of equally long, nonempty rows of
+        integer labels; any other outputs matrix raises SchemaError."""
+        if not isinstance(rows, (list, tuple)) or not rows:
+            raise SchemaError("outputs must be a nonempty list of rows")
+        if not all(isinstance(r, (list, tuple)) for r in rows):
+            raise SchemaError("every row of outputs must be a list")
+        if not rows[0] or any(len(r) != len(rows[0]) for r in rows):
+            raise SchemaError("the rows of outputs must be nonempty and equally long")
+        if not all(type(v) is int for r in rows for v in r):
+            raise SchemaError("every entry of outputs must be an integer label")
+        rows = tuple(map(tuple, rows))
         return cls(len(rows), len(rows[0]), rows)
 
     def to_json(self) -> dict:

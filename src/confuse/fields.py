@@ -15,6 +15,7 @@ across threads.
 
 from __future__ import annotations
 
+import functools
 from array import array
 
 import numpy as np
@@ -144,6 +145,11 @@ class TableCarrier:
 
     def elements(self):
         return range(self.size)
+
+    @functools.cached_property
+    def names(self) -> list[str]:
+        """render(a) of every element a, built on first use."""
+        return [self.render(a) for a in self.elements()]
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]

@@ -3,9 +3,9 @@
 Z_n computes through the same table-backed arithmetic as the fields
 (fields.TableCarrier); its tables are built once per modulus and shared by
 every subgroup spec over it.  The interesting structure lives in the
-multiplicative group Z_n^x and its subgroups.  Subgroup enumeration is
-certificate-style closure search rather than structure theory; at the size
-bound (n <= 512) that is plenty.
+multiplicative group Z_n^x and its subgroups.  Subgroups are enumerated by
+cyclic extension, joining known subgroups with cyclic subgroups of
+prime-power order; at the size bound (n <= 512) that is plenty.
 """
 
 from __future__ import annotations
@@ -13,12 +13,15 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import LemmaViolation, SizeBoundExceeded
 from .fields import TableCarrier, carrier_tables, table_dtype
+from .rates import factorize
 
 MAX_N = 512
 
@@ -37,6 +40,12 @@ def _ring_tables(n: int):
     x = np.arange(n)
     dt = table_dtype(n)
     return carrier_tables(((x[:, None] + x) % n).astype(dt), ((x[:, None] * x) % n).astype(dt))
+
+
+@functools.cache
+def _ring_names(n: int) -> list[str]:
+    """Z_n's rendered elements, built once per modulus."""
+    return [str(a) for a in range(n)]
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,10 @@ class RingSpec(TableCarrier):
     def render(self, a: int) -> str:
         return str(a)
 
+    @property
+    def names(self) -> list[str]:
+        return _ring_names(self.n)
+
     def describe(self) -> str:
         return f"Z_{self.n}"
 
@@ -73,29 +86,44 @@ class RingSpec(TableCarrier):
         return cls(obj["n"], tuple(obj["G"]))
 
 
-def closure_subgroups(table, identity: int, generators) -> list[tuple[int, ...]]:
-    """All subgroups generated by subsets of generators inside a finite
-    abelian group given by its operation table, ordered by (size, members).
+def closure_subgroups(table, identity: int, elements) -> list[tuple[int, ...]]:
+    """All subgroups of a finite abelian group, given by its operation table
+    and its elements (the identity may be left out), ordered by (size,
+    members).
 
-    Breadth-first closure: every known subgroup is extended by every
-    generator and closed under the operation; duplicates are dropped.  Since
-    the group is abelian, <H, x> = union of the cosets H, Hx, Hx^2, ...
+    Cyclic extension: a subgroup K > 1 has a subgroup H of prime index p,
+    and then K is the join of H and some <z> with z in K of p-power order and
+    z^p in H.  So the joins of each subgroup found with such <z>, one per
+    cyclic subgroup of prime-power order, reach every subgroup.  The group is
+    abelian, so each join is the product set of H and {1, z, ..., z^(p-1)}.
     """
+    cyclic = []  # (z, z^p, getter of 1, z, ..., z^(p-1)) per cyclic subgroup of p-power order
+    seen = set()  # generators of every cyclic subgroup already walked
+    for x in elements:
+        if x in seen:
+            continue
+        powers = [identity]
+        row = table[x]
+        y = x
+        while y != identity:
+            powers.append(y)
+            y = row[y]
+        m = len(powers)
+        seen.update(powers[u] for u in range(1, m) if gcd(u, m) == 1)
+        primes = factorize(m)
+        if len(primes) == 1:
+            (p,) = primes
+            cyclic.append((x, powers[p % m], itemgetter(*powers[:p])))
     trivial = frozenset([identity])
     found = {trivial}
     queue = [trivial]
     while queue:
         H = queue.pop()
-        for x in generators:
-            if x in H:
+        rows = [table[h] for h in H]
+        for z, zp, coset_reps in cyclic:
+            if z in H or zp not in H:
                 continue
-            K = set(H)
-            y = x
-            while y not in K:
-                row = table[y]
-                K.update(row[h] for h in H)
-                y = table[x][y]
-            K = frozenset(K)
+            K = frozenset(chain.from_iterable(map(coset_reps, rows)))
             if K not in found:
                 found.add(K)
                 queue.append(K)
@@ -104,7 +132,7 @@ def closure_subgroups(table, identity: int, generators) -> list[tuple[int, ...]]
 
 def enumerate_subgroups(n: int) -> list[tuple[int, ...]]:
     """All subgroups of Z_n^x, canonically ordered by (size, members), by
-    closure search over Z_n's mul table."""
+    cyclic extension over Z_n's mul table."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if n > MAX_N:

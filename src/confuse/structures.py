@@ -58,10 +58,11 @@ class ConfusableStructure:
         return f"{self.carrier.describe()} G={list(self.randomizer)}"
 
     def rendered_sets(self) -> list[list[str]]:
-        return [[self.carrier.render(a) for a in s] for s in self.sets]
+        name = self.carrier.names.__getitem__
+        return [list(map(name, s)) for s in self.sets]
 
     def rendered_randomizer(self) -> list[str]:
-        return [self.carrier.render(a) for a in self.randomizer]
+        return list(map(self.carrier.names.__getitem__, self.randomizer))
 
     def to_json(self) -> dict:
         c = self.carrier

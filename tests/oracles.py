@@ -333,3 +333,29 @@ def block_trial_errors(spec, trials: int, seed: int, input_dist) -> list[int]:
         u_hat, _ = block_decode(spec, x1, x2)
         out.append(int(u_hat.tolist() != true_u))
     return out
+
+
+def bfs_subgroups(table, identity: int, generators) -> list[tuple[int, ...]]:
+    """Every subgroup generated by a subset of generators in a finite
+    abelian group, ordered by (size, members): each known subgroup is
+    extended by every generator and closed under the operation, since
+    <H, x> is the union of the cosets H, Hx, Hx^2, ..."""
+    trivial = frozenset([identity])
+    found = {trivial}
+    queue = [trivial]
+    while queue:
+        H = queue.pop()
+        for x in generators:
+            if x in H:
+                continue
+            K = set(H)
+            y = x
+            while y not in K:
+                row = table[y]
+                K.update(row[h] for h in H)
+                y = table[x][y]
+            K = frozenset(K)
+            if K not in found:
+                found.add(K)
+                queue.append(K)
+    return sorted((tuple(sorted(H)) for H in found), key=lambda t: (len(t), t))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from importlib import resources
@@ -36,6 +37,35 @@ def test_catalog_reference_clean(capsys):
     payload = json.loads(out)
     assert payload["diff"] == []
     assert payload["manifest"]["command"] == "catalog"
+
+
+# sha256 of stdout with the manifest's timestamp line removed, recorded before
+# the indented-JSON emitter, cyclic extension and per-carrier element names
+CATALOG_DIGESTS = {
+    ("field", "256", "--json"): "c6c25e131e0f2ec634fb63ec4aae8d21d1ba990dd48be3296cd1c25e62bf7bdd",
+    ("ring", "128", "--json"): "bd0dc1d0acfaf3f326db7793a3678e92a367652fadb1b1fde3edaee11b514881",
+    ("field", "256"): "0328c51196b0de149a9a4716ed29a07151c4f7e02ef770c15aaa520666d78901",
+    ("ring", "128"): "b70971d03466481b7c68c7249dbbcf805be47c1d0d8ac4136af586fdf54eed74",
+}
+
+
+@pytest.mark.parametrize("key", CATALOG_DIGESTS, ids="-".join)
+def test_catalog_output_matches_pinned_digest(capsys, key):
+    kind, size, *flags = key
+    code, out, _ = run(capsys, "catalog", kind, "--max", size, "--reference", *flags)
+    assert code == 0
+    kept = "".join(line for line in out.splitlines(True) if '"timestamp"' not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == CATALOG_DIGESTS[key]
+
+
+def test_parser_is_built_once_and_keeps_no_options(capsys):
+    build_parser.cache_clear()
+    code, out, _ = run(capsys, "crt-equal", "--m", "3", "--json")
+    assert code == 0 and json.loads(out)["m"] == 3
+    code, out, _ = run(capsys, "crt-equal", "--m", "4")
+    assert code == 0 and out.startswith("m=4 ")  # human output: --json did not carry over
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_catalog_json_round_trips_as_reference(capsys, tmp_path):
@@ -289,6 +319,43 @@ def test_table_file_that_is_not_an_object_exits_4(capsys, tmp_path):
     path.write_text(json.dumps([[0, 1], [1, 0]]))
     code, _, err = run(capsys, "solve", "--table", str(path))
     assert code == 4 and "JSON object" in err
+
+
+def _solve_outputs(capsys, tmp_path, outputs):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"outputs": outputs}))
+    return run(capsys, "solve", "--table", str(path))
+
+
+def test_outputs_not_a_list_exits_4(capsys, tmp_path):
+    code, _, err = _solve_outputs(capsys, tmp_path, {"0": [0, 1]})
+    assert code == 4 and "nonempty list of rows" in err
+
+
+def test_empty_outputs_exits_4(capsys, tmp_path):
+    code, _, err = _solve_outputs(capsys, tmp_path, [])
+    assert code == 4 and "nonempty list of rows" in err
+
+
+def test_outputs_row_not_a_list_exits_4(capsys, tmp_path):
+    code, _, err = _solve_outputs(capsys, tmp_path, [1, 2])
+    assert code == 4 and "row of outputs must be a list" in err
+
+
+def test_empty_outputs_row_exits_4(capsys, tmp_path):
+    code, _, err = _solve_outputs(capsys, tmp_path, [[], []])
+    assert code == 4 and "nonempty and equally long" in err
+
+
+def test_ragged_outputs_rows_exit_4(capsys, tmp_path):
+    code, _, err = _solve_outputs(capsys, tmp_path, [[0, 1], [1]])
+    assert code == 4 and "nonempty and equally long" in err
+
+
+@pytest.mark.parametrize("entry", [1.0, 1.5, "1", True, None, [1]])
+def test_non_integer_outputs_entry_exits_4(capsys, tmp_path, entry):
+    code, _, err = _solve_outputs(capsys, tmp_path, [[0, entry], [1, 0]])
+    assert code == 4 and "integer label" in err
 
 
 def test_verify_scheme_of_another_shape_exits_4(capsys, tmp_path):

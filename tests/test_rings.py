@@ -1,15 +1,27 @@
+import hashlib
+import json
 from math import gcd
 
 import pytest
 
 from confuse.errors import SizeBoundExceeded
 from confuse.rings import (
+    MAX_N,
     RingSpec,
+    _ring_tables,
+    closure_subgroups,
     enumerate_subgroups,
     project_subgroup,
     proper_divisors,
     units,
 )
+
+from oracles import bfs_subgroups
+
+# sha256 over json.dumps([n, subgroups]) for n = 2, 3, ..., recorded from the
+# breadth-first closure (bfs_subgroups) before cyclic extension replaced it
+SUBGROUPS_DIGEST = "bd657f9eab6b914cf62a375f8d1eb3441feb90e3065d77a222c24a05beca048b"  # n <= 512, mul table
+ADD_SUBGROUPS_DIGEST = "6057f78485be3320cf916159f2901f3028cfc9b23104c8ecc980560e4baacd18"  # n <= 64, add table
 
 
 @pytest.mark.parametrize("n", range(2, 101))
@@ -49,6 +61,29 @@ def test_enumerate_subgroups_are_subgroups_and_ordered():
                 assert gcd(a, n) == 1
                 for b in hs:
                     assert (a * b) % n in hs
+
+
+def test_enumerate_subgroups_match_pinned_digest():
+    h = hashlib.sha256()
+    for n in range(2, MAX_N + 1):
+        h.update(json.dumps([n, enumerate_subgroups(n)]).encode())
+        _ring_tables.cache_clear()  # kept, the tables of every n would hold about 200 MiB
+    assert h.hexdigest() == SUBGROUPS_DIGEST
+
+
+def test_additive_subgroups_match_pinned_digest():
+    h = hashlib.sha256()
+    for n in range(2, 65):
+        h.update(json.dumps([n, closure_subgroups(_ring_tables(n)[0], 0, range(1, n))]).encode())
+    assert h.hexdigest() == ADD_SUBGROUPS_DIGEST
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 72, 96, 105, 120, 128])
+def test_cyclic_extension_matches_bfs_oracle(n):
+    add, _, mul = _ring_tables(n)
+    assert enumerate_subgroups(n) == bfs_subgroups(mul, 1, units(n))
+    if n <= 32:
+        assert closure_subgroups(add, 0, range(1, n)) == bfs_subgroups(add, 0, range(1, n))
 
 
 def test_enumerate_subgroups_bound():
