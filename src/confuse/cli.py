@@ -39,7 +39,12 @@ DEFAULT_MAX_CARRIER = 16
 
 
 def _max_carrier(args) -> int:
-    return DEFAULT_MAX_CARRIER if args.max_carrier is None else args.max_carrier
+    """The carrier-size bound; a negative --max-carrier raises ValueError."""
+    if args.max_carrier is None:
+        return DEFAULT_MAX_CARRIER
+    if args.max_carrier < 0:
+        raise ValueError(f"--max-carrier must be at least 0, got {args.max_carrier}")
+    return args.max_carrier
 
 
 def _digest(path: str) -> str:
@@ -159,8 +164,10 @@ def _search_or_fail(f, bound, kinds, limit=None):
 
 
 def cmd_solve(args) -> int:
-    f = _load_table(args.table)
     bound = _max_carrier(args)
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"--limit must be at least 1, got {args.limit}")
+    f = _load_table(args.table)
     kinds = ("field",) if args.fields_only else ("field", "ring")
     hits = _search_or_fail(f, bound, kinds, limit=args.limit)
     structure, exp = hits[0]
@@ -168,7 +175,7 @@ def cmd_solve(args) -> int:
     if args.optimize_z:
         scheme = optimize_additive_randomness(exp, all_subsets=args.all_subsets)
     report = verify_scheme(scheme, f)
-    conv = converse_report(f, exp)
+    conv = converse_report(f, scheme)
     payload = {
         "manifest": _manifest(args, [args.table]),
         "expansion": exp.to_json(),
@@ -179,6 +186,7 @@ def cmd_solve(args) -> int:
             "identical_rows": conv.identical_rows,
             "identical_cols": conv.identical_cols,
             "converse_bits": [r.render() for r in conv.converse_bits] if conv.converse_bits else None,
+            "achieved_bits": [r.render() for r in conv.achieved_bits],
             "optimal": conv.optimal,
         },
     }
@@ -223,8 +231,9 @@ def cmd_blockcode(args) -> int:
         raise ValueError(f"--trials must be at least 0, got {args.trials}")
     if args.rows is not None and not 1 <= args.rows <= args.L:
         raise ValueError(f"--rows must be in 1..L = 1..{args.L}, got {args.rows}")
+    bound = _max_carrier(args)
     f = _load_table(args.table)
-    hits = _search_or_fail(f, _max_carrier(args), ("field",), limit=1)
+    hits = _search_or_fail(f, bound, ("field",), limit=1)
     scheme = scheme_from_expansion(hits[0][1])
     dist = _load_input_dist(args.input_dist, f) if args.input_dist else uniform_input_dist(f)
     ent = entropy_of_U(scheme, dist)

@@ -10,9 +10,9 @@ independent oracle.
 
 from __future__ import annotations
 
-import functools
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import AlphabetTooLarge, SchemaError
 from .fields import field_make, is_prime, prime_power
@@ -150,12 +150,6 @@ class FeasibleExpansion:
         }
 
 
-def _shape(seq) -> tuple[int, ...]:
-    """Relabel a sequence by first occurrence: (7, 2, 7, 5) -> (0, 1, 0, 2)."""
-    seen: dict = {}
-    return tuple(seen.setdefault(x, len(seen)) for x in seq)
-
-
 def find_expansion(f: FunctionTable, structure: ConfusableStructure):
     """Lexicographically-first feasible expansion over this structure, or None.
 
@@ -171,111 +165,178 @@ def find_expansion(f: FunctionTable, structure: ConfusableStructure):
       with the same out_map, and the first hit's map1[1] is the least
       element of its S*-orbit.
 
-    Cell set indices come from a cell[a][b] table built once per call.  Two
-    cells hit the same set iff they carry the same label, so a map2 value can
-    fill column j only if its cells split the rows the way column j's labels
-    do.  A map1 prefix is dropped as soon as, for some split of the rows
-    placed so far, fewer map2 values produce it than there are columns whose
-    labels need it.  Across columns, the partial out_map prunes as soon as
-    two labels claim one set or one label claims two sets.  Every cut removes
-    only subtrees without a feasible expansion, so the hit is unchanged.
+    Two cells hit the same set iff they carry the same label, so a map2
+    value b can fill column j only if the rows placed so far split over b's
+    cells the way they split over column j's labels.  The prefix cut keeps
+    these splits as bitmasks over the carrier: eq(v, w) has bit b set when
+    v + b and w + b lie in one confusable set, computed for all v at once
+    from a cell table index[add] when w first becomes a map1 value.  The columns whose cells split rows 0..i
+    like some label column's do are the mask of that split for rows
+    0..i-1, ANDed with eq(map1[r], map1[i]) when row i joins the class
+    first seen at row r, or with the complement of every class's eq when
+    row i opens a new class.  A map1 prefix is dropped as soon as one of
+    these masks has fewer bits than there are label columns that split
+    that way.  At a full map1, the map2 search walks, in ascending order,
+    the bits of column j's split mask ANDed with the unused elements and,
+    for each of the column's labels already bound to a set, with the
+    columns whose cell in that label's first row lands in that set.  A
+    value whose new labels would claim a set bound to another label is
+    skipped.  Every cut removes only subtrees without a feasible expansion,
+    so the hit is unchanged.
     """
     size = structure.size
     if f.m1 > size or f.m2 > size:
         raise AlphabetTooLarge(
             f"table is {f.m1}x{f.m2} but the carrier has only {size} elements"
         )
-    add = structure.carrier.add
-    index_of = structure._index
-    cell = [[index_of[add(a, b)] for b in range(size)] for a in range(size)]
     m1, m2 = f.m1, f.m2
+    cell = np.array(structure._index)[structure.carrier.add_array()]
+    cells = cell.tolist()
     label_cols = [tuple(row[j] for row in f.outputs) for j in range(m2)]
-    label_shapes = [_shape(c) for c in label_cols]
+
+    # splits[i]: each way the rows 0..i of a label column split into label
+    # classes, as [parent, joined, opened, need].  parent indexes splits[i - 1];
+    # row i joins the class first seen at row `joined`, or, when joined is
+    # None, opens a new class apart from the classes first seen at rows
+    # `opened`; need counts the label columns that split this way.
+    splits: list[list] = [[[None, None, (), m2]]] + [[] for _ in range(1, m1)]
+    leaf_split = []  # leaf_split[j]: index of column j's split in splits[-1]
+    classes = []  # classes[j]: (label, first row) of each label class of column j
+    for labels in label_cols:
+        node, firsts = 0, {labels[0]: 0}
+        for i in range(1, m1):
+            if labels[i] in firsts:
+                key = [node, firsts[labels[i]], ()]
+            else:
+                key = [node, None, tuple(firsts.values())]
+                firsts[labels[i]] = i
+            level = splits[i]
+            node = next((k for k, sp in enumerate(level) if sp[:3] == key), len(level))
+            if node == len(level):
+                level.append(key + [0])
+            level[node][3] += 1
+        leaf_split.append(node)
+        classes.append(tuple(firsts.items()))
+    first_rows = {r for level in splits for _, joined, opened, _ in level
+                  for r in (joined,) + opened if r is not None}
+
+    eq_cache: dict = {}
+
+    def eq(w: int) -> list[int]:
+        """eq(v, w) for every v, as int masks over the carrier columns."""
+        row = eq_cache.get(w)
+        if row is None:
+            packed = np.packbits(cell == cell[w], axis=1, bitorder="little")
+            n, raw = packed.shape[1], packed.tobytes()
+            row = eq_cache[w] = [
+                int.from_bytes(raw[k:k + n], "little") for k in range(0, size * n, n)
+            ]
+        return row
+
+    set_cache: dict = {}
+
+    def set_masks(a: int) -> list[int]:
+        """Per confusable set s, the mask of the columns b with a + b in s."""
+        row = set_cache.get(a)
+        if row is None:
+            row = set_cache[a] = [0] * len(structure.sets)
+            for b, idx in enumerate(cells[a]):
+                row[idx] |= 1 << b
+        return row
+
     orbit_minima = [s[0] for s in structure.sets[1:]]
     map1 = [0] * m1
     map2 = [0] * m2
+    eqs: list = [None] * m1  # eq(map1[r]) for each row r that first shows a class
     used1 = set()
-    used2 = set()
     set_to_label = [None] * len(structure.sets)
     label_to_set = [None] * f.output_count
-    # per column j: (v, distinct (set index, label) pairs of the column's cells)
-    candidates: list[list] = []
+    # at a full map1: per split of rows 0..m1-1, its mask; per row, its cells
+    # and set_masks
+    masks: list[int] = []
+    leaf_cells: list = []
+    leaf_sets: list = []
 
-    def assign2(j: int) -> bool:
+    def assign2(j: int, free: int) -> bool:
+        """free: mask of the carrier elements map2 has not used."""
         if j == m2:
             return True
-        for v, pairs in candidates[j]:
-            if v in used2:
-                continue
+        mask = masks[leaf_split[j]] & free
+        unbound = []
+        for label, r in classes[j]:
+            idx = label_to_set[label]
+            if idx is None:
+                unbound.append((label, leaf_cells[r]))
+            else:
+                mask &= leaf_sets[r][idx]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            v = low.bit_length() - 1
             added = []
-            for idx, label in pairs:
-                bound = set_to_label[idx]
-                if bound is None:
-                    if label_to_set[label] is not None:
-                        break
-                    set_to_label[idx] = label
-                    label_to_set[label] = idx
-                    added.append(idx)
-                elif bound != label:
+            for label, row in unbound:
+                idx = row[v]
+                if set_to_label[idx] is not None:
                     break
+                set_to_label[idx] = label
+                label_to_set[label] = idx
+                added.append(idx)
             else:
                 map2[j] = v
-                used2.add(v)
-                if assign2(j + 1):
+                if assign2(j + 1, free ^ low):
                     return True
-                used2.discard(v)
             for idx in added:
                 label_to_set[set_to_label[idx]] = None
                 set_to_label[idx] = None
         return False
 
-    shape_of = functools.cache(_shape)  # columns repeat across map1 prefixes
-
-    # label shapes of each column restricted to rows 0..i, with multiplicity:
-    # columns that share a shape need that many distinct map2 values
-    prefix_need = [
-        Counter(sh[: i + 1] for sh in label_shapes) for i in range(m1)
-    ]
-
     def assign1(i: int, prefix: list) -> bool:
-        """prefix[v]: set indices of column v's cells in rows 0..i-1."""
+        """prefix[k]: mask of the columns that split rows 0..i-1 like
+        splits[i - 1][k]."""
         if i == m1:
-            by_shape: dict = {}
-            for v, col in enumerate(prefix):
-                by_shape.setdefault(shape_of(col), []).append((v, col))
-            candidates[:] = [
-                [(v, tuple(dict.fromkeys(zip(col, labels)))) for v, col in by_shape.get(shape, ())]
-                for labels, shape in zip(label_cols, label_shapes)
-            ]
-            return assign2(0)
-        need = prefix_need[i]
+            masks[:] = prefix
+            leaf_cells[:] = [cells[a] for a in map1]
+            leaf_sets[:] = map(set_masks, map1)
+            return assign2(0, (1 << size) - 1)
+        level = splits[i]
         for v in orbit_minima if i == 1 else range(1, size):
             if v in used1:
                 continue
-            row = cell[v]
-            ext = [col + (row[b],) for b, col in enumerate(prefix)]
-            have = Counter(shape_of(col) for col in ext)
-            if any(have[sh] < k for sh, k in need.items()):
-                continue
-            map1[i] = v
-            used1.add(v)
-            if assign1(i + 1, ext):
-                return True
-            used1.discard(v)
+            ext = []
+            for parent, joined, opened, need in level:
+                mask = prefix[parent]
+                if joined is None:
+                    for r in opened:
+                        mask &= ~eqs[r][v]
+                else:
+                    mask &= eqs[joined][v]
+                if mask.bit_count() < need:
+                    break
+                ext.append(mask)
+            else:
+                map1[i] = v
+                if i in first_rows:
+                    eqs[i] = eq(v)
+                used1.add(v)
+                if assign1(i + 1, ext):
+                    return True
+                used1.discard(v)
         return False
 
-    if assign1(1, [(c,) for c in cell[0]]):
+    if 0 in first_rows:
+        eqs[0] = eq(0)
+    if assign1(1, [(1 << size) - 1]):
         out_map = {idx: label for idx, label in enumerate(set_to_label) if label is not None}
         return FeasibleExpansion(structure, tuple(map1), tuple(map2), out_map)
     return None
 
 
-def iter_carrier_structures(max_size: int, kinds=("field", "ring")):
-    """Structures in search order: carriers ascending by size, fields before
-    rings at equal size; per carrier, divisors ascending / subgroups in
-    canonical order.  Prime Z_p duplicates F_p and is skipped when both kinds
-    are requested."""
-    for size in range(2, max_size + 1):
+def iter_carrier_structures(max_size: int, kinds=("field", "ring"), min_size: int = 2):
+    """Structures in search order: carriers from min_size to max_size
+    ascending by size, fields before rings at equal size; per carrier,
+    divisors ascending / subgroups in canonical order.  Prime Z_p duplicates
+    F_p and is skipped when both kinds are requested."""
+    for size in range(max(min_size, 2), max_size + 1):
         pp = prime_power(size)
         if "field" in kinds and pp is not None:
             spec = field_make(*pp)
@@ -298,9 +359,7 @@ def search_expansions(
     deterministic search order.  Empty list when nothing fits."""
     check_carrier_bound(max_size, kinds)
     hits = []
-    for structure in iter_carrier_structures(max_size, kinds):
-        if f.m1 > structure.size or f.m2 > structure.size:
-            continue
+    for structure in iter_carrier_structures(max_size, kinds, min_size=max(f.m1, f.m2)):
         exp = find_expansion(f, structure)
         if exp is not None:
             hits.append((structure, exp))
@@ -318,10 +377,10 @@ class ConverseReport:
     optimal: bool | None
 
 
-def converse_report(f: FunctionTable, expansion: FeasibleExpansion | None = None) -> ConverseReport:
+def converse_report(f: FunctionTable, scheme=None) -> ConverseReport:
     """No-security lower bound (log2 m1, log2 m2), asserted only when the
-    table has no identical rows or columns; with an expansion over a carrier
-    of size m1 = m2, the achieved rates are flagged optimal."""
+    table has no identical rows or columns.  With a scheme, achieved_bits are
+    its two rates, and they are flagged optimal when they meet the bound."""
     rows = f.identical_rows()
     cols = f.identical_cols()
     converse = None
@@ -329,9 +388,8 @@ def converse_report(f: FunctionTable, expansion: FeasibleExpansion | None = None
         converse = (Rate.log2(f.m1), Rate.log2(f.m2))
     achieved = None
     optimal = None
-    if expansion is not None:
-        q = expansion.structure.size
-        achieved = (Rate.log2(q), Rate.log2(q))
+    if scheme is not None:
+        achieved = (scheme.rate1, scheme.rate2)
         if converse is not None:
-            optimal = q == f.m1 == f.m2
+            optimal = achieved == converse
     return ConverseReport(rows, cols, converse, achieved, optimal)

@@ -163,13 +163,18 @@ class TableCarrier:
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
 
+    def add_array(self) -> np.ndarray:
+        """The add table as a read-only numpy copy, entries in
+        table_dtype(size)."""
+        q = self.size
+        return np.frombuffer(b"".join(self.add_table), table_dtype(q)).reshape(q, q)
+
     def arrays(self):
         """(add, neg, mul) as read-only numpy copies, entries in
         table_dtype(size)."""
         q = self.size
-        dt = table_dtype(q)
-        add = np.frombuffer(b"".join(self.add_table), dt).reshape(q, q)
-        return add, np.frombuffer(bytes(self.neg_table), dt), self.mul_rows(range(q))
+        neg = np.frombuffer(bytes(self.neg_table), table_dtype(q))
+        return self.add_array(), neg, self.mul_rows(range(q))
 
     def mul_rows(self, members) -> np.ndarray:
         """The mul-table rows of members, one per member, as a read-only

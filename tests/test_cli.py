@@ -404,3 +404,49 @@ def test_blockcode_rows_outside_1_to_L_exits_4(capsys, tmp_path, monkeypatch):
     for rows in ("0", "9"):
         code, err = _blockcode_refusal(capsys, tmp_path, monkeypatch, "--L", "8", "--rows", rows)
         assert code == 4 and "--rows" in err
+
+
+def test_blockcode_negative_max_carrier_exits_4(capsys, tmp_path, monkeypatch):
+    code, err = _blockcode_refusal(capsys, tmp_path, monkeypatch, "--L", "8", "--max-carrier", "-5")
+    assert code == 4 and "--max-carrier" in err
+
+
+def _solve_refusal(capsys, equal3_path, monkeypatch, *flags):
+    """Exit code and stderr of solve on equal3 with the table loader
+    removed, so a refusal must come before anything is read."""
+    monkeypatch.setattr("confuse.cli._load_table", None)
+    code, _, err = run(capsys, "solve", "--table", equal3_path, *flags)
+    return code, err
+
+
+def test_solve_limit_0_exits_4(capsys, equal3_path, monkeypatch):
+    code, err = _solve_refusal(capsys, equal3_path, monkeypatch, "--limit", "0")
+    assert code == 4 and "--limit" in err
+
+
+def test_solve_negative_limit_exits_4(capsys, equal3_path, monkeypatch):
+    code, err = _solve_refusal(capsys, equal3_path, monkeypatch, "--limit", "-2")
+    assert code == 4 and "--limit" in err
+
+
+def test_solve_negative_max_carrier_exits_4(capsys, equal3_path, monkeypatch):
+    code, err = _solve_refusal(capsys, equal3_path, monkeypatch, "--max-carrier", "-5")
+    assert code == 4 and "--max-carrier" in err
+
+
+def test_solve_limit_1_reports_one_hit(capsys, equal3_path):
+    code, out, _ = run(capsys, "solve", "--table", equal3_path, "--limit", "1", "--json")
+    assert code == 0 and json.loads(out)["hits_within_bound"] == 1
+
+
+def test_solve_converse_reports_the_emitted_rates(capsys, tmp_path):
+    # over Z_4 the plain scheme sends 2 bits each way; the optimized noise
+    # support meets the (log2 3, 1) bound
+    table = write_table(tmp_path, "t.json", [[0, 0], [1, 2], [2, 1]])
+    code, out, _ = run(capsys, "solve", "--table", table, "--json")
+    conv = json.loads(out)["converse"]
+    assert code == 0 and conv["converse_bits"] == ["1.584963", "1.000000"]
+    assert conv["achieved_bits"] == ["2.000000", "2.000000"] and conv["optimal"] is False
+    code, out, _ = run(capsys, "solve", "--table", table, "--optimize-z", "--json")
+    conv = json.loads(out)["converse"]
+    assert code == 0 and conv["achieved_bits"] == ["1.584963", "1.000000"] and conv["optimal"] is True

@@ -22,6 +22,7 @@ from confuse.expansion import (
 from confuse.fields import field_make
 from confuse.rates import Rate
 from confuse.rings import RingSpec
+from confuse.schemes import optimize_additive_randomness, scheme_from_expansion
 from confuse.structures import field_confusable_sets, ring_confusable_sets
 
 
@@ -183,6 +184,34 @@ def test_find_expansion_matches_lex_first_oracle_grid():
     assert found > 0 and checked - found > 0
 
 
+def test_find_expansion_matches_lex_first_oracle_deeper_tables():
+    # a seeded sample of 4x2, 2x4 and 3x3 tables with up to 4 labels: rows
+    # past the third reach the prefix cut's per-class bookkeeping, which the
+    # grid above never does
+    rng = random.Random(7)
+
+    def draw(m1, m2):
+        k = rng.randint(1, 4)
+        while True:
+            rows = [[rng.randrange(k) for _ in range(m2)] for _ in range(m1)]
+            if {v for r in rows for v in r} == set(range(k)):
+                return FunctionTable.from_rows(rows)
+
+    tables = [draw(m1, m2) for m1, m2 in ((4, 2), (2, 4), (3, 3)) for _ in range(40)]
+    checked = found = 0
+    for structure in iter_carrier_structures(7):
+        for f in tables:
+            if max(f.m1, f.m2) > structure.size:
+                continue
+            want = brute_force_first_expansion(f, structure)
+            exp = find_expansion(f, structure)
+            got = None if exp is None else (exp.map1, exp.map2, exp.out_map)
+            assert got == want, (structure.key(), f.outputs)
+            checked += 1
+            found += got is not None
+    assert found > 0 and checked - found > 0
+
+
 def test_from_json_rejects_mismatched_dimensions():
     with pytest.raises(ValueError):
         FunctionTable.from_json({"m1": 3, "m2": 2, "outputs": [[0, 1], [1, 0]]})
@@ -232,7 +261,7 @@ def test_converse_report_equal3():
     assert rep.converse_bits == (Rate.log2(3), Rate.log2(3))
     st3 = field_confusable_sets(field_make(3, 1), 1)
     exp = find_expansion(equal_table(3), st3)
-    rep2 = converse_report(equal_table(3), exp)
+    rep2 = converse_report(equal_table(3), scheme_from_expansion(exp))
     assert rep2.optimal is True
     assert rep2.achieved_bits == (Rate.log2(3), Rate.log2(3))
 
@@ -249,9 +278,22 @@ def test_converse_report_and():
     rep = converse_report(and2)
     assert rep.converse_bits == (Rate.log2(2), Rate.log2(2))
     _, exp = search_expansions(and2, 4, limit=1)[0]
-    rep2 = converse_report(and2, exp)
+    rep2 = converse_report(and2, scheme_from_expansion(exp))
     assert rep2.achieved_bits == (Rate.log2(3), Rate.log2(3))
     assert rep2.optimal is False  # carrier is larger than the input alphabet
+
+
+def test_converse_report_reads_the_optimized_rates():
+    # over Z_4 the plain scheme sends 2 bits each way; the optimized noise
+    # support meets the (log2 3, 1) bound although the carrier is larger
+    t = FunctionTable.from_rows([[0, 0], [1, 2], [2, 1]])
+    structure, exp = search_expansions(t, 16, limit=1)[0]
+    assert structure.key() == "Z_4 G=[1, 3]"
+    plain = converse_report(t, scheme_from_expansion(exp))
+    assert plain.achieved_bits == (Rate.log2(4), Rate.log2(4)) and plain.optimal is False
+    rep = converse_report(t, optimize_additive_randomness(exp))
+    assert rep.achieved_bits == rep.converse_bits == (Rate.log2(3), Rate.log2(2))
+    assert rep.optimal is True
 
 
 # ---------------------------------------------------------------------------
@@ -323,3 +365,49 @@ def test_hit_lists_match_pinned_digests():
     tables.update((f"r{n:02d}", t) for n, t in enumerate(corpus_tables()))
     got = {name: hit_list_digest(search_expansions(t, 16)) for name, t in tables.items()}
     assert got == PINNED_HIT_DIGESTS
+
+
+def planted_table(m1: int, m2: int, structure, seed: int) -> FunctionTable:
+    """The table that seeded random injective maps induce over a structure:
+    cell (i, j) is labelled by the confusable set of map1[i] + map2[j], in
+    order of first occurrence, so the table embeds over that structure."""
+    rng = random.Random(seed)
+    map1 = rng.sample(range(structure.size), m1)
+    map2 = rng.sample(range(structure.size), m2)
+    add = structure.carrier.add
+    labels: dict = {}
+    return FunctionTable.from_rows(
+        [[labels.setdefault(structure.index_of(add(a, b)), len(labels)) for b in map2] for a in map1]
+    )
+
+
+# name -> (table, carrier bound, digest); recorded before the prefix cut
+# became bitmask arithmetic
+DEEP_TABLES = {
+    "latin3": lambda: FunctionTable.from_rows([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+    "p4x3-F13d3": lambda: planted_table(4, 3, field_confusable_sets(field_make(13, 1), 3), 43),
+    "p4x3-Z12": lambda: planted_table(4, 3, ring_confusable_sets(RingSpec(12, (1, 5))), 431),
+    "p2x5-F11d2": lambda: planted_table(2, 5, field_confusable_sets(field_make(11, 1), 2), 25),
+    "p5x2-Z10": lambda: planted_table(5, 2, ring_confusable_sets(RingSpec(10, (1, 9))), 521),
+    "p4x4-F16d5": lambda: planted_table(4, 4, field_confusable_sets(field_make(2, 4), 5), 44),
+    "p4x4-F9d2": lambda: planted_table(4, 4, field_confusable_sets(field_make(3, 2), 2), 441),
+    "r4x4-none": lambda: FunctionTable.from_rows([[1, 2, 2, 2], [1, 1, 0, 1], [2, 0, 1, 0], [0, 0, 1, 2]]),
+}
+
+PINNED_DEEP_HITS = {
+    "latin3": (16, 21, "1735173be0962e6c"),
+    "p4x3-F13d3": (23, 7, "1d906c883886bb69"),
+    "p4x3-Z12": (16, 6, "2936ea24c4018776"),
+    "p2x5-F11d2": (23, 18, "028a7ac4e5fc85bd"),
+    "p5x2-Z10": (16, 23, "da15ba008a559ae1"),
+    "p4x4-F16d5": (19, 1, "15100afb27149719"),
+    "p4x4-F9d2": (19, 4, "e36010b396c65dfd"),
+    "r4x4-none": (16, 0, "4f53cda18c2baa0c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEEP_HITS))
+def test_deep_hit_lists_match_pinned_digests(name):
+    bound, count, digest = PINNED_DEEP_HITS[name]
+    hits = search_expansions(DEEP_TABLES[name](), bound)
+    assert (len(hits), hit_list_digest(hits)) == (count, digest)
