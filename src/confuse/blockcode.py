@@ -5,14 +5,14 @@ vectors are then multiplied by one shared matrix A over F_q.  The decoder
 adds the received vectors to get A*U (U the per-position randomized sum) and
 picks the most probable U in the solution coset under the iid prior.
 
-Every matrix product over F_q is _matmul: float64 GEMMs over base-p digit
-planes, reduced mod p once at the end (delayed modular reduction, as in
-FFLAS-FFPACK).  Its sums stay below 2^53, so every float is an exact
-integer, and an operand for which they could not raises SizeBoundExceeded
-before anything is converted; no decision reads a float.  A's elimination
-(blocked, one _matmul per 64-column panel), the encoder and the syndrome
-solve all run through it, and run_trials stacks its trials as the columns
-of one product by A per party and one by the row transform T.
+Every F_q matrix product is a GEMM over base-p digit planes, reduced mod p
+only when needed (delayed modular reduction, as in FFLAS-FFPACK).  Each
+computation bounds its largest sum before converting anything: float32
+below 2^24, float64 below 2^53, else SizeBoundExceeded, so every float is
+an exact integer.  _matmul reduces once per product; A's elimination keeps
+[A | I] unreduced and reduces only its current panel and pivot rows.
+run_trials stacks its trials as the columns of one product by A per party
+and one by the row transform T.
 
 The coset search is exact maximum-likelihood when the coset is small enough
 to enumerate; otherwise a greedy per-coordinate fallback assigns each free
@@ -82,49 +82,73 @@ def entropy_of_U(scheme, input_dist: dict[tuple[int, int], Fraction]) -> Entropy
 # F_q matrix products and elimination
 # ---------------------------------------------------------------------------
 
-_BLOCK = 64  # rows per float64 GEMM, and columns per elimination panel
+_BLOCK = 64  # rows per GEMM, and columns per elimination panel
+_PREFIX = 2 * _BLOCK  # panel rows searched for pivots before the whole panel
 TRIAL_CHUNK = 64  # trials stacked into one L x 64 matrix per party
 _CANDIDATES = 1024  # coset candidates scored per float64 block in exact-ML decoding
+
+
+def _exact_dtype(bound: int, what: str):
+    """The float dtype in which every integer below bound is exact: float32
+    below 2^24, float64 below 2^53, past that SizeBoundExceeded."""
+    if bound < 2**24:
+        return np.float32
+    if bound < 2**53:
+        return np.float64
+    raise SizeBoundExceeded(f"{what} is not exact in float64")
+
+
+def _residues(sums: np.ndarray, p: int) -> np.ndarray:
+    """Exact float sums mod p as integers (float32 sums fit in int32)."""
+    return sums.astype(np.int32 if sums.dtype == np.float32 else np.int64) % p
+
+
+def _planes(fs, Y: np.ndarray, ft) -> np.ndarray:
+    """Y's stacked digit planes: entry [(i, t), (d, j)] is digit d of
+    x^i * Y[t, j], so X's digit planes side by side (entry [s, (i, t)] digit
+    i of X[s, t]) times them sum digit d of (X @ Y)[s, j], unreduced."""
+    p, n = fs.p, fs.n
+    if n == 1:
+        return Y.astype(ft)
+    dt = table_dtype(fs.q)
+    inner, cols = Y.shape
+    planes = np.empty((n, inner, n, cols), ft)
+    for i in range(n):
+        xiY = np.frombuffer(fs.mul_table[p**i], dt)[Y]
+        for d in range(n):
+            planes[i, :, d, :] = xiY // p**d % p
+    return planes.reshape(n * inner, n * cols)
+
+
+def _join(fs, D: np.ndarray, dt) -> np.ndarray:
+    """Elements from reduced digits: D[s, d, j] is digit d of entry (s, j)."""
+    if fs.n == 1:
+        return D[:, 0].astype(dt)
+    return (fs.p ** np.arange(fs.n) @ D).astype(dt)
 
 
 def _matmul(fs, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X @ Y over F_q, entries in table_dtype(q).
 
-    Elements are base-p digit vectors (x^i encoded as p^i), so X*Y is
-    sum_i X_i * (x^i Y) with X_i the digit-i plane of X, and digit d of the
-    product is sum_i X_i @ digit_d(x^i Y) mod p.  Every 64-row block of X is
-    one float64 GEMM against the stacked planes of Y (Y itself for a prime
-    field), cast to integers and reduced mod p.  Each output entry sums
-    inner * n products below p^2; an operand pair for which that could reach
-    2^53 raises SizeBoundExceeded before anything is converted, so every
-    float is an exact integer.
+    Elements are base-p digit vectors (x^i encoded as p^i), so digit d of
+    X*Y is sum_i X_i @ digit_d(x^i Y) mod p, X_i the digit-i plane of X:
+    one GEMM per 64-row block of X against _planes(Y), with sums of
+    inner * n products below p^2.
     """
     p, n = fs.p, fs.n
     inner = X.shape[1]
-    if inner * n * (p - 1) ** 2 >= 2**53:
-        raise SizeBoundExceeded(
-            f"an F_{fs.q} product over {inner} terms is not exact in float64"
-        )
+    ft = _exact_dtype(inner * n * (p - 1) ** 2, f"an F_{fs.q} product over {inner} terms")
     dt = table_dtype(fs.q)
     cols = Y.shape[1]
-    if n == 1:
-        planes = Y.astype(np.float64)
-    else:
-        planes = np.empty((n, inner, n, cols))
-        for i in range(n):
-            xiY = np.frombuffer(fs.mul_table[p**i], dt)[Y]
-            for d in range(n):
-                planes[i, :, d, :] = xiY // p**d % p
-        planes = planes.reshape(n * inner, n * cols)
-        powers = p ** np.arange(n)
+    planes = _planes(fs, Y, ft)
+    powers = p ** np.arange(n)
     out = np.empty((X.shape[0], cols), dt)
     for s in range(0, X.shape[0], _BLOCK):
         block = X[s : s + _BLOCK]
         if n > 1:
             block = (block[:, None, :] // powers[:, None] % p).reshape(len(block), n * inner)
-        prod = (block.astype(np.float64) @ planes).astype(np.int64)
-        prod %= p
-        out[s : s + _BLOCK] = prod if n == 1 else powers @ prod.reshape(len(block), n, cols)
+        sums = block.astype(ft) @ planes
+        out[s : s + _BLOCK] = _join(fs, _residues(sums, p).reshape(len(sums), n, cols), dt)
     return out
 
 
@@ -169,52 +193,68 @@ def _reduce(tables, inv, M: np.ndarray):
 def _rref(fs, A: np.ndarray):
     """Reduced row echelon form of A over F_q with the row transform tracked.
 
-    Blocked Gauss-Jordan on the augmented matrix [A | I], entries in
-    table_dtype(q), one 64-column panel of A at a time.  _reduce finds the
-    panel's pivots on its rows at and below the pivot count, which makes
-    the row swaps of an unblocked pass, and inverts the pivot block K on
-    [K | I].  The new pivot rows are K^-1 times their rows; every row then
-    loses its pivot-column entries times them, by _matmul 64 rows at a time.
-    R is unique and the swaps and the other rows are forced, so the result
-    is that of the unblocked pass.
-    Returns (R, T, pivots): R = T*A in RREF, pivots the pivot columns.
+    Blocked Gauss-Jordan on [A | I], held as unreduced float digit planes,
+    one 64-column panel at a time.  _reduce finds the panel's pivots on its
+    first 128 rows at or below the pivot count, on all of them only when
+    those yield too few (a pivot is the first nonzero row, the same in
+    both), and inverts the pivot block K on [K | I].  The new pivot rows are
+    K^-1 times their rows; every row adds minus its pivot-column entries
+    times them, unreduced.  A panel with k pivots adds at most
+    k * n * (p-1)^2 to an entry, so the bound rank * n * (p-1)^2 + p is
+    checked before M is allocated, and M is reduced once at the end.
+    R is unique and the swaps are those of an unblocked pass, so the result
+    is too.  Returns (R, T, pivots): R = T*A in RREF.
     """
     tables = fs.arrays()
-    add, neg, _ = tables
-    q = fs.q
+    p, n, q = fs.p, fs.n, fs.q
     inv = np.array([0] + [fs.inv(a) for a in range(1, q)])
-    add_flat, flat_index = add.ravel(), table_dtype(q * q)
-    dt = add.dtype
+    dt = table_dtype(q)
     rows, cols = A.shape
-    M = np.zeros((rows, cols + rows), dtype=dt)
-    M[:, :cols] = A
-    M[:, cols:] = np.eye(rows, dtype=dt)
+    width = cols + rows
+    ft = _exact_dtype(
+        min(rows, cols) * n * (p - 1) ** 2 + p,
+        f"eliminating a {rows} x {cols} matrix over F_{q}",
+    )
+    # M[s, d, j] is digit d of entry (s, j) of [A | I], unreduced
+    M = np.zeros((rows, n, width), ft)
+    for d in range(n):
+        M[:, d, :cols] = A // p**d % p
+    M[np.arange(rows), 0, cols + np.arange(rows)] = 1
     pivots = []
     r = 0
     for c0 in range(0, cols, _BLOCK):
         if r == rows:
             break
-        # rows at and below r are clear left of c0
-        found, order = _reduce(tables, inv, M[r:, c0 : min(c0 + _BLOCK, cols)].copy())
+        c1 = min(c0 + _BLOCK, cols)
+        # later panels never touch these columns, so M keeps them unreduced
+        panel = _residues(M[:, :, c0:c1], p)
+        found, order = _reduce(tables, inv, _join(fs, panel[r : r + _PREFIX], dt))
+        if len(found) < c1 - c0 and r + _PREFIX < rows:
+            found, order = _reduce(tables, inv, _join(fs, panel[r:], dt))
         if not found:
             continue
         moved = np.flatnonzero(order != np.arange(len(order)))
         M[r + moved] = M[r + order[moved]]
+        panel[r + moved] = panel[r + order[moved]]
         k = len(found)
         piv = [c0 + c for c in found]
-        KI = np.concatenate([M[r : r + k, piv], np.eye(k, dtype=dt)], axis=1)
+        K = _join(fs, panel[r : r + k][:, :, found], dt)
+        KI = np.concatenate([K, np.eye(k, dtype=dt)], axis=1)
         _reduce(tables, inv, KI)
-        new_rows = _matmul(fs, KI[:, k:], M[r : r + k, c0:])
-        # 64 rows at a time keeps every temporary block-sized
+        new_rows = _matmul(fs, KI[:, k:], _join(fs, _residues(M[r : r + k, :, c0:], p), dt))
+        planes = _planes(fs, new_rows, ft)
+        # digit-wise negation of every row's pivot-column entries
+        negF = ((p - panel[:, :, found]) % p).reshape(rows, n * k).astype(ft)
         for s in range(0, rows, _BLOCK):
-            sums = M[s : s + _BLOCK, c0:].astype(flat_index)
-            sums *= q
-            sums += _matmul(fs, neg[M[s : s + _BLOCK, piv]], new_rows)
-            M[s : s + _BLOCK, c0:] = add_flat.take(sums)
-        M[r : r + k, c0:] = new_rows
+            sums = negF[s : s + _BLOCK] @ planes
+            M[s : s + _BLOCK, :, c0:] += sums.reshape(len(sums), n, width - c0)
+        M[r : r + k, :, c0:] = planes[:k].reshape(k, n, width - c0)
         pivots += piv
         r += k
-    return M[:, :cols], M[:, cols:], pivots
+    out = np.empty((rows, width), dt)
+    for s in range(0, rows, _BLOCK):
+        out[s : s + _BLOCK] = _join(fs, _residues(M[s : s + _BLOCK], p), dt)
+    return out[:, :cols], out[:, cols:], pivots
 
 
 @dataclass
@@ -247,23 +287,27 @@ def make_block_spec(
     """Build the L-length spec: rows = ceil((H_q(U) + epsilon) * L), capped at
     L (the formula may exceed 1 symbol per position at desk scale, where no
     compression is possible).  A is drawn entry-iid uniform from a seeded
-    PCG64 stream, or the identity with identity=True."""
+    PCG64 stream, or the identity with identity=True, and stored in
+    table_dtype(q).  L below 1, and a given or computed rows outside 1..L,
+    raise ValueError before A is drawn."""
+    if L < 1:
+        raise ValueError(f"L must be at least 1, got {L}")
     exp = _require_field_scheme(base)
     fs = exp.structure.carrier
     if input_dist is None:
         input_dist = uniform_input_dist(base)
     report = entropy_of_U(base, input_dist)
     if rows is None:
-        rows = min(L, math.ceil((report.H_qary + epsilon) * L))
-    if rows > L:
-        raise ValueError("rows must not exceed L")
+        rows = L if identity else min(L, math.ceil((report.H_qary + epsilon) * L))
+    if not 1 <= rows <= L:
+        raise ValueError(f"rows must be in 1..L = 1..{L}, got {rows}")
+    dt = table_dtype(fs.q)
     if identity:
         rows = L
-        A = np.zeros((L, L), dtype=np.int64)
-        np.fill_diagonal(A, 1)
+        A = np.eye(L, dtype=dt)
     else:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        A = rng.integers(0, fs.q, size=(rows, L), dtype=np.int64)
+        A = rng.integers(0, fs.q, size=(rows, L), dtype=np.int64).astype(dt)
     return BlockCodeSpec(base, L, rows, A, seed, report.dist_U)
 
 
@@ -324,19 +368,23 @@ def _decode(spec: BlockCodeSpec, X1, X2):
     column takes the candidate u0 + offsets[i] of highest log-prior."""
     s = _solver(spec)
     add = s["tables"][0]
+    q = len(add)
     rank, logp, offsets = s["rank"], s["logp"], s["offsets"]
     y = _matmul(s["field"], s["T"], add[X1, X2])
     if np.any(y[rank:]):
         raise Undecodable("syndrome outside the column space of A")
-    u0 = np.zeros((y.shape[1], spec.L), dtype=y.dtype)
+    # add[u, v] = add_flat[u*q + v]: flat gathers beat 2-D ones
+    add_flat = add.ravel()
+    u0 = np.zeros((y.shape[1], spec.L), dtype=table_dtype(q * q))
     u0[:, s["pivots"]] = y[:rank].T
+    u0 *= q
     U = np.empty((spec.L, y.shape[1]), dtype=y.dtype)
-    for j, u in enumerate(u0):
+    for j, uq in enumerate(u0):
         # the first maximum over all blocks, as one argmax over the coset would give
         best = -np.inf
         for c0 in range(0, len(offsets), _CANDIDATES):
-            cands = add[u, offsets[c0 : c0 + _CANDIDATES]]
-            scores = logp[cands].sum(axis=1)
+            cands = add_flat.take(offsets[c0 : c0 + _CANDIDATES] + uq)
+            scores = logp.take(cands).sum(axis=1)
             i = int(np.argmax(scores))
             if scores[i] > best:
                 best = scores[i]
@@ -393,7 +441,10 @@ def run_trials(
     """Monte Carlo decode-error estimate; trial t is keyed by SeedSequence
     (seed, trial) so results are reproducible and order-independent.
     Trials run TRIAL_CHUNK at a time as the columns of one encode and one
-    decode; the solver is built even for zero trials."""
+    decode; the solver is built even for zero trials.  A negative trial
+    count raises ValueError."""
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     base = spec.base
     exp = base.expansion
     st = exp.structure

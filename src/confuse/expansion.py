@@ -356,7 +356,10 @@ def search_expansions(
     limit: int | None = None,
 ):
     """All (structure, expansion) hits up to the carrier-size bound, in
-    deterministic search order.  Empty list when nothing fits."""
+    deterministic search order, at most limit of them.  Empty list when
+    nothing fits; a limit below 1 raises ValueError."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     check_carrier_bound(max_size, kinds)
     hits = []
     for structure in iter_carrier_structures(max_size, kinds, min_size=max(f.m1, f.m2)):

@@ -302,9 +302,17 @@ ELIMINATION_DIGESTS = {
     (3, 2, "wide"): "b4565e9d2ca6b8ea",
     (3, 2, "deficient"): "865e8997f877332e",
     (3, 2, "large"): "6541168dbcd58610",
+    # recorded from the table-lookup update before delayed reduction
+    (2, 2, "panels"): "13be08306e3ab35b",
+    (3, 1, "fallback"): "9da5474748538121",
 }
-# "large" has more than one 64-row block of rows to update per pivot
-SHAPES = {"square": (12, 12), "wide": (8, 16), "deficient": (10, 10), "large": (130, 150)}
+# "large" has more than one 64-row block of rows to update per pivot;
+# "panels" has four panels of F_4 digit planes and more than 128 rows;
+# "fallback" has 28 nonzero rows in its first panel's 128-row prefix
+SHAPES = {
+    "square": (12, 12), "wide": (8, 16), "deficient": (10, 10), "large": (130, 150),
+    "panels": (300, 256), "fallback": (300, 200),
+}
 
 
 @pytest.mark.parametrize("key", sorted(ELIMINATION_DIGESTS))
@@ -318,10 +326,49 @@ def test_elimination_matches_pinned_digests(key):
     if shape == "deficient":
         A[-1] = A[0]  # a repeated row and a zero column
         A[:, 1] = 0
+    if shape == "fallback":
+        A[:100, :64] = 0
     R, T, pivots = _rref(field_make(p, n), A)
-    blob = json.dumps([R.tolist(), T.tolist(), [int(x) for x in pivots]])
-    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == ELIMINATION_DIGESTS[key]
+    assert _elimination_digest(R, T, pivots) == ELIMINATION_DIGESTS[key]
     assert R.dtype == T.dtype == np.uint8
+
+
+def _elimination_digest(R, T, pivots):
+    blob = json.dumps([R.tolist(), T.tolist(), [int(x) for x in pivots]])
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _b1_spec():
+    # the bench's B1: and2 over F_3 at L = 1024, epsilon 0.15 (rows = L), seed 7
+    return make_block_spec(_and_scheme(), L=1024, epsilon=0.15, seed=7)
+
+
+def test_elimination_of_the_B1_matrix_matches_pinned_digest():
+    spec = _b1_spec()
+    assert spec.A.shape == (1024, 1024) and spec.A.dtype == np.uint8
+    R, T, pivots = blockcode._rref(spec.base.expansion.structure.carrier, spec.A)
+    # recorded from the table-lookup update before delayed reduction
+    assert _elimination_digest(R, T, pivots) == "561077c4b7d8fb92"
+
+
+def test_pivot_search_falls_back_to_the_whole_panel(monkeypatch):
+    searched = []
+    reduce = blockcode._reduce
+
+    def spy(tables, inv, M):
+        searched.append(M.shape)
+        return reduce(tables, inv, M)
+
+    monkeypatch.setattr(blockcode, "_reduce", spy)
+    A = np.random.default_rng([3, 300, 200]).integers(0, 3, size=(300, 200), dtype=np.int64)
+    blockcode._rref(field_make(3, 1), A)
+    # the first panel's 128-row prefix holds its 64 pivots, then [K | I]
+    assert searched[:2] == [(128, 64), (64, 128)]
+    # 28 nonzero rows in the prefix: the search reruns on all 300 rows
+    A[:100, :64] = 0
+    searched.clear()
+    blockcode._rref(field_make(3, 1), A)
+    assert searched[:2] == [(128, 64), (300, 64)]
 
 
 def test_block_code_returns_int64_arrays_on_every_decode_path():
@@ -374,6 +421,25 @@ def test_matmul_refuses_inexact_sums_before_allocating(p, n):
     assert peak < 1 << 20
 
 
+# (inner, dtype): each sum is inner * 12 * 12 over F_13, just below 2^24
+# and just past it
+@pytest.mark.parametrize("inner, ft", [(2**24 // 144, np.float32), (2**24 // 144 + 1, np.float64)])
+def test_matmul_is_exact_on_both_sides_of_the_float32_bound(monkeypatch, inner, ft):
+    used = []
+    planes = blockcode._planes
+
+    def spy(fs, Y, dtype):
+        used.append(dtype)
+        return planes(fs, Y, dtype)
+
+    monkeypatch.setattr(blockcode, "_planes", spy)
+    X = np.full((2, inner), 12, np.uint8)
+    Y = np.full((inner, 3), 12, np.uint8)
+    expected = np.dot(X.astype(np.int64), Y.astype(np.int64)) % 13
+    assert _matmul(field_make(13, 1), X, Y).tolist() == expected.tolist()
+    assert used == [ft]
+
+
 def _coset_spec(input_dist=None):
     # and2 at L = 256 with 247 rows of full rank: 3^9 = 19,683 coset candidates
     spec = make_block_spec(_and_scheme(), L=256, rows=247, seed=3, input_dist=input_dist)
@@ -417,6 +483,45 @@ def test_solver_keeps_T_in_the_table_dtype():
     spec = make_block_spec(_and_scheme(), L=1024, rows=1024, seed=0)
     T = _solver(spec)["T"]
     assert T.dtype == np.uint8 and T.shape == (1024, 1024) and T.nbytes == 1 << 20
+
+
+def test_B1_spec_and_solver_memory_is_bounded():
+    # A in uint8 (1 MiB, drawn as int64 and cast) and the elimination's
+    # float32 [A | I] (8 MiB) with its uint8 result peak near 12 MiB; an
+    # int64 A (8 MiB) or a float64 [A | I] (16 MiB) would exceed the bound
+    tracemalloc.start()
+    try:
+        spec = _b1_spec()
+        _solver(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.A.dtype == np.uint8 and _solver(spec)["rank"] == 1024
+    assert peak < 14 << 20
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"L": 0}, "L must be at least 1"),
+    ({"L": -4}, "L must be at least 1"),
+    ({"L": 8, "rows": 0}, "rows must be in 1..L"),
+    ({"L": 8, "rows": -2}, "rows must be in 1..L"),
+    ({"L": 8, "rows": 9}, "rows must be in 1..L"),
+    ({"L": 8, "epsilon": -5}, "rows must be in 1..L"),
+])
+def test_make_block_spec_refuses_bad_sizes_before_drawing_A(monkeypatch, kwargs, message):
+    def no_draw(*args, **kw):
+        raise AssertionError("A was drawn")
+
+    monkeypatch.setattr(np.random, "PCG64", no_draw)
+    with pytest.raises(ValueError, match=message):
+        make_block_spec(_and_scheme(), **kwargs)
+
+
+def test_run_trials_refuses_a_negative_trial_count():
+    spec = make_block_spec(_and_scheme(), L=8, identity=True)
+    with pytest.raises(ValueError, match="trials must be at least 0"):
+        run_trials(spec, -3)
+    assert run_trials(spec, 0)["trials"] == 0
 
 
 _P1 = [Fraction(9, 10), Fraction(1, 10)]

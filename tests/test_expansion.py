@@ -109,6 +109,18 @@ def test_search_returns_all_hits_in_order():
         e.validate(equal_table(3))
 
 
+@pytest.mark.parametrize("limit", [0, -2])
+def test_search_refuses_a_limit_below_one_before_building_structures(monkeypatch, limit):
+    from confuse import expansion
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a structure was built")
+
+    monkeypatch.setattr(expansion, "iter_carrier_structures", no_build)
+    with pytest.raises(ValueError, match="limit must be at least 1"):
+        search_expansions(equal_table(3), 16, limit=limit)
+
+
 def test_search_determinism():
     t = FunctionTable.from_rows([[0, 1, 1], [0, 2, 3]])
     a = search_expansions(t, 8)
