@@ -113,36 +113,31 @@ def _load_input_dist(path: str, f: FunctionTable) -> dict:
 
 def cmd_catalog(args) -> int:
     make = catalog_fields if args.kind == "field" else catalog_rings
-    structures = make(args.max)
-    diff = None
+    reference = None
     if args.reference is not None:
-        if args.reference == "":
-            reference = load_reference(args.kind)
-        else:
-            with open(args.reference) as fh:
-                reference = json.load(fh)
-        diff = diff_against_reference(structures, reference)
-    payload = {
-        "manifest": _manifest(args, [args.reference] if args.reference else []),
-        "entries": [s.to_json() for s in structures],
-        # round-trippable: feed this sub-object back through --reference
-        "reference": {
-            "kind": args.kind,
-            "max_carrier": args.max,
-            "rows": [
-                {
-                    "label": s.carrier.describe(),
-                    "randomizer": s.rendered_randomizer(),
-                    "sets": s.rendered_sets(),
-                }
-                for s in structures
-                if not s.trivial
-            ],
-        },
-        "diff": diff,
-    }
-    lines = []
-    if not args.json:
+        reference = load_reference(args.kind, args.reference or None)
+    structures = make(args.max)
+    diff = None if reference is None else diff_against_reference(structures, reference)
+    payload, lines = None, []
+    if args.json:
+        entries = [s.to_json() for s in structures]
+        payload = {
+            "manifest": _manifest(args, [args.reference] if args.reference else []),
+            "entries": entries,
+            # round-trippable: feed this sub-object back through --reference;
+            # each row shares its entry's encoded randomizer and sets
+            "reference": {
+                "kind": args.kind,
+                "max_carrier": args.max,
+                "rows": [
+                    {"label": e["label"], "randomizer": e["randomizer"], "sets": e["sets"]}
+                    for e in entries
+                    if not e["trivial"]
+                ],
+            },
+            "diff": diff,
+        }
+    else:
         for s in structures:
             star = ",".join(s.rendered_randomizer())
             sets = " ".join("{" + ",".join(m) + "}" for m in s.rendered_sets())

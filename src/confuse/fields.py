@@ -20,6 +20,7 @@ from array import array
 
 import numpy as np
 
+from . import jsonout
 from .errors import DivisionByZero, NotPrime, SizeBoundExceeded
 from .rates import factorize
 
@@ -150,6 +151,11 @@ class TableCarrier:
     def names(self) -> list[str]:
         """render(a) of every element a, built on first use."""
         return [self.render(a) for a in self.elements()]
+
+    @functools.cached_property
+    def json_names(self) -> list[str]:
+        """names, each as JSON text, built on first use."""
+        return jsonout.strings(self.names)
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]

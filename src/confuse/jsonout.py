@@ -6,6 +6,9 @@ pure-Python generator that yields every scalar as its own piece.  Here a
 list whose items are all str or all int is one join, and the outer levels
 of a document go to the file one member at a time, so no string holds a
 whole multi-megabyte document.
+
+A Fragment is a value already encoded: its text is written in place, at
+whatever depth it sits, so a subdocument that appears twice is encoded once.
 """
 
 from __future__ import annotations
@@ -16,6 +19,42 @@ from json.encoder import encode_basestring_ascii as _string
 _STR = {str}
 _INT = {int}
 _CONTAINERS = (list, tuple, dict)
+
+
+class Fragment:
+    """JSON text to embed as it is, encoded as dump would write it at the top
+    level of a document.  Not a str, so json.dumps refuses it (TypeError)
+    instead of writing it as a string."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self):
+        return f"Fragment({self.text!r})"
+
+
+def strings(items) -> list[str]:
+    """Each str of items as JSON text."""
+    return list(map(_string, items))
+
+
+def joined_list(texts: list[str], nl: str = "\n") -> str:
+    """The JSON list of texts, each already JSON text, as _encode writes it
+    after nl (a newline and the current indentation)."""
+    if not texts:
+        return "[]"
+    inner = nl + " "
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
+
+
+def joined_lists(rows: list) -> str:
+    """The JSON list of rows, each a nonempty iterable of JSON texts, as dump
+    writes it at the top level of a document: one join per row."""
+    if not rows:
+        return "[]"
+    return "[\n [\n  " + "\n ],\n [\n  ".join(map(",\n  ".join, rows)) + "\n ]\n]"
 
 
 def _key(k) -> str:
@@ -41,6 +80,9 @@ def _encode(o, nl: str) -> str:
         return _string(o)
     if type(o) is int:
         return int.__repr__(o)
+    if type(o) is Fragment:
+        # an encoded JSON string holds no raw newline, so every one is a line break
+        return o.text.replace("\n", nl)
     if not isinstance(o, _CONTAINERS):
         return json.dumps(o)  # bool, None, float, str and int subclasses
     if not o:
@@ -52,7 +94,7 @@ def _encode(o, nl: str) -> str:
     kinds = set(map(type, o))
     body = (map(_string, o) if kinds == _STR else map(int.__repr__, o) if kinds == _INT
             else (_encode(v, inner) for v in o))
-    return "[" + inner + ("," + inner).join(body) + nl + "]"
+    return joined_list(list(body), nl)
 
 
 def dump(o, fh) -> None:

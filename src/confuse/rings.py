@@ -19,6 +19,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import jsonout
 from .errors import LemmaViolation, SizeBoundExceeded
 from .fields import TableCarrier, carrier_tables, table_dtype
 from .rates import factorize
@@ -48,6 +49,12 @@ def _ring_names(n: int) -> list[str]:
     return [str(a) for a in range(n)]
 
 
+@functools.cache
+def _ring_json_names(n: int) -> list[str]:
+    """Z_n's rendered elements as JSON text, built once per modulus."""
+    return jsonout.strings(_ring_names(n))
+
+
 @dataclass(frozen=True)
 class RingSpec(TableCarrier):
     """Z_n together with a chosen multiplicative subgroup G of Z_n^x."""
@@ -74,6 +81,10 @@ class RingSpec(TableCarrier):
     @property
     def names(self) -> list[str]:
         return _ring_names(self.n)
+
+    @property
+    def json_names(self) -> list[str]:
+        return _ring_json_names(self.n)
 
     def describe(self) -> str:
         return f"Z_{self.n}"

@@ -13,7 +13,8 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import NotADivisor, SizeBoundExceeded
+from . import jsonout
+from .errors import NotADivisor, SchemaError, SizeBoundExceeded
 from .fields import MAX_Q, FieldSpec, field_make, is_prime, prime_power
 from .rings import MAX_N, RingSpec, enumerate_subgroups
 
@@ -65,12 +66,16 @@ class ConfusableStructure:
         return list(map(self.carrier.names.__getitem__, self.randomizer))
 
     def to_json(self) -> dict:
+        """The catalog entry.  Its randomizer and sets are jsonout.Fragments,
+        encoded once from the carrier's json_names, so the entry is written
+        with jsonout.dump only."""
         c = self.carrier
+        name = c.json_names.__getitem__
         out = {
             "carrier": c.to_json() | {"kind": c.kind},
             "label": c.describe(),
-            "randomizer": self.rendered_randomizer(),
-            "sets": self.rendered_sets(),
+            "randomizer": jsonout.Fragment(jsonout.joined_list(list(map(name, self.randomizer)))),
+            "sets": jsonout.Fragment(jsonout.joined_lists([map(name, s) for s in self.sets])),
             "provenance": self.provenance,
             "trivial": self.trivial,
         }
@@ -158,10 +163,37 @@ def _partition_key(randomizer, sets):
     return (frozenset(randomizer), frozenset(frozenset(s) for s in sets))
 
 
-def load_reference(kind: str) -> dict:
-    name = "field_catalog_reference.json" if kind == "field" else "ring_catalog_reference.json"
-    with resources.files("confuse.data").joinpath(name).open("r") as fh:
-        return json.load(fh)
+def load_reference(kind: str, path: str | None = None) -> dict:
+    """The reference at path, or the bundled transcription for kind; a
+    malformed one raises SchemaError."""
+    if path is None:
+        name = "field_catalog_reference.json" if kind == "field" else "ring_catalog_reference.json"
+        fh = resources.files("confuse.data").joinpath(name).open("r")
+    else:
+        fh = open(path)
+    with fh:
+        reference = json.load(fh)
+    _check_reference(reference)
+    return reference
+
+
+def _is_str_list(o) -> bool:
+    return type(o) is list and all(type(x) is str for x in o)
+
+
+def _check_reference(reference) -> None:
+    """Raise SchemaError unless reference is an object with an int
+    max_carrier and a list of rows, each an object with a str label, a list
+    of str randomizer and a list of lists of str sets."""
+    if not (type(reference) is dict and type(reference.get("max_carrier")) is int
+            and type(reference.get("rows")) is list):
+        raise SchemaError("a reference must be a JSON object with an int 'max_carrier' and a list 'rows'")
+    for i, row in enumerate(reference["rows"]):
+        if not (type(row) is dict and type(row.get("label")) is str
+                and _is_str_list(row.get("randomizer"))
+                and type(row.get("sets")) is list and all(map(_is_str_list, row["sets"]))):
+            raise SchemaError(f"reference row {i} must be an object with a str 'label', "
+                              "a list of str 'randomizer' and a list of lists of str 'sets'")
 
 
 def diff_against_reference(structures: list[ConfusableStructure], reference: dict) -> list[str]:
@@ -169,7 +201,7 @@ def diff_against_reference(structures: list[ConfusableStructure], reference: dic
 
     Rows are compared as unordered partitions of rendered elements, scoped to
     carriers the reference covers.  Returns human-readable mismatch lines;
-    empty means clean.
+    empty means clean.  reference is as load_reference returns it.
     """
     ref_max = reference["max_carrier"]
     ref_rows = {}

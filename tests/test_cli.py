@@ -39,20 +39,34 @@ def test_catalog_reference_clean(capsys):
     assert payload["manifest"]["command"] == "catalog"
 
 
-# sha256 of stdout with the manifest's timestamp line removed, recorded before
-# the indented-JSON emitter, cyclic extension and per-carrier element names
+# sha256 of stdout with the manifest's timestamp line removed, per argument
+# list after "catalog KIND --max SIZE".  The first four were recorded before
+# the indented-JSON emitter, cyclic extension and per-carrier element names;
+# the rest before encoded fragments, and they cover an empty catalog, a
+# single trivial entry, a catalog without a reference and fields with h and g
 CATALOG_DIGESTS = {
-    ("field", "256", "--json"): "c6c25e131e0f2ec634fb63ec4aae8d21d1ba990dd48be3296cd1c25e62bf7bdd",
-    ("ring", "128", "--json"): "bd0dc1d0acfaf3f326db7793a3678e92a367652fadb1b1fde3edaee11b514881",
-    ("field", "256"): "0328c51196b0de149a9a4716ed29a07151c4f7e02ef770c15aaa520666d78901",
-    ("ring", "128"): "b70971d03466481b7c68c7249dbbcf805be47c1d0d8ac4136af586fdf54eed74",
+    ("field", "256", "--reference", "--json"): "c6c25e131e0f2ec634fb63ec4aae8d21d1ba990dd48be3296cd1c25e62bf7bdd",
+    ("ring", "128", "--reference", "--json"): "bd0dc1d0acfaf3f326db7793a3678e92a367652fadb1b1fde3edaee11b514881",
+    ("field", "256", "--reference"): "0328c51196b0de149a9a4716ed29a07151c4f7e02ef770c15aaa520666d78901",
+    ("ring", "128", "--reference"): "b70971d03466481b7c68c7249dbbcf805be47c1d0d8ac4136af586fdf54eed74",
+    ("field", "1", "--json"): "c8d5d6b59d37a858028cd758d8744c7d79414bf3aeb481543624c7e600f30155",
+    ("field", "2", "--json"): "a92261341963ab809bd903a74e2ecfda8410eb207f30c4124390eea4864232da",
+    ("ring", "19", "--json"): "4f51a34f2d78be83c9f2594dfef110fd0296f0b25f12158bbd0b6566fa6147bd",
+    ("field", "64", "--reference", "--json"): "535bc9b9faee8ec8e728234f6d1eb898e92165d58e48ff1fa627349e288c512e",
 }
 
 
-@pytest.mark.parametrize("key", CATALOG_DIGESTS, ids="-".join)
+def _digest_id(key) -> str:
+    # ids leave --reference out, as every pin first named this way used it;
+    # a run without it ends in -plain
+    name = "-".join(k for k in key if k != "--reference")
+    return name if "--reference" in key else name + "-plain"
+
+
+@pytest.mark.parametrize("key", CATALOG_DIGESTS, ids=_digest_id)
 def test_catalog_output_matches_pinned_digest(capsys, key):
     kind, size, *flags = key
-    code, out, _ = run(capsys, "catalog", kind, "--max", size, "--reference", *flags)
+    code, out, _ = run(capsys, "catalog", kind, "--max", size, *flags)
     assert code == 0
     kept = "".join(line for line in out.splitlines(True) if '"timestamp"' not in line)
     assert hashlib.sha256(kept.encode()).hexdigest() == CATALOG_DIGESTS[key]
@@ -77,6 +91,60 @@ def test_catalog_json_round_trips_as_reference(capsys, tmp_path):
     code, out, _ = run(capsys, "catalog", "ring", "--max", "19", "--reference", str(p), "--json")
     assert code == 0
     assert json.loads(out)["diff"] == []
+
+
+@pytest.fixture()
+def refuse_reference(capsys, tmp_path, monkeypatch):
+    """Runs catalog ring --max 8 against a reference and returns its exit
+    code and stderr; the catalog builder is removed, so a refusal must come
+    before any structure is built."""
+    def refuse(reference):
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(reference))
+        monkeypatch.setattr("confuse.cli.catalog_rings", None)
+        code, _, err = run(capsys, "catalog", "ring", "--max", "8", "--reference", str(path))
+        return code, err
+    return refuse
+
+
+GOOD_ROW = {"label": "Z_8", "randomizer": ["1", "3"], "sets": [["0"], ["1", "3"]]}
+
+
+def test_catalog_reference_not_an_object_exits_4(refuse_reference):
+    code, err = refuse_reference([])
+    assert code == 4 and "JSON object" in err
+
+
+def test_catalog_reference_without_rows_exits_4(refuse_reference):
+    code, err = refuse_reference({"max_carrier": 10})
+    assert code == 4 and "'rows'" in err
+
+
+def test_catalog_reference_non_int_max_carrier_exits_4(refuse_reference):
+    code, err = refuse_reference({"max_carrier": "x", "rows": []})
+    assert code == 4 and "'max_carrier'" in err
+
+
+def test_catalog_reference_row_without_randomizer_exits_4(refuse_reference):
+    row = {"label": "Z_8", "sets": GOOD_ROW["sets"]}
+    code, err = refuse_reference({"max_carrier": 8, "rows": [GOOD_ROW, row]})
+    assert code == 4 and "reference row 1" in err
+
+
+def test_catalog_reference_row_not_an_object_exits_4(refuse_reference):
+    code, err = refuse_reference({"max_carrier": 8, "rows": [["Z_8"]]})
+    assert code == 4 and "reference row 0" in err
+
+
+def test_catalog_reference_int_randomizer_exits_4(refuse_reference):
+    code, err = refuse_reference({"max_carrier": 8, "rows": [GOOD_ROW | {"randomizer": 1}]})
+    assert code == 4 and "reference row 0" in err
+
+
+def test_catalog_reference_set_nested_too_deep_exits_4(refuse_reference):
+    row = GOOD_ROW | {"sets": [[["0"]], [["1", "3"]]]}
+    code, err = refuse_reference({"max_carrier": 8, "rows": [row]})
+    assert code == 4 and "reference row 0" in err
 
 
 def test_catalog_single_trivial_entry(capsys):
