@@ -100,8 +100,8 @@ def _load_input_dist(path: str, f: FunctionTable) -> dict:
             for w1, row in enumerate(probs)
             for w2, v in enumerate(row)
         }
-    except TypeError as e:  # null, lists or objects as entries
-        raise ValueError(f"input distribution entries must be numbers or strings: {e}") from None
+    except (TypeError, OverflowError, ZeroDivisionError) as e:  # null, lists, objects, inf, "1/0"
+        raise ValueError(f"input distribution entries must be finite numbers or strings: {e}") from None
     if any(v < 0 for v in dist.values()) or sum(dist.values()) != 1:
         raise ValueError("input distribution entries must be >= 0 and sum to exactly 1")
     return dist
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crt-equal", help="equality scheme over a composite alphabet")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--check", action="store_true", help="run the exact verifier (m <= 7 is within the atom cap; m = 8 exits 4)")
+    p.add_argument("--check", action="store_true", help="run the exact verifier on per-pair counts (m <= 15; larger m exits 4)")
     common(p)
     p.set_defaults(func=cmd_crt_equal)
 

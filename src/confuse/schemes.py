@@ -15,6 +15,8 @@ The serializer reads its alphabets from the codebooks and each atom's
 codeword from the ids, and the optimized rates are the codebook sizes.
 Supports past MAX_ATOMS_MATERIALIZED atoms are refused before anything is
 tabulated, and the row-mask baseline refuses one before building it.
+crt-equal's encoder also carries the verifier's reduced per-pair support,
+so it is verified without enumerating permutations.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .expansion import FeasibleExpansion, FunctionTable
 from .fields import field_make, table_dtype
 from .rates import Rate, factorize
 from .rings import closure_subgroups
-from .verify import MAX_ATOMS_MATERIALIZED, _enc_tables, verify_secure
+from .verify import MAX_ATOMS_MATERIALIZED, MAX_PAIR_SUPPORT, _enc_tables, verify_secure
 
 
 @dataclass
@@ -173,7 +175,7 @@ def optimize_additive_randomness(exp: FeasibleExpansion, all_subsets: bool = Fal
 # ---------------------------------------------------------------------------
 
 def crt_equal_scheme(m: int) -> Scheme:
-    """Equality on {0..m-1} at log2(m) bits per party, for 2 <= m <= 8.
+    """Equality on {0..m-1} at log2(m) bits per party, for 2 <= m <= 15.
 
     Both inputs pass through one shared uniform permutation of {0..m-1}; each
     prime-power factor q of m gets its own field F_q where the residue mod q
@@ -181,20 +183,25 @@ def crt_equal_scheme(m: int) -> Scheme:
     The decoder declares equality iff the codeword tuples agree, which the
     residue decomposition makes exact.
 
-    The permutation support is enumerated in full; m >= 9 raises
-    SizeBoundExceeded.  Exact checking is bounded by the verifier's
-    MAX_ATOMS_MATERIALIZED cap: m = 7 has 211,680 atoms and verifies, m = 8
-    has 2,257,920 and raises SizeBoundExceeded there.
+    The encoder carries the verifier's reduced per-pair support, so nothing
+    is enumerated here; an m whose pair support is past MAX_PAIR_SUPPORT
+    images (every m >= 16) raises SizeBoundExceeded.  Tabulating the full
+    support, m! permutations x prod (q - 1) * q digits, is still bounded by
+    MAX_ATOMS_MATERIALIZED: m = 7 has 211,680 atoms, m = 8 has 2,257,920.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    factors = sorted(factorize(m).items())
-    fields = [field_make(p, k) for p, k in factors]
-    if m > 8:
+    # the digit block is at least prod q = m, so an m past the cap's cube
+    # root is refused before trial division could take minutes
+    images, at_least = m * (m - 1) * m, "at least "
+    if images <= MAX_PAIR_SUPPORT:
+        factors = sorted(factorize(m).items())
+        images, at_least = m * (m - 1) * prod((p**k - 1) * p**k for p, k in factors), ""
+    if images > MAX_PAIR_SUPPORT:
         raise SizeBoundExceeded(
-            f"m = {m}: permutation support {m}! is past the enumeration bound m <= 8"
+            f"m = {m}: {at_least}{images} images per input pair exceed the cap of {MAX_PAIR_SUPPORT}"
         )
-    encode = _CrtEncoder(m, fields)
+    encode = _CrtEncoder(m, [field_make(p, k) for p, k in factors])
 
     def dec(x1, x2):
         return 1 if x1 == x2 else 0
@@ -217,16 +224,22 @@ def crt_equal_scheme(m: int) -> Scheme:
 
 class _CrtEncoder:
     """crt-equal's encoder, one expression over an atom index or an index
-    array alike.  An atom splits in mixed radix into the permutation (most
-    significant) and, per factor q, a digit r = (gamma - 1) * q + z (first
-    factor least significant); factor q's symbol is gamma * (perm[w] mod q)
-    + z in F_q, read at r * q + perm[w] mod q from a table built from the
-    field's add and mul tables.  symbols is the batch form the verifier
-    tabulates with, over indices into atoms (here the indices themselves),
-    radix the alphabet size of each codeword position."""
+    array alike.  An atom splits in mixed radix into the permutation index
+    (most significant, itertools order) and, per factor q, a digit
+    r = (gamma - 1) * q + z (first factor least significant); factor q's
+    symbol is gamma * (perm[w] mod q) + z in F_q, read at r * q + perm[w]
+    mod q from a table built from the field's add and mul tables.  symbols
+    is the batch form the verifier tabulates with, over indices into atoms
+    (here the indices themselves), radix the alphabet size of each codeword
+    position; the permutations it reads are built on its first call.
+
+    pair_support is the verifier's reduced support: the permutation enters
+    a pair (w1, w2) only through (perm[w1], perm[w2]), so each input pair's
+    counts are a weighted sum over at most m * (m - 1) value pairs, crossed
+    with the block of digits."""
 
     def __init__(self, m: int, fields):
-        self.perms = np.array(list(itertools.permutations(range(m))), np.int8)
+        self.m = m
         self.radix = tuple(fs.q for fs in fields)
         self.tables = []  # (q, stride of its digit, symbol table) per factor
         self.block = 1
@@ -236,23 +249,89 @@ class _CrtEncoder:
             r = np.arange((q - 1) * q)
             self.tables.append((q, self.block, add[mul[r // q + 1], (r % q)[:, None]].ravel()))
             self.block *= (q - 1) * q
-        self.atoms = range(len(self.perms) * self.block)
+        self.atoms = range(factorial(m) * self.block)
+
+    @functools.cached_property
+    def perms(self) -> np.ndarray:
+        return np.array(list(itertools.permutations(range(self.m))), np.int8)
+
+    def _symbols(self, values, digits):
+        """Per-factor symbols of the permuted values under digits (atom
+        indices or bare digits: both reduce to the same factor digit)."""
+        out = []
+        for q, stride, table in self.tables:
+            i = digits // stride  # in place from here on: one index array at a time
+            i %= (q - 1) * q
+            i *= q
+            i += values % q
+            out.append(table[i])
+        return out
 
     def symbols(self, w: int, atoms):
         """Input w's per-factor symbols under atoms (an index or an index array)."""
-        pw = self.perms[atoms // self.block, w]
-        out = []
-        for q, stride, table in self.tables:
-            i = atoms // stride  # in place from here on: one index array at a time
-            i %= (q - 1) * q
-            i *= q
-            i += pw % q
-            out.append(table[i])
-        return out
+        return self._symbols(self.perms[atoms // self.block, w], atoms)
 
     def __call__(self, w: int, atom: int) -> tuple:
         # an intp scalar, so the digit arithmetic never narrows to perms' int8
         return tuple(int(s) for s in self.symbols(w, np.intp(atom)))
+
+    @functools.cached_property
+    def value_codes(self) -> np.ndarray:
+        """(m, block): the mixed-radix code of the codeword a permuted value
+        takes under each digit, first position most significant."""
+        values = np.repeat(np.arange(self.m), self.block)
+        digits = np.tile(np.arange(self.block), self.m)
+        return np.ravel_multi_index(self._symbols(values, digits), self.radix).reshape(self.m, -1)
+
+    def _value_pairs(self, w1: int, w2: int):
+        """(perm[w1], perm[w2]) over the support: the m pairs (a, a) when
+        w1 = w2, each taken by (m - 1)! permutations, else the m * (m - 1)
+        ordered pairs a != b, each taken by (m - 2)!; both ascending."""
+        if w1 == w2:
+            a = np.arange(self.m)
+            return a, a, factorial(self.m - 1)
+        a, b = np.nonzero(~np.eye(self.m, dtype=bool))
+        return a, b, factorial(self.m - 2)
+
+    @functools.cached_property
+    def pair_book(self) -> np.ndarray:
+        """The ascending codes of every codeword the encoder takes: perm[w]
+        takes every value, so these are the value codes' distinct ones."""
+        return np.unique(self.value_codes)
+
+    def pair_support(self, w1: int, w2: int):
+        """(codes1, codes2, weights): both parties' codes and the int64
+        weight of each image, image j * block + d being value pair j under
+        digit d."""
+        a, b, weight = self._value_pairs(w1, w2)
+        codes1, codes2 = self.value_codes[a].ravel(), self.value_codes[b].ravel()
+        return codes1, codes2, np.full(len(codes1), weight, np.int64)
+
+    def first_atoms(self, w1: int, w2: int, images: np.ndarray) -> list[int]:
+        """Per image, the least atom index of the full support it stands
+        for: the least permutation with perm[w1] = a and perm[w2] = b (the
+        other places take the other values ascending), ranked in itertools
+        order, times the block, plus the digit."""
+        a, b, _ = self._value_pairs(w1, w2)
+        j, d = np.divmod(images, self.block)
+        ranks = {}
+        for jj in set(j.tolist()):
+            rest = iter(sorted(set(range(self.m)) - {int(a[jj]), int(b[jj])}))
+            perm = [int(a[jj]) if i == w1 else int(b[jj]) if i == w2 else next(rest)
+                    for i in range(self.m)]
+            ranks[jj] = _permutation_rank(perm)
+        return [ranks[jj] * self.block + dd for jj, dd in zip(j.tolist(), d.tolist())]
+
+
+def _permutation_rank(perm: list[int]) -> int:
+    """perm's index in itertools.permutations(range(len(perm))) order."""
+    unused = sorted(perm)
+    rank = 0
+    for i, v in enumerate(perm):
+        k = unused.index(v)
+        rank += k * factorial(len(perm) - 1 - i)
+        unused.pop(k)
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +550,12 @@ def load_custom_scheme(source) -> Scheme:
         try:
             key = (tuple(row["x1"]), tuple(row["x2"]))
             val = row["f"]
+            duplicate = key in dec_map  # a list or object as a symbol is unhashable
         except (TypeError, KeyError) as e:
             raise SchemaError(f"bad dec row {row!r}") from e
         if not isinstance(val, int):
             raise SchemaError("dec outputs must be integers")
-        if key in dec_map:
+        if duplicate:
             raise SchemaError(f"duplicate dec row for {key}")
         dec_map[key] = val
     all_x1 = list(itertools.product(*(range(s) for s in alph1)))

@@ -23,14 +23,14 @@ class ConfusableStructure:
     """The S*-orbits of one carrier under a unit subgroup S*.
 
     sets are each sorted, and ordered by smallest member, which puts {0}
-    first (zero_index is always 0 under this ordering).
+    first (zero_index is always 0 under this ordering).  A caller-supplied
+    randomizer is checked to be a group of units; the functions below pass
+    verified=True for the ones their carrier has already checked.
     """
 
-    def __init__(self, carrier, randomizer, provenance=None, trivial=False):
+    def __init__(self, carrier, randomizer, provenance=None, trivial=False, verified=False):
         sstar = sorted(int(g) for g in randomizer)
-        # a ring carrier has checked its own G, once, when it was built
-        checked = carrier.kind == "ring" and tuple(sstar) == carrier.G
-        if not checked and not carrier.is_unit_subgroup(sstar):
+        if not verified and not carrier.is_unit_subgroup(sstar):
             raise ValueError(f"S* = {sstar} is not a group of units of {carrier.describe()}")
         self.carrier = carrier
         self.randomizer = tuple(sstar)
@@ -100,6 +100,7 @@ def field_confusable_sets(spec: FieldSpec, d: int) -> ConfusableStructure:
         [spec.exp(j * d) for j in range(b)],
         provenance={"kind": "field", "d": d},
         trivial=(d == 1 or b == 1),
+        verified=True,  # the d-th powers of the generator FieldSpec verified
     )
 
 
@@ -110,6 +111,7 @@ def ring_confusable_sets(spec: RingSpec) -> ConfusableStructure:
         spec.G,
         provenance={"kind": "ring", "G": list(spec.G)},
         trivial=(len(spec.G) == 1),
+        verified=True,  # the ring checked its own G when it was built
     )
 
 

@@ -1,4 +1,4 @@
-"""Exact correctness and perfect-security verification by full enumeration.
+"""Exact correctness and perfect-security verification by enumeration.
 
 Each scheme is tabulated once (_enc_tables, the only code that runs a
 scheme's encoders over its support) into integer tables: per party an int32
@@ -18,12 +18,20 @@ after construction, are still called once per atom.
 An input pair's codeword-pair distribution is its ascending int64 outcome
 keys id1 * len(book2) + id2 with exact int64 weight sums, counted once per
 pair: by np.add.at into one int64 cell per possible key when there are at
-most as many keys, len(book1) * len(book2), as atoms, and by sorting the
-atoms' keys otherwise, where a dense array would dwarf the support.  The
-correctness, security and leakage passes, the serializer and the optimized
-rates all read these tables.  Supports past MAX_ATOMS_MATERIALIZED atoms,
-or whose total weight does not fit an int64, raise SizeBoundExceeded before
-any encoder runs.
+most as many keys, len(book1) * len(book2), as support elements, and by
+sorting the elements' keys otherwise, where a dense array would dwarf the
+support.  These per-pair counts are the one interface of the correctness,
+security and leakage passes.  They come from the full tabulation, or from a
+reduced per-pair support when the scheme's shared encoder carries one
+(crt-equal): per input pair, both parties' codes and int64 weights over
+fewer images than atoms, with the same total weight, and a map from an image
+back to the least atom of the full support it stands for, so witnesses are
+those of the full support.  Such a scheme is verified without tabulating;
+the serializer and the optimized rates still read the full tabulation.
+Supports past MAX_ATOMS_MATERIALIZED atoms, or whose total weight does not
+fit an int64, raise SizeBoundExceeded before any encoder runs; a reduced
+support's scheme constructor refuses one past MAX_PAIR_SUPPORT images per
+input pair.
 
 All pass/fail decisions run on integer counts over the weighted randomness
 lattice; floats only appear when leakage is rendered in bits.  Witnesses
@@ -42,45 +50,48 @@ import numpy as np
 from .errors import SchemaError, SizeBoundExceeded
 
 MAX_ATOMS_MATERIALIZED = 300_000
+MAX_PAIR_SUPPORT = 32_768  # images of one input pair's reduced support
 MAX_TOTAL_WEIGHT = 2**63 - 1  # the largest int64 count
 
 
-class EncTables:
-    """A scheme's encoders over its support as integer tables."""
+class _PairCounts:
+    """Per-input-pair outcome counts over a support that gives each input
+    pair one id per party into book1 and book2 and one int64 weight per
+    element: an atom of the full support, or an image of a reduced one.
+    total is the support's total weight, the same for every pair."""
 
-    def __init__(self, atoms, weights, ids1, book1, ids2, book2):
-        self.atoms = atoms
-        self.weights = weights
-        self.ids1, self.book1 = ids1, book1
-        self.ids2, self.book2 = ids2, book2
+    def __init__(self, book1, book2, total: int):
+        self.book1, self.book2, self.total = book1, book2, total
         self._counts = {}
 
     def keys(self, w1: int, w2: int) -> np.ndarray:
-        """One input pair's outcome key per atom, in atom order."""
-        return self.ids1[w1].astype(np.int64) * len(self.book2) + self.ids2[w2]
+        """One input pair's outcome key per element, in support order."""
+        ids1, ids2, _ = self.support(w1, w2)
+        return ids1.astype(np.int64) * len(self.book2) + ids2
 
     def counts(self, w1: int, w2: int):
         """(keys, counts): one input pair's distinct outcome keys ascending
         and their int64 weight sums, counted once per pair.  With at most
-        as many possible keys as atoms they are summed into one cell per
-        key; past that the atoms' keys are sorted and summed per run."""
+        as many possible keys as elements they are summed into one cell per
+        key; past that the elements' keys are sorted and summed per run."""
         pair = self._counts.get((w1, w2))
         if pair is None:
-            keys = self.keys(w1, w2)
+            ids1, ids2, weights = self.support(w1, w2)
+            keys = ids1.astype(np.int64) * len(self.book2) + ids2
             cells = len(self.book1) * len(self.book2)
             if cells <= len(keys):
                 dense = np.zeros(cells, np.int64)
-                np.add.at(dense, keys, self.weights)
+                np.add.at(dense, keys, weights)
                 present = np.flatnonzero(dense)
                 pair = present, dense[present]
             else:
                 order = np.argsort(keys)
                 keys = keys[order]
-                first = np.empty(len(keys), bool)  # the first atom of each key
+                first = np.empty(len(keys), bool)  # the first element of each key
                 first[0] = True
                 np.not_equal(keys[1:], keys[:-1], out=first[1:])
                 starts = first.nonzero()[0]
-                pair = keys[starts], np.add.reduceat(self.weights[order], starts)
+                pair = keys[starts], np.add.reduceat(weights[order], starts)
             self._counts[(w1, w2)] = pair
         return pair
 
@@ -89,6 +100,68 @@ class EncTables:
         i1, i2 = np.divmod(keys, len(self.book2))
         book1, book2 = self.book1, self.book2
         return [(book1[a], book2[b]) for a, b in zip(i1.tolist(), i2.tolist())]
+
+
+class EncTables(_PairCounts):
+    """A scheme's encoders over its full support as integer tables."""
+
+    def __init__(self, atoms, weights, ids1, book1, ids2, book2):
+        super().__init__(book1, book2, int(weights.sum()))
+        self.atoms = atoms
+        self.weights = weights
+        self.ids1, self.ids2 = ids1, ids2
+
+    def support(self, w1: int, w2: int):
+        return self.ids1[w1], self.ids2[w2], self.weights
+
+    def first_failure(self, w1: int, w2: int, bad: list) -> tuple:
+        """(atom, key): the first atom in atom order whose outcome key is
+        in bad."""
+        keys = self.keys(w1, w2)
+        i = int(np.flatnonzero(np.isin(keys, bad))[0])
+        return self.atoms[i], int(keys[i])
+
+
+class _ReducedTables(_PairCounts):
+    """Per-pair counts from a shared encoder's reduced per-pair support:
+    pair_book, the ascending codes of every codeword it takes (its
+    codebook), pair_support(w1, w2), both parties' codes and int64 weights
+    per image, and first_atoms(w1, w2, images), the least full-support atom
+    index each image stands for.  Every pair's weights sum to the unweighted
+    full support's total, len(atoms)."""
+
+    def __init__(self, enc):
+        book = _codewords(enc.pair_book, enc.radix)
+        super().__init__(book, book, len(enc.atoms))
+        self.enc = enc
+
+    def support(self, w1: int, w2: int):
+        codes1, codes2, weights = self.enc.pair_support(w1, w2)
+        codes = self.enc.pair_book
+        return np.searchsorted(codes, codes1), np.searchsorted(codes, codes2), weights
+
+    def first_failure(self, w1: int, w2: int, bad: list) -> tuple:
+        """(atom, key): the least full-support atom over every image whose
+        outcome key is in bad; not the first such image."""
+        keys = self.keys(w1, w2)
+        images = np.flatnonzero(np.isin(keys, bad))
+        atom, i = min(zip(self.enc.first_atoms(w1, w2, images), images.tolist()))
+        return self.enc.atoms[atom], int(keys[i])
+
+
+def _pair_tables(scheme) -> _PairCounts:
+    """The per-pair counts the verifier's passes read, kept on the scheme:
+    the reduced support of a shared encoder that carries one, when the
+    scheme uses it over the encoder's own unweighted atoms, else the full
+    tabulation of _enc_tables."""
+    enc = scheme.enc1
+    if not (hasattr(enc, "pair_support") and scheme.enc2 is enc
+            and scheme.atoms is enc.atoms and scheme.weights is None):
+        return _enc_tables(scheme)
+    cache = getattr(scheme, "_pair_cache", None)
+    if cache is None:
+        cache = scheme._pair_cache = _ReducedTables(enc)
+    return cache
 
 
 class _Ids(dict):
@@ -132,8 +205,13 @@ def _intern_codes(enc, m: int, atoms: np.ndarray):
     rank -= 1
     for row in ids:
         row[...] = rank[row]
-    book = list(zip(*(d.tolist() for d in np.unravel_index(codes, radix))))
-    return ids, book
+    return ids, _codewords(codes, radix)
+
+
+def _codewords(codes: np.ndarray, radix) -> list:
+    """Mixed-radix codes over radix, first position most significant, as
+    codeword tuples."""
+    return list(zip(*(d.tolist() for d in np.unravel_index(codes, radix))))
 
 
 def _enc_tables(scheme) -> EncTables:
@@ -205,9 +283,9 @@ def verify_correct(scheme, f) -> CorrectnessResult:
 
     dec runs once per distinct outcome key of the scheme, shared by every
     input pair it occurs in; the witness names the first pair's first atom
-    with a failing outcome."""
+    of the full support with a failing outcome."""
     _require_shape(scheme, f)
-    t = _enc_tables(scheme)
+    t = _pair_tables(scheme)
     dec = scheme.dec
     decoded = {}  # outcome key -> dec of its codeword pair
     for w1 in range(f.m1):
@@ -219,10 +297,8 @@ def verify_correct(scheme, f) -> CorrectnessResult:
             decoded.update(zip(new, [dec(c1, c2) for c1, c2 in outcomes]))
             bad = [k for k in keys if decoded[k] != expected]
             if bad:
-                per_atom = t.keys(w1, w2)
-                i = int(np.flatnonzero(np.isin(per_atom, bad))[0])
-                got = decoded[int(per_atom[i])]
-                return CorrectnessResult(False, (w1, w2, t.atoms[i], got, expected))
+                atom, key = t.first_failure(w1, w2, bad)
+                return CorrectnessResult(False, (w1, w2, atom, decoded[key], expected))
     return CorrectnessResult(True)
 
 
@@ -240,7 +316,11 @@ def verify_secure(scheme, f) -> SecurityResult:
     total weight, so the raw int64 counts are compared; the witness outcome
     is the smallest key whose counts differ."""
     _require_shape(scheme, f)
-    t = _enc_tables(scheme)
+    return _compare_groups(_pair_tables(scheme), f)
+
+
+def _compare_groups(t: _PairCounts, f) -> SecurityResult:
+    """verify_secure's comparison of every output group's counts."""
     groups = _groups_by_output(f)
     for label in sorted(groups):
         pairs = groups[label]
@@ -270,7 +350,8 @@ def uniform_input_dist(f) -> dict[tuple[int, int], Fraction]:
     return {(w1, w2): p for w1 in range(f.m1) for w2 in range(f.m2)}
 
 
-def leakage(scheme, f, input_dist: dict[tuple[int, int], Fraction]) -> LeakageResult:
+def leakage(scheme, f, input_dist: dict[tuple[int, int], Fraction],
+            secure: SecurityResult | None = None) -> LeakageResult:
     """Conditional mutual information between the codewords and the inputs
     given the output, for one rational input distribution.
 
@@ -278,14 +359,16 @@ def leakage(scheme, f, input_dist: dict[tuple[int, int], Fraction]) -> LeakageRe
     total weight, the ratio P(w, x | f) / (P(w | f) P(x | f)) is the exact
     integer ratio c_w(x) * n_f / sum_w' n_w' c_w'(x); log2 is applied only to
     ratios that are not exactly 1, so a secure scheme yields exactly 0.0.
+    exact_zero is secure's verdict, the security comparison over the same
+    counts, made here when secure is not given.
     """
     if any(p < 0 for p in input_dist.values()) or sum(input_dist.values()) != 1:
         raise ValueError("input_dist must be a distribution")
     _require_shape(scheme, f)
-    t = _enc_tables(scheme)
+    t = _pair_tables(scheme)
     denom = lcm(*(p.denominator for p in input_dist.values()))
     mass_of = {w: p.numerator * (denom // p.denominator) for w, p in input_dist.items() if p > 0}
-    scale = denom * int(t.weights.sum())
+    scale = denom * t.total
     bits = 0.0
     for label, pairs in sorted(_groups_by_output(f).items()):
         pairs = [w for w in pairs if w in mass_of]
@@ -301,7 +384,9 @@ def leakage(scheme, f, input_dist: dict[tuple[int, int], Fraction]) -> LeakageRe
                 if c * n_f != joint[o]:
                     bits += (mass_of[w] * c / scale) * log2(c * n_f / joint[o])
     # the boolean never consults the float: structural identity decides
-    return LeakageResult(verify_secure(scheme, f).ok, bits)
+    if secure is None:
+        secure = _compare_groups(t, f)
+    return LeakageResult(secure.ok, bits)
 
 
 @dataclass
@@ -342,9 +427,11 @@ def _jsonable(obj):
 def verify_scheme(scheme, f, input_dist=None) -> VerificationReport:
     if input_dist is None:
         input_dist = uniform_input_dist(f)
+    correct = verify_correct(scheme, f)
+    secure = verify_secure(scheme, f)
     return VerificationReport(
-        correct=verify_correct(scheme, f),
-        secure=verify_secure(scheme, f),
-        leak=leakage(scheme, f, input_dist),
+        correct=correct,
+        secure=secure,
+        leak=leakage(scheme, f, input_dist, secure),
         rates=(scheme.rate1, scheme.rate2),
     )

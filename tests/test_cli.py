@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import time
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -300,13 +302,33 @@ def test_crt_equal_cli(capsys):
     assert payload["check"]["secure"] is True
 
 
-def test_crt_equal_m8_check_exits_4_fast(capsys):
-    # 2,257,920 atoms: past the verifier's cap, refused before tabulation
+@pytest.mark.parametrize("m", range(8, 13))
+def test_crt_equal_check_is_exact_past_the_atom_cap(capsys, m):
+    # m! permutations x digits is past the atom cap; the per-pair counts are not
+    code, out, _ = run(capsys, "crt-equal", "--m", str(m), "--check", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["atoms"] == math.factorial(m) * math.prod(
+        (p**k - 1) * p**k for p, k in payload["factors"])
+    check = payload["check"]
+    assert check["correct"] and check["secure"] and check["leakage_exact_zero"]
+    assert check["correctness_witness"] is None and check["security_witness"] is None
+
+
+def test_crt_equal_past_pair_bound_check_exits_4_fast(capsys):
+    # m = 16: 57,600 images per input pair, past the 32,768 cap; refused
+    # before anything is built
+    tracemalloc.start()
     start = time.perf_counter()
-    code, _, err = run(capsys, "crt-equal", "--m", "8", "--check", "--json")
+    try:
+        code, _, err = run(capsys, "crt-equal", "--m", "16", "--check", "--json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert time.perf_counter() - start < 2.0
+    assert peak < 1 << 20
     assert code == 4
-    assert "2257920 atoms exceed" in err
+    assert "57600 images per input pair exceed the cap of 32768" in err
 
 
 def test_baseline_cli(capsys, tmp_path):

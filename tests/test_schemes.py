@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -181,8 +182,11 @@ def test_crt_equal_difference_tuples_m6():
 
 
 def test_crt_equal_size_bound():
-    with pytest.raises(SizeBoundExceeded):
-        crt_equal_scheme(9)
+    # the per-pair support admits m <= 15 and no m past it
+    assert len(crt_equal_scheme(15).atoms) == math.factorial(15) * 2 * 3 * 4 * 5
+    for m in (16, 17, 18, 30, 64, 1000, 2**61 - 1):  # the last a prime, never trial-divided
+        with pytest.raises(SizeBoundExceeded, match="images per input pair"):
+            crt_equal_scheme(m)
 
 
 @pytest.mark.parametrize("m1,m2", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3)])

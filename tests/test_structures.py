@@ -41,14 +41,20 @@ def test_structure_index_of():
 
 
 def test_structure_validation_rejects_bad_partitions():
-    # S* must be a nonempty set of units closed under mul
+    # S* must be a nonempty set of units closed under mul; a field's S* is
+    # still checked when the caller supplies it
     f5 = field_make(5, 1)
+    f16 = field_make(2, 4)
     z6 = RingSpec(6, (1,))
     z8 = RingSpec(8, (1,))
+    cubes = sorted(f16.exp(3 * j) for j in range(5))
+    assert ConfusableStructure(f16, cubes).randomizer == tuple(cubes)
     for carrier, sstar in [
         (f5, (1, 2)),  # 2 * 2 = 4 is missing
         (f5, (0, 1)),  # 0 is not a unit
         (f5, ()),
+        (f16, (1, 2)),  # x * x = x^2 is missing
+        (f16, cubes[:-1]),  # the cubes less one
         (z6, (1, 2)),  # 2 is not a unit of Z_6
         (z8, (1, 3, 5)),  # 3 * 5 = 7 is missing
     ]:
@@ -58,11 +64,14 @@ def test_structure_validation_rejects_bad_partitions():
 
 def test_unit_subgroup_check_runs_once_per_structure():
     # a ring's G is checked when its RingSpec is built and not again by its
-    # structure; a field's S* is checked by its structure
+    # structure; a field's S*, the d-th powers of the generator its FieldSpec
+    # verified, is not checked again at all
     with mock.patch.object(TableCarrier, "is_unit_subgroup", autospec=True,
                            side_effect=TableCarrier.is_unit_subgroup) as check:
         structures = list(iter_carrier_structures(16))
-    assert check.call_count == len(structures)
+    rings = [st for st in structures if st.carrier.kind == "ring"]
+    assert 0 < len(rings) < len(structures)
+    assert check.call_count == len(rings)
     with pytest.raises(ValueError):
         RingSpec(8, (1, 3, 5))
     with pytest.raises(ValueError):

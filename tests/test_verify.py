@@ -11,10 +11,11 @@ import pytest
 
 from oracles import brute_force_first_correctness_failure, crt_equal_encode, pair_counts, sorted_counts
 
-from confuse import blockcode
+from confuse import blockcode, verify
 from confuse.blockcode import block_security_check
 from confuse.errors import SchemaError, SizeBoundExceeded
 from confuse.expansion import FunctionTable, equal_table
+from confuse.fields import field_make
 from confuse.gallery import get as gallery_get
 from confuse.schemes import (
     Scheme,
@@ -30,6 +31,7 @@ from confuse.verify import (
     MAX_ATOMS_MATERIALIZED,
     MAX_TOTAL_WEIGHT,
     _enc_tables,
+    _pair_tables,
     leakage,
     uniform_input_dist,
     verify_correct,
@@ -158,6 +160,19 @@ def test_pinned_gamma_fails_with_documented_witness():
     lk = leakage(pinned, equal_table(3), uniform_input_dist(equal_table(3)))
     assert not lk.exact_zero
     assert lk.bits > 0.5
+
+
+def test_verify_scheme_compares_each_group_once():
+    # leakage takes exact_zero from verify_scheme's security comparison;
+    # called on its own it makes the same comparison itself
+    f = equal_table(3)
+    for scheme in (_pinned_gamma_equal3(), scheme_from_expansion(gallery_get("equal3").expansion())):
+        with mock.patch.object(verify, "verify_secure", wraps=verify_secure) as spy:
+            report = verify_scheme(scheme, f)
+        assert spy.call_count == 1
+        alone = leakage(scheme, f, uniform_input_dist(f))
+        assert report.leak.exact_zero == alone.exact_zero == report.secure.ok
+        assert report.leak.bits == alone.bits
 
 
 def test_leakage_zero_for_secure_scheme():
@@ -501,14 +516,78 @@ def test_crt_equal_m7_tabulates_within_a_memory_bound():
 
 
 def test_crt_equal_m8_is_refused_before_tabulating():
-    # the real encoder, not a counting wrapper, so the batch path is the one refused
+    # the real encoder, not a counting wrapper, so the batch path is the one
+    # refused: the full tabulation, and so serialization, stays capped while
+    # verification reads the per-pair support
     scheme = crt_equal_scheme(8)
 
-    def verify():
-        with pytest.raises(SizeBoundExceeded):
-            verify_scheme(scheme, equal_table(8))
+    def tabulate():
+        for fn in (_enc_tables, serialize_scheme):
+            with pytest.raises(SizeBoundExceeded, match="2257920 atoms exceed"):
+                fn(scheme)
 
-    assert _traced_peak(verify) < 1 << 20
+    assert _traced_peak(tabulate) < 1 << 20
+    assert "perms" not in vars(scheme.enc1)  # no permutation was enumerated
+    assert verify_scheme(scheme, equal_table(8)).ok
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_crt_equal_pair_support_matches_the_enumerator(m):
+    scheme = crt_equal_scheme(m)
+    reduced, full = _pair_tables(scheme), _enc_tables(scheme)
+    assert reduced is not full and reduced is _pair_tables(scheme)
+    assert reduced.book1 == full.book1 and reduced.book2 == full.book2
+    assert reduced.total == full.total == len(scheme.atoms)
+    for w1 in range(m):
+        for w2 in range(m):
+            keys, counts = reduced.counts(w1, w2)
+            ref_keys, ref_counts = full.counts(w1, w2)
+            assert keys.dtype == counts.dtype == np.int64
+            assert keys.tolist() == ref_keys.tolist() and counts.tolist() == ref_counts.tolist()
+            assert len(reduced.keys(w1, w2)) <= m * (m - 1) * scheme.enc1.block
+
+
+def _crt_pinned_gamma(m: int, factor: int, gamma: int):
+    """crt_equal_scheme(m) with one factor's gamma pinned, in the symbol
+    table both the per-pair support and the full tabulation read: gamma = 1
+    leaves it correct, gamma = 0 sends every residue of that factor to z."""
+    scheme = crt_equal_scheme(m)
+    q, stride, table = scheme.enc1.tables[factor]
+    add, _, mul = field_make(*scheme.meta["factors"][factor]).arrays()
+    i = np.arange(len(table))
+    scheme.enc1.tables[factor] = (q, stride, add[mul[gamma, i % q], (i // q) % q])
+    return scheme
+
+
+def _crt_variants(m: int, rng: random.Random):
+    """crt-equal at m with corrupted randomness supports and decoders."""
+    yield crt_equal_scheme(m)
+    for factor in range(len(crt_equal_scheme(m).meta["factors"])):
+        for gamma in (0, 1):
+            yield _crt_pinned_gamma(m, factor, gamma)
+    scheme = crt_equal_scheme(m)
+    book = _enc_tables(scheme).book1
+    for _ in range(3):
+        yield _corrupted(scheme, {(rng.choice(book), rng.choice(book)) for _ in range(3)})
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_crt_equal_reduced_and_full_witnesses_agree(m):
+    rng = random.Random(m)
+    tables = [equal_table(m), FunctionTable.from_rows([[0] * m] * m),
+              FunctionTable.from_rows([[rng.randrange(3) for _ in range(m)] for _ in range(m)])]
+    variants = list(_crt_variants(m, rng))
+    if m == 7:  # each full tabulation at m = 7 takes about 0.1 s
+        variants = variants[:3]
+    failures = 0
+    for scheme in variants:
+        for f in tables:
+            got = verify_scheme(scheme, f).to_json()
+            with mock.patch.object(verify, "_pair_tables", _enc_tables):
+                expected = verify_scheme(scheme, f).to_json()
+            assert got == expected, (m, f.outputs)
+            failures += got["correctness_witness"] is not None
+    assert failures > len(variants)  # most cases fail somewhere
 
 
 def test_total_weight_past_int64_is_refused_before_encoding():
