@@ -15,15 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphabetTooLarge, SchemaError
-from .fields import field_make, is_prime, prime_power
 from .rates import Rate
-from .rings import RingSpec, enumerate_subgroups
-from .structures import (
-    ConfusableStructure,
-    check_carrier_bound,
-    field_confusable_sets,
-    ring_confusable_sets,
-)
+from .structures import ConfusableStructure, carrier_structures, check_carrier_bound
 
 
 @dataclass(frozen=True)
@@ -142,7 +135,7 @@ class FeasibleExpansion:
     def to_json(self) -> dict:
         s = self.structure
         return {
-            "carrier": s.carrier.to_json() | {"kind": s.carrier.kind},
+            "carrier": s.carrier_json(),
             "structure": s.provenance,
             "map1": list(self.map1),
             "map2": list(self.map2),
@@ -333,20 +326,9 @@ def find_expansion(f: FunctionTable, structure: ConfusableStructure):
 
 def iter_carrier_structures(max_size: int, kinds=("field", "ring"), min_size: int = 2):
     """Structures in search order: carriers from min_size to max_size
-    ascending by size, fields before rings at equal size; per carrier,
-    divisors ascending / subgroups in canonical order.  Prime Z_p duplicates
-    F_p and is skipped when both kinds are requested."""
+    ascending by size, each size's in carrier_structures' order."""
     for size in range(max(min_size, 2), max_size + 1):
-        pp = prime_power(size)
-        if "field" in kinds and pp is not None:
-            spec = field_make(*pp)
-            for d in sorted(x for x in range(1, size) if (size - 1) % x == 0):
-                yield field_confusable_sets(spec, d)
-        if "ring" in kinds:
-            if "field" in kinds and is_prime(size):
-                continue
-            for G in enumerate_subgroups(size):
-                yield ring_confusable_sets(RingSpec(size, G))
+        yield from carrier_structures(size, kinds)
 
 
 def search_expansions(

@@ -20,8 +20,8 @@ class WorkedExample:
     name: str
     table: FunctionTable
     carrier_kind: str      # "field" | "ring"
-    carrier_args: tuple    # (p, n) or (n, G)
-    structure_arg: int | None  # divisor d for fields, None for rings
+    carrier_args: tuple    # (p, n) or (n,)
+    structure_arg: int | tuple  # divisor d for fields, subgroup G for rings
     map1: tuple[int, ...]
     map2: tuple[int, ...]
     note: str = ""
@@ -29,7 +29,7 @@ class WorkedExample:
     def structure(self) -> ConfusableStructure:
         if self.carrier_kind == "field":
             return field_confusable_sets(field_make(*self.carrier_args), self.structure_arg)
-        return ring_confusable_sets(RingSpec(*self.carrier_args))
+        return ring_confusable_sets(RingSpec(*self.carrier_args), self.structure_arg)
 
     def expansion(self) -> FeasibleExpansion:
         st = self.structure()
@@ -66,8 +66,8 @@ _register(WorkedExample(
     name="selected_switch",
     table=FunctionTable.from_rows([[0, 1, 2], [0, 0, 3]]),
     carrier_kind="ring",
-    carrier_args=(6, (1, 5)),
-    structure_arg=None,
+    carrier_args=(6,),
+    structure_arg=(1, 5),
     map1=(4, 2),
     map2=(0, 2, 5),
     note="switch off when W1 >= W2, else pass both inputs through",
@@ -88,8 +88,8 @@ _register(WorkedExample(
     name="three_label_2x2",
     table=FunctionTable.from_rows([[2, 2], [0, 1]]),
     carrier_kind="ring",
-    carrier_args=(4, (1, 3)),
-    structure_arg=None,
+    carrier_args=(4,),
+    structure_arg=(1, 3),
     map1=(1, 0),
     map2=(0, 2),
     note="the additive-noise support of this one shrinks to {0,2}",
@@ -121,8 +121,8 @@ _register(WorkedExample(
     name="row_reveal_2x3",
     table=FunctionTable.from_rows([[0, 0, 1], [2, 3, 4]]),
     carrier_kind="ring",
-    carrier_args=(8, (1, 3)),
-    structure_arg=None,
+    carrier_args=(8,),
+    structure_arg=(1, 3),
     map1=(1, 2),
     map2=(0, 2, 6),
     note="the output always reveals W1; a bespoke 2-bit/log2(3)-bit code exists",

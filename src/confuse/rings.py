@@ -1,16 +1,17 @@
 """Z_n arithmetic: unit subgroups and subgroup projection.
 
 Z_n computes through the same table-backed arithmetic as the fields
-(fields.TableCarrier); its tables are built once per modulus and shared by
-every subgroup spec over it.  The interesting structure lives in the
-multiplicative group Z_n^x and its subgroups.  Subgroups are enumerated by
-cyclic extension, joining known subgroups with cyclic subgroups of
-prime-power order; at the size bound (n <= 512) that is plenty.
+(fields.TableCarrier).  A RingSpec is the carrier alone, built once per
+modulus like a FieldSpec; a unit subgroup G enters only in the structure
+built over it, and the tables live as long as those structures.  The
+interesting structure lives in the multiplicative group Z_n^x and its
+subgroups.  Subgroups are enumerated by cyclic extension, joining known
+subgroups with cyclic subgroups of prime-power order; at the size bound
+(n <= 512) that is plenty.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -19,7 +20,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import jsonout
 from .errors import LemmaViolation, SizeBoundExceeded
 from .fields import TableCarrier, carrier_tables, table_dtype
 from .rates import factorize
@@ -35,66 +35,33 @@ def proper_divisors(n: int) -> list[int]:
     return [d for d in range(1, n) if n % d == 0]
 
 
-@functools.cache
-def _ring_tables(n: int):
-    """Z_n's add, neg and mul tables, built once per modulus."""
-    x = np.arange(n)
-    dt = table_dtype(n)
-    return carrier_tables(((x[:, None] + x) % n).astype(dt), ((x[:, None] * x) % n).astype(dt))
-
-
-@functools.cache
-def _ring_names(n: int) -> list[str]:
-    """Z_n's rendered elements, built once per modulus."""
-    return [str(a) for a in range(n)]
-
-
-@functools.cache
-def _ring_json_names(n: int) -> list[str]:
-    """Z_n's rendered elements as JSON text, built once per modulus."""
-    return jsonout.strings(_ring_names(n))
-
-
-@dataclass(frozen=True)
 class RingSpec(TableCarrier):
-    """Z_n together with a chosen multiplicative subgroup G of Z_n^x."""
-
-    n: int
-    G: tuple[int, ...]
+    """Z_n as a carrier: its add, neg and mul tables, built once per
+    modulus.  A unit subgroup G randomizes it only inside a structure
+    (structures.ring_confusable_sets), as a divisor d does for a field."""
 
     kind = "ring"
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int):
+        if n < 2:
             raise ValueError("n must be >= 2")
-        if self.n > MAX_N:
-            raise SizeBoundExceeded(f"n = {self.n} exceeds bound {MAX_N}")
-        object.__setattr__(self, "G", tuple(sorted(set(int(g) for g in self.G))))
-        for name, table in zip(("add_table", "neg_table", "mul_table"), _ring_tables(self.n)):
-            object.__setattr__(self, name, table)
-        if not self.is_unit_subgroup(self.G):
-            raise ValueError(f"G = {self.G} is not a subgroup of Z_{self.n}^x")
+        if n > MAX_N:
+            raise SizeBoundExceeded(f"n = {n} exceeds bound {MAX_N}")
+        self.n = n
+        x = np.arange(n)
+        dt = table_dtype(n)
+        self.add_table, self.neg_table, self.mul_table = carrier_tables(
+            ((x[:, None] + x) % n).astype(dt), ((x[:, None] * x) % n).astype(dt)
+        )
 
     def render(self, a: int) -> str:
         return str(a)
-
-    @property
-    def names(self) -> list[str]:
-        return _ring_names(self.n)
-
-    @property
-    def json_names(self) -> list[str]:
-        return _ring_json_names(self.n)
 
     def describe(self) -> str:
         return f"Z_{self.n}"
 
     def to_json(self) -> dict:
-        return {"n": self.n, "G": list(self.G)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RingSpec":
-        return cls(obj["n"], tuple(obj["G"]))
+        return {"n": self.n}
 
 
 def closure_subgroups(table, identity: int, elements) -> list[tuple[int, ...]]:
@@ -141,15 +108,10 @@ def closure_subgroups(table, identity: int, elements) -> list[tuple[int, ...]]:
     return sorted((tuple(sorted(H)) for H in found), key=lambda t: (len(t), t))
 
 
-def enumerate_subgroups(n: int) -> list[tuple[int, ...]]:
+def enumerate_subgroups(ring: RingSpec) -> list[tuple[int, ...]]:
     """All subgroups of Z_n^x, canonically ordered by (size, members), by
-    cyclic extension over Z_n's mul table."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n > MAX_N:
-        raise SizeBoundExceeded(f"n = {n} exceeds enumeration bound {MAX_N}")
-    _, _, mul_table = _ring_tables(n)
-    return closure_subgroups(mul_table, 1, units(n))
+    cyclic extension over the ring's mul table."""
+    return closure_subgroups(ring.mul_table, 1, units(ring.n))
 
 
 @dataclass(frozen=True)
@@ -161,24 +123,22 @@ class ProjectionReport:
     multiplicity: int
 
 
-def project_subgroup(spec: RingSpec, d: int) -> ProjectionReport:
-    """Reduce the subgroup mod d (a divisor of n, d > 1).
+def project_subgroup(n: int, G, d: int) -> ProjectionReport:
+    """Reduce the subgroup G of Z_n^x mod d (a divisor of n, d > 1).
 
     The residue multiset must be an exact k-fold cover of a subgroup of
     Z_d^x; anything else raises LemmaViolation, which signals a bug, not a
     property of the input.
     """
-    if d <= 1 or spec.n % d != 0:
-        raise ValueError(f"d = {d} must be a divisor of n = {spec.n} greater than 1")
-    counts = Counter(g % d for g in spec.G)
+    if d <= 1 or n % d != 0:
+        raise ValueError(f"d = {d} must be a divisor of n = {n} greater than 1")
+    counts = Counter(g % d for g in G)
     mults = set(counts.values())
     if len(mults) != 1:
         raise LemmaViolation(
             f"non-uniform cover: G mod {d} has multiplicities {sorted(mults)}"
         )
     base = tuple(sorted(counts))
-    try:
-        RingSpec(d, base)
-    except ValueError:
-        raise LemmaViolation(f"G mod {d} = {base} is not a subgroup of Z_{d}^x") from None
+    if not RingSpec(d).is_unit_subgroup(base):
+        raise LemmaViolation(f"G mod {d} = {base} is not a subgroup of Z_{d}^x")
     return ProjectionReport(d, base, mults.pop())

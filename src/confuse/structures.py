@@ -1,6 +1,8 @@
 """Confusable-set structures over field and ring carriers, plus catalogs.
 
-A structure is a carrier with a randomizer S*, a group of units.  Its
+A structure is a carrier with a randomizer S*, a group of units.  The
+carrier (a FieldSpec or a RingSpec) holds only arithmetic; S* lives in the
+structure alone: the d-th powers for F_q, a unit subgroup G for Z_n.  Its
 confusable sets are the S*-orbits {gamma * a : gamma in S*}.  S* acts on the
 carrier by mul, so by the orbit-stabilizer theorem a uniform gamma maps each
 element uniformly onto its orbit: every orbit member is hit |Stab(a)| times.
@@ -23,9 +25,11 @@ class ConfusableStructure:
     """The S*-orbits of one carrier under a unit subgroup S*.
 
     sets are each sorted, and ordered by smallest member, which puts {0}
-    first (zero_index is always 0 under this ordering).  A caller-supplied
-    randomizer is checked to be a group of units; the functions below pass
-    verified=True for the ones their carrier has already checked.
+    first (zero_index is always 0 under this ordering).  The randomizer is
+    checked to be a group of units, once per structure; only
+    field_confusable_sets passes verified=True, for the d-th powers of the
+    generator its FieldSpec verified.  Every structure keeps its carrier, so
+    the carrier's tables live as long as the structures built over them.
     """
 
     def __init__(self, carrier, randomizer, provenance=None, trivial=False, verified=False):
@@ -65,6 +69,15 @@ class ConfusableStructure:
     def rendered_randomizer(self) -> list[str]:
         return list(map(self.carrier.names.__getitem__, self.randomizer))
 
+    def carrier_json(self) -> dict:
+        """The carrier's JSON with its kind; a ring's also carries its G,
+        which lives in the structure, not in the RingSpec."""
+        c = self.carrier
+        out = c.to_json() | {"kind": c.kind}
+        if c.kind == "ring":
+            out["G"] = list(self.randomizer)
+        return out
+
     def to_json(self) -> dict:
         """The catalog entry.  Its randomizer and sets are jsonout.Fragments,
         encoded once from the carrier's json_names, so the entry is written
@@ -72,7 +85,7 @@ class ConfusableStructure:
         c = self.carrier
         name = c.json_names.__getitem__
         out = {
-            "carrier": c.to_json() | {"kind": c.kind},
+            "carrier": self.carrier_json(),
             "label": c.describe(),
             "randomizer": jsonout.Fragment(jsonout.joined_list(list(map(name, self.randomizer)))),
             "sets": jsonout.Fragment(jsonout.joined_lists([map(name, s) for s in self.sets])),
@@ -104,15 +117,11 @@ def field_confusable_sets(spec: FieldSpec, d: int) -> ConfusableStructure:
     )
 
 
-def ring_confusable_sets(spec: RingSpec) -> ConfusableStructure:
-    """Z_n under its unit subgroup G."""
-    return ConfusableStructure(
-        spec,
-        spec.G,
-        provenance={"kind": "ring", "G": list(spec.G)},
-        trivial=(len(spec.G) == 1),
-        verified=True,  # the ring checked its own G when it was built
-    )
+def ring_confusable_sets(ring: RingSpec, G) -> ConfusableStructure:
+    """Z_n under a unit subgroup G; a G that is not a subgroup of Z_n^x
+    raises ValueError."""
+    G = sorted({int(g) for g in G})
+    return ConfusableStructure(ring, G, provenance={"kind": "ring", "G": G}, trivial=(len(G) == 1))
 
 
 # ---------------------------------------------------------------------------
@@ -127,34 +136,37 @@ def check_carrier_bound(max_size: int, kinds) -> None:
             raise SizeBoundExceeded(f"carrier bound {max_size} exceeds the {kind} bound {cap}")
 
 
+def carrier_structures(size: int, kinds=("field", "ring")):
+    """The structures over the carriers of one size, in search order: F_size
+    per divisor d of size - 1 ascending, then Z_size per subgroup of
+    Z_size^x in canonical order.  Prime Z_p duplicates F_p and is left out
+    when both kinds are asked for."""
+    pp = prime_power(size)
+    if "field" in kinds and pp is not None:
+        spec = field_make(*pp)
+        for d in range(1, size):
+            if (size - 1) % d == 0:
+                yield field_confusable_sets(spec, d)
+    if "ring" in kinds and not ("field" in kinds and is_prime(size)):
+        ring = RingSpec(size)
+        for G in enumerate_subgroups(ring):
+            yield ring_confusable_sets(ring, G)
+
+
 def catalog_fields(max_q: int) -> list[ConfusableStructure]:
     """One structure per prime power q <= max_q and divisor d of q-1,
     including the trivial rows (d = 1, and the all-singleton d = q-1) that
     published tables leave out; those carry trivial=True so comparisons can
     filter."""
     check_carrier_bound(max_q, ("field",))
-    structures = []
-    for q in range(2, max_q + 1):
-        pp = prime_power(q)
-        if pp is None:
-            continue
-        spec = field_make(*pp)
-        for d in sorted(x for x in range(1, q) if (q - 1) % x == 0):
-            structures.append(field_confusable_sets(spec, d))
-    return structures
+    return [st for q in range(2, max_q + 1) for st in carrier_structures(q, ("field",))]
 
 
 def catalog_rings(max_n: int) -> list[ConfusableStructure]:
     """One structure per composite n <= max_n and subgroup of Z_n^x (prime
     n is already covered by the prime-field catalog)."""
     check_carrier_bound(max_n, ("ring",))
-    structures = []
-    for n in range(4, max_n + 1):
-        if is_prime(n):
-            continue
-        for G in enumerate_subgroups(n):
-            structures.append(ring_confusable_sets(RingSpec(n, G)))
-    return structures
+    return [st for n in range(4, max_n + 1) if not is_prime(n) for st in carrier_structures(n, ("ring",))]
 
 
 # ---------------------------------------------------------------------------

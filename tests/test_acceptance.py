@@ -69,12 +69,11 @@ def test_criterion_2_projection_sweep():
     with _Timer(2, "unit-subgroup projection is a uniform cover for all n <= 100", budget=60.0):
         checked = 0
         for n in range(2, 101):
-            for G in enumerate_subgroups(n):
-                spec = RingSpec(n, G)
+            for G in enumerate_subgroups(RingSpec(n)):
                 for d in range(2, n + 1):
                     if n % d:
                         continue
-                    rep = project_subgroup(spec, d)  # raises LemmaViolation on failure
+                    rep = project_subgroup(n, G, d)  # raises LemmaViolation on failure
                     assert rep.multiplicity * len(rep.base_subgroup) == len(G)
                     checked += 1
         assert checked > 1000
@@ -235,6 +234,21 @@ def test_criterion_10_oracle_equivalence():
     with _Timer(10, "backtracker agrees with brute-force enumeration on the full small grid"):
         structures = list(iter_carrier_structures(7))
         shapes = [(m1, m2) for m1 in (1, 2, 3) for m2 in (1, 2, 3)]
+        # group the full table grid of each shape by its label partition;
+        # existence is invariant under relabeling the outputs, and the
+        # canonical representative is itself a valid table.  The grouping
+        # does not depend on the structure, so it is built once per shape.
+        reps_of = {}
+        for m1, m2 in shapes:
+            reps = reps_of[m1, m2] = {}
+            for rows in all_tables(m1, m2, 3):
+                cells = [v for row in rows for v in row]
+                canon = canonical_cell_partition(cells)
+                if max(canon) + 1 > min(3, m1 * m2):
+                    continue
+                if canon not in reps:
+                    table = FunctionTable.from_rows([canon[i * m2:(i + 1) * m2] for i in range(m1)])
+                    reps[canon] = (rows, table)
         disagreements = 0
         checked = 0
         rng = random.Random(7)
@@ -245,20 +259,7 @@ def test_criterion_10_oracle_equivalence():
                     # no injective maps exist; both routes say infeasible
                     continue
                 feasible = feasible_partitions(structure, m1, m2)
-                # group the full table grid by its label partition; existence
-                # is invariant under relabeling the outputs, and the canonical
-                # representative is itself a valid table
-                reps = {}
-                for rows in all_tables(m1, m2, 3):
-                    cells = [v for row in rows for v in row]
-                    canon = canonical_cell_partition(cells)
-                    if max(canon) + 1 > min(3, m1 * m2):
-                        continue
-                    reps.setdefault(canon, rows)
-                for canon, rows in reps.items():
-                    table = FunctionTable.from_rows(
-                        [canon[i * m2:(i + 1) * m2] for i in range(m1)]
-                    )
+                for canon, (rows, table) in reps_of[m1, m2].items():
                     found = find_expansion(table, structure)
                     if found is not None:
                         found.validate(table)

@@ -63,7 +63,7 @@ def test_equal3_not_found_over_singletons():
 
 def test_selected_switch_expansion():
     t = FunctionTable.from_rows([[0, 1, 2], [0, 0, 3]])
-    st6 = ring_confusable_sets(RingSpec(6, (1, 5)))
+    st6 = ring_confusable_sets(RingSpec(6), (1, 5))
     exp = find_expansion(t, st6)
     assert exp is not None
     exp.validate(t)
@@ -142,8 +142,8 @@ def test_backtracker_returns_lexicographically_first_maps():
     # the first consistent one; the backtracker must return exactly that
     cases = [
         (equal_table(3), field_confusable_sets(field_make(3, 1), 1)),
-        (FunctionTable.from_rows([[0, 1, 2], [0, 0, 3]]), ring_confusable_sets(RingSpec(6, (1, 5)))),
-        (FunctionTable.from_rows([[2, 2], [0, 1]]), ring_confusable_sets(RingSpec(4, (1, 3)))),
+        (FunctionTable.from_rows([[0, 1, 2], [0, 0, 3]]), ring_confusable_sets(RingSpec(6), (1, 5))),
+        (FunctionTable.from_rows([[2, 2], [0, 1]]), ring_confusable_sets(RingSpec(4), (1, 3))),
         (FunctionTable.from_rows([[0, 0], [0, 1]]), field_confusable_sets(field_make(5, 1), 2)),
     ]
     for f, structure in cases:
@@ -398,9 +398,9 @@ def planted_table(m1: int, m2: int, structure, seed: int) -> FunctionTable:
 DEEP_TABLES = {
     "latin3": lambda: FunctionTable.from_rows([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
     "p4x3-F13d3": lambda: planted_table(4, 3, field_confusable_sets(field_make(13, 1), 3), 43),
-    "p4x3-Z12": lambda: planted_table(4, 3, ring_confusable_sets(RingSpec(12, (1, 5))), 431),
+    "p4x3-Z12": lambda: planted_table(4, 3, ring_confusable_sets(RingSpec(12), (1, 5)), 431),
     "p2x5-F11d2": lambda: planted_table(2, 5, field_confusable_sets(field_make(11, 1), 2), 25),
-    "p5x2-Z10": lambda: planted_table(5, 2, ring_confusable_sets(RingSpec(10, (1, 9))), 521),
+    "p5x2-Z10": lambda: planted_table(5, 2, ring_confusable_sets(RingSpec(10), (1, 9)), 521),
     "p4x4-F16d5": lambda: planted_table(4, 4, field_confusable_sets(field_make(2, 4), 5), 44),
     "p4x4-F9d2": lambda: planted_table(4, 4, field_confusable_sets(field_make(3, 2), 2), 441),
     "r4x4-none": lambda: FunctionTable.from_rows([[1, 2, 2, 2], [1, 1, 0, 1], [2, 0, 1, 0], [0, 0, 1, 2]]),

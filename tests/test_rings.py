@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -8,13 +10,13 @@ from confuse.errors import SizeBoundExceeded
 from confuse.rings import (
     MAX_N,
     RingSpec,
-    _ring_tables,
     closure_subgroups,
     enumerate_subgroups,
     project_subgroup,
     proper_divisors,
     units,
 )
+from confuse.structures import ring_confusable_sets
 
 from oracles import bfs_subgroups
 
@@ -40,18 +42,18 @@ def test_gcd_class_scaling_identity(n):
 
 
 def test_enumerate_subgroups_values():
-    subs15 = enumerate_subgroups(15)
+    subs15 = enumerate_subgroups(RingSpec(15))
     assert (1,) in subs15
     assert (1, 11) in subs15
     assert (1, 4, 11, 14) in subs15
     assert (1, 2, 4, 7, 8, 11, 13, 14) in subs15
-    assert enumerate_subgroups(3) == [(1,), (1, 2)]
-    assert len(enumerate_subgroups(16)) == 8
+    assert enumerate_subgroups(RingSpec(3)) == [(1,), (1, 2)]
+    assert len(enumerate_subgroups(RingSpec(16))) == 8
 
 
 def test_enumerate_subgroups_are_subgroups_and_ordered():
     for n in range(2, 40):
-        subs = enumerate_subgroups(n)
+        subs = enumerate_subgroups(RingSpec(n))
         assert subs == sorted(subs, key=lambda t: (len(t), t))
         assert len(set(subs)) == len(subs)
         for H in subs:
@@ -66,73 +68,89 @@ def test_enumerate_subgroups_are_subgroups_and_ordered():
 def test_enumerate_subgroups_match_pinned_digest():
     h = hashlib.sha256()
     for n in range(2, MAX_N + 1):
-        h.update(json.dumps([n, enumerate_subgroups(n)]).encode())
-        _ring_tables.cache_clear()  # kept, the tables of every n would hold about 200 MiB
+        h.update(json.dumps([n, enumerate_subgroups(RingSpec(n))]).encode())
     assert h.hexdigest() == SUBGROUPS_DIGEST
+
+
+def test_rings_leave_no_tables_behind():
+    # a modulus's tables live only as long as its RingSpec: no module cache
+    # keeps them once Z_n and its subgroups are dropped
+    enumerate_subgroups(RingSpec(12))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(2, 257):
+            enumerate_subgroups(RingSpec(n))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
 
 
 def test_additive_subgroups_match_pinned_digest():
     h = hashlib.sha256()
     for n in range(2, 65):
-        h.update(json.dumps([n, closure_subgroups(_ring_tables(n)[0], 0, range(1, n))]).encode())
+        h.update(json.dumps([n, closure_subgroups(RingSpec(n).add_table, 0, range(1, n))]).encode())
     assert h.hexdigest() == ADD_SUBGROUPS_DIGEST
 
 
 @pytest.mark.parametrize("n", [*range(2, 65), 72, 96, 105, 120, 128])
 def test_cyclic_extension_matches_bfs_oracle(n):
-    add, _, mul = _ring_tables(n)
-    assert enumerate_subgroups(n) == bfs_subgroups(mul, 1, units(n))
+    ring = RingSpec(n)
+    assert enumerate_subgroups(ring) == bfs_subgroups(ring.mul_table, 1, units(n))
     if n <= 32:
+        add = ring.add_table
         assert closure_subgroups(add, 0, range(1, n)) == bfs_subgroups(add, 0, range(1, n))
 
 
 def test_enumerate_subgroups_bound():
     with pytest.raises(SizeBoundExceeded):
-        enumerate_subgroups(1000)
+        enumerate_subgroups(RingSpec(1000))
 
 
 def test_ring_spec_validation():
+    z15 = RingSpec(15)
     with pytest.raises(ValueError):
-        RingSpec(15, (1, 3))  # 3 not coprime with 15
+        ring_confusable_sets(z15, (1, 3))  # 3 not coprime with 15
     with pytest.raises(ValueError):
-        RingSpec(15, (1, 2))  # not closed: 4 missing
-    spec = RingSpec(15, (11, 1))
-    assert spec.G == (1, 11)
+        ring_confusable_sets(z15, (1, 2))  # not closed: 4 missing
+    assert ring_confusable_sets(z15, (11, 1)).randomizer == (1, 11)
 
 
 def test_project_subgroup_worked_values():
-    assert project_subgroup(RingSpec(15, (1, 11)), 5).base_subgroup == (1,)
-    assert project_subgroup(RingSpec(15, (1, 11)), 5).multiplicity == 2
-    assert project_subgroup(RingSpec(15, (1, 11)), 3).base_subgroup == (1, 2)
-    r = project_subgroup(RingSpec(15, (1, 4, 11, 14)), 3)
+    assert project_subgroup(15, (1, 11), 5).base_subgroup == (1,)
+    assert project_subgroup(15, (1, 11), 5).multiplicity == 2
+    assert project_subgroup(15, (1, 11), 3).base_subgroup == (1, 2)
+    r = project_subgroup(15, (1, 4, 11, 14), 3)
     assert (r.base_subgroup, r.multiplicity) == ((1, 2), 2)
-    r = project_subgroup(RingSpec(15, (1, 4, 11, 14)), 5)
+    r = project_subgroup(15, (1, 4, 11, 14), 5)
     assert (r.base_subgroup, r.multiplicity) == ((1, 4), 2)
-    full = RingSpec(15, tuple(units(15)))
-    assert project_subgroup(full, 3).multiplicity == 4
-    assert project_subgroup(full, 5).multiplicity == 2
+    full = units(15)
+    assert project_subgroup(15, full, 3).multiplicity == 4
+    assert project_subgroup(15, full, 5).multiplicity == 2
 
 
 def test_project_subgroup_requires_proper_divisor():
     with pytest.raises(ValueError):
-        project_subgroup(RingSpec(15, (1, 11)), 1)
+        project_subgroup(15, (1, 11), 1)
     with pytest.raises(ValueError):
-        project_subgroup(RingSpec(15, (1, 11)), 4)
+        project_subgroup(15, (1, 11), 4)
 
 
 @pytest.mark.parametrize("n", range(2, 61))
 def test_projection_sweep_small(n):
     # every subgroup, every divisor d > 1: uniform cover of a subgroup
-    for G in enumerate_subgroups(n):
-        spec = RingSpec(n, G)
+    for G in enumerate_subgroups(RingSpec(n)):
         for d in range(2, n + 1):
             if n % d:
                 continue
-            rep = project_subgroup(spec, d)
+            rep = project_subgroup(n, G, d)
             assert rep.multiplicity * len(rep.base_subgroup) == len(G)
 
 
 def test_ring_spec_size_bound():
     with pytest.raises(SizeBoundExceeded):
-        RingSpec(513, (1,))
-    assert RingSpec(512, (1,)).size == 512
+        RingSpec(513)
+    assert RingSpec(512).size == 512

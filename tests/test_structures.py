@@ -21,19 +21,19 @@ from confuse.structures import (
 
 
 def test_ring_worked_partitions():
-    st = ring_confusable_sets(RingSpec(15, (1, 11)))
+    st = ring_confusable_sets(RingSpec(15), (1, 11))
     assert st.sets == ((0,), (1, 11), (2, 7), (3,), (4, 14), (5, 10), (6,), (8, 13), (9,), (12,))
     assert st.randomizer == (1, 11)
 
-    st = ring_confusable_sets(RingSpec(15, (1, 4, 11, 14)))
+    st = ring_confusable_sets(RingSpec(15), (1, 4, 11, 14))
     assert set(st.sets) == {(0,), (1, 4, 11, 14), (2, 7, 8, 13), (3, 12), (5, 10), (6, 9)}
 
-    st = ring_confusable_sets(RingSpec(6, (1, 5)))
+    st = ring_confusable_sets(RingSpec(6), (1, 5))
     assert st.sets == ((0,), (1, 5), (2, 4), (3,))
 
 
 def test_structure_index_of():
-    st6 = ring_confusable_sets(RingSpec(6, (1, 5)))
+    st6 = ring_confusable_sets(RingSpec(6), (1, 5))
     assert st6.sets[st6.index_of(4)] == (2, 4)
     assert st6.index_of(0) == st6.zero_index == 0
     st7 = field_confusable_sets(field_make(7, 1), 2)
@@ -45,8 +45,8 @@ def test_structure_validation_rejects_bad_partitions():
     # still checked when the caller supplies it
     f5 = field_make(5, 1)
     f16 = field_make(2, 4)
-    z6 = RingSpec(6, (1,))
-    z8 = RingSpec(8, (1,))
+    z6 = RingSpec(6)
+    z8 = RingSpec(8)
     cubes = sorted(f16.exp(3 * j) for j in range(5))
     assert ConfusableStructure(f16, cubes).randomizer == tuple(cubes)
     for carrier, sstar in [
@@ -63,9 +63,9 @@ def test_structure_validation_rejects_bad_partitions():
 
 
 def test_unit_subgroup_check_runs_once_per_structure():
-    # a ring's G is checked when its RingSpec is built and not again by its
-    # structure; a field's S*, the d-th powers of the generator its FieldSpec
-    # verified, is not checked again at all
+    # a ring's G is checked once, when its structure is built; a field's S*,
+    # the d-th powers of the generator its FieldSpec verified, is not checked
+    # again at all
     with mock.patch.object(TableCarrier, "is_unit_subgroup", autospec=True,
                            side_effect=TableCarrier.is_unit_subgroup) as check:
         structures = list(iter_carrier_structures(16))
@@ -73,9 +73,9 @@ def test_unit_subgroup_check_runs_once_per_structure():
     assert 0 < len(rings) < len(structures)
     assert check.call_count == len(rings)
     with pytest.raises(ValueError):
-        RingSpec(8, (1, 3, 5))
+        ring_confusable_sets(RingSpec(8), (1, 3, 5))
     with pytest.raises(ValueError):
-        ConfusableStructure(RingSpec(8, (1, 3)), (1, 3, 5))
+        ConfusableStructure(RingSpec(8), (1, 3, 5))
 
 
 def _structure_digest(structures) -> str:
@@ -154,8 +154,9 @@ def test_every_cataloged_structure_randomizes_exactly():
 @pytest.mark.parametrize("n", range(2, 101))
 def test_ring_partition_and_randomization_to_100(n):
     # exact multiset check on every subgroup of every modulus up to 100
-    for G in enumerate_subgroups(n):
-        st = ring_confusable_sets(RingSpec(n, G))
+    ring = RingSpec(n)
+    for G in enumerate_subgroups(ring):
+        st = ring_confusable_sets(ring, G)
         assert sorted(a for s in st.sets for a in s) == list(range(n))
         assert randomization_multiset_ok(st.carrier, st.randomizer, st.sets)
 
@@ -165,8 +166,9 @@ def test_field_structure_matches_ring_structure_for_primes():
     # the matching divisor d = (p-1)/b
     for p in (5, 7, 11, 13):
         fs = field_make(p, 1)
-        for G in enumerate_subgroups(p):
+        ring = RingSpec(p)
+        for G in enumerate_subgroups(ring):
             d = (p - 1) // len(G)
-            ring_sets = set(ring_confusable_sets(RingSpec(p, G)).sets)
+            ring_sets = set(ring_confusable_sets(ring, G).sets)
             field_sets = set(field_confusable_sets(fs, d).sets)
             assert ring_sets == field_sets
