@@ -6,9 +6,12 @@ encoding is a bijection with range(q), q = p^n, and reduces to plain integers
 mod p when n = 1.
 
 Every carrier, F_q here and Z_n in rings.py, answers add/sub/neg/mul from
-dense add and mul tables plus a neg vector (TableCarrier).  A field builds
-them once from base-p digits and its discrete-log tables, which serve only
-construction, inverses and the d-th-power randomizers afterwards.
+dense add and mul tables plus a neg vector (TableCarrier).  A field walks
+the powers of its generator once, through a times-g map computed on base-p
+digits; that walk is both its acceptance test and its exp and log tables.
+The add table comes from base-p digits and the mul table from the log
+tables; afterwards the log tables serve only inverses and the d-th-power
+randomizers.
 Everything is immutable after construction, so specs are safe to share
 across threads.
 """
@@ -19,6 +22,7 @@ import functools
 from array import array
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import jsonout
 from .errors import DivisionByZero, NotPrime, SizeBoundExceeded
@@ -38,30 +42,8 @@ def prime_power(m: int):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p; coefficient tuples, a_0 first
+# F_p[x]/h through the powers of g; coefficient tuples, a_0 first
 # ---------------------------------------------------------------------------
-
-def _poly_mulmod(a, b, h, p):
-    """(a * b) mod h over F_p, trimmed of leading zeros.  h is monic."""
-    n = len(h) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce by h: x^n = -(h_0 + h_1 x + ... + h_{n-1} x^{n-1})
-    for k in range(len(prod) - 1, n - 1, -1):
-        c = prod[k]
-        if c == 0:
-            continue
-        prod[k] = 0
-        for j in range(n):
-            prod[k - n + j] = (prod[k - n + j] - c * h[j]) % p
-    while prod and prod[-1] == 0:
-        prod.pop()
-    return tuple(prod)
-
 
 def _enc_to_poly(enc, p):
     """Base-p digits of enc, a_0 first, without leading zeros."""
@@ -72,31 +54,34 @@ def _enc_to_poly(enc, p):
     return tuple(coeffs)
 
 
-def _poly_to_enc(coeffs, p):
-    enc = 0
-    for c in reversed(coeffs):
-        enc = enc * p + c
-    return enc
+def _powers(p, n, h, g):
+    """g^0, g^1, ..., g^(q-2) as an array of encodings when g has
+    multiplicative order q - 1 mod h over F_p, q = p^n; otherwise None.
 
-
-def _is_primitive(p, n, h, g) -> bool:
-    """True when g has multiplicative order q - 1 mod h over F_p, q = p^n:
-    g^(q-1) = 1 and g^((q-1)/r) != 1 for every prime r dividing q - 1.
-    Powers of such a g are q - 1 distinct units, so every nonzero residue is
-    a unit and h is irreducible too."""
+    The times-g map of all q encodings is one digit-array operation, and the
+    walk 1, g, g^2, ... through it doubles its length each round.  g is
+    accepted when the walk returns to 1 after exactly q - 1 steps without
+    reaching 0 or 1 before.  Powers of such a g are q - 1 distinct units, so
+    every nonzero residue is a unit and h is irreducible too."""
     q = p**n
-    x = _enc_to_poly(g, p)
-
-    def is_one(e):  # g^e == 1, by square-and-multiply
-        acc, base = (1,), x
-        while e:
-            if e & 1:
-                acc = _poly_mulmod(acc, base, h, p)
-            base = _poly_mulmod(base, base, h, p)
-            e >>= 1
-        return acc == (1,)
-
-    return is_one(q - 1) and not any(is_one((q - 1) // r) for r in factorize(q - 1))
+    h = np.array(h, np.int32)[:, None]
+    # row i: digit i of x^k * a for every a; int32, which numpy multiplies
+    # fast and which holds every sum below, all under n * p * q
+    xa = np.indices((p,) * n, np.int32).reshape(n, q)[::-1]
+    ga = 0
+    for k, gk in enumerate(_enc_to_poly(g, p)):
+        if k:  # times x: every digit one place up, the x^n term cancelled by h
+            up = np.concatenate([np.zeros_like(xa[:1]), xa])
+            xa = (up - up[-1] * h)[:-1]
+        ga = ga + gk * xa
+    times_g = p ** np.arange(n) @ (ga % p)
+    walk = np.ones(1, np.intp)
+    while len(walk) < q:
+        walk = np.concatenate([walk, times_g[walk]])
+        times_g = times_g[times_g]
+    if walk[q - 1] != 1 or not (walk[1 : q - 1] > 1).all():
+        return None
+    return walk[: q - 1]
 
 
 def _render_poly(coeffs) -> str:
@@ -208,10 +193,11 @@ class TableCarrier:
 class FieldSpec(TableCarrier):
     """A concrete F_{p^n}: irreducible modulus h, primitive element g.
 
-    Exponentiation and discrete-log tables cover all of F_q^x; they build the
-    mul table and serve exp/dlog/inv.  The add table comes from base-p
-    digits.  At q = 4096 each table has 16,777,216 two-byte entries.  Do not
-    mutate anything after construction.
+    The walk of g's powers refuses an (h, g) before any table is built, and
+    otherwise gives the exponentiation and discrete-log tables of all of
+    F_q^x; they build the mul table and serve exp/dlog/inv.  The add table
+    comes from base-p digits.  At q = 4096 each table has 16,777,216
+    two-byte entries.  Do not mutate anything after construction.
     """
 
     kind = "field"
@@ -228,28 +214,24 @@ class FieldSpec(TableCarrier):
         if len(h) != n + 1 or h[-1] != 1:
             raise ValueError("h must be monic of degree n")
         g = int(g)
-        if not (0 < g < q and _is_primitive(p, n, h, g)):
+        exp = _powers(p, n, h, g) if 0 < g < q else None
+        if exp is None:
             raise ValueError(f"g = {g} does not have order {q - 1} mod h = {h} over F_{p}")
         self.p = p
         self.n = n
         self.q = q
         self.h = h
         self.g = g
-        self._build_tables()
+        self._build_tables(exp)
 
-    def _build_tables(self):
+    def _build_tables(self, exp):
         p, n, q = self.p, self.n, self.q
-        exp = [1]
-        cur = (1,)
-        gp = _enc_to_poly(self.g, p)
-        for _ in range(q - 2):
-            cur = _poly_mulmod(cur, gp, self.h, p)
-            exp.append(_poly_to_enc(cur, p))
-        self._exp = exp
-        self._dlog = {e: k for k, e in enumerate(exp)}
+        self._exp = exp.tolist()
+        self._dlog = {e: k for k, e in enumerate(self._exp)}
         dt = table_dtype(q)
-        # add: one base-p digit at a time, each new digit the most significant
-        digit_add = ((np.arange(p)[:, None] + np.arange(p)) % p).astype(dt)
+        # add: one base-p digit at a time, each new digit the most significant;
+        # row i of digit_add is i, i + 1, ..., a window of two periods mod p
+        digit_add = sliding_window_view(np.tile(np.arange(p, dtype=dt), 2), p)[:p]
         add = np.zeros((1, 1), dt)
         for k in range(n):
             s = p ** k
@@ -259,16 +241,17 @@ class FieldSpec(TableCarrier):
         self.neg_table = _row((add == 0).argmax(axis=1).astype(dt))
         self.add_table = [_row(r) for r in add]
         del add
-        # mul: g^i * g^j = g^(i+j), a circulant in discrete-log coordinates;
-        # the row of g^i holds exp[i:] + exp[:i] at the columns exp
-        e = np.array(exp, dtype=dt)
-        ee = np.concatenate([e, e])
-        row = np.zeros(q, dt)
-        self.mul_table = [None] * q
-        self.mul_table[0] = _row(row)
-        for i, a in enumerate(exp):
-            row[e] = ee[i : i + q - 1]
-            self.mul_table[a] = _row(row)
+        # mul: g^i * g^j = g^(i+j), so the row of g^i is the window of exp
+        # from i on, read at the columns' logs; the row and column of 0 are 0
+        log = np.zeros(q, np.intp)
+        log[exp] = np.arange(q - 1)
+        windows = sliding_window_view(np.tile(np.asarray(exp, dt), 2), q - 1)
+        block = max(1, (1 << 18) // q)  # rows per gather, so temporaries stay small
+        self.mul_table = [_row(np.zeros(q, dt))]
+        for lo in range(1, q, block):
+            rows = windows[log[lo : lo + block]].take(log, axis=1)
+            rows[:, 0] = 0
+            self.mul_table += map(_row, rows)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -335,6 +318,8 @@ def field_make(p: int, n: int) -> FieldSpec:
         # h = x^n + (the polynomial of enc), whose encoding is p^n + enc
         candidates = ((_enc_to_poly(p**n + enc, p), p) for enc in range(p**n))
     for h, g in candidates:
-        if _is_primitive(p, n, h, g):
+        try:  # a refused (h, g) fails in the walk, before any table exists
             return FieldSpec(p, n, h, g)
+        except ValueError:
+            pass
     raise RuntimeError(f"no primitive modulus found for p={p}, n={n}")  # unreachable

@@ -25,11 +25,12 @@ class ConfusableStructure:
     """The S*-orbits of one carrier under a unit subgroup S*.
 
     sets are each sorted, and ordered by smallest member, which puts {0}
-    first (zero_index is always 0 under this ordering).  The randomizer is
-    checked to be a group of units, once per structure; only
-    field_confusable_sets passes verified=True, for the d-th powers of the
-    generator its FieldSpec verified.  Every structure keeps its carrier, so
-    the carrier's tables live as long as the structures built over them.
+    first (zero_index is always 0 under this ordering).  A randomizer the
+    caller supplies is checked to be a group of units; verified=True skips
+    the check for one that is a group by construction: the d-th powers of
+    the generator a FieldSpec accepted, or a subgroup that
+    enumerate_subgroups produced.  Every structure keeps its carrier, so the
+    carrier's tables live as long as the structures built over them.
     """
 
     def __init__(self, carrier, randomizer, provenance=None, trivial=False, verified=False):
@@ -113,15 +114,17 @@ def field_confusable_sets(spec: FieldSpec, d: int) -> ConfusableStructure:
         [spec.exp(j * d) for j in range(b)],
         provenance={"kind": "field", "d": d},
         trivial=(d == 1 or b == 1),
-        verified=True,  # the d-th powers of the generator FieldSpec verified
+        verified=True,  # the d-th powers of the generator whose power walk FieldSpec accepted
     )
 
 
-def ring_confusable_sets(ring: RingSpec, G) -> ConfusableStructure:
+def ring_confusable_sets(ring: RingSpec, G, *, verified=False) -> ConfusableStructure:
     """Z_n under a unit subgroup G; a G that is not a subgroup of Z_n^x
-    raises ValueError."""
+    raises ValueError.  verified=True, for a G from enumerate_subgroups,
+    skips that check."""
     G = sorted({int(g) for g in G})
-    return ConfusableStructure(ring, G, provenance={"kind": "ring", "G": G}, trivial=(len(G) == 1))
+    return ConfusableStructure(ring, G, provenance={"kind": "ring", "G": G}, trivial=(len(G) == 1),
+                               verified=verified)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +153,7 @@ def carrier_structures(size: int, kinds=("field", "ring")):
     if "ring" in kinds and not ("field" in kinds and is_prime(size)):
         ring = RingSpec(size)
         for G in enumerate_subgroups(ring):
-            yield ring_confusable_sets(ring, G)
+            yield ring_confusable_sets(ring, G, verified=True)  # cyclic extension yields only subgroups
 
 
 def catalog_fields(max_q: int) -> list[ConfusableStructure]:

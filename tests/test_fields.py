@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -191,6 +192,20 @@ def test_largest_field_builds_within_a_memory_bound():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert int(out.stdout) < 100 * 2**20
+
+
+def test_refused_field_fails_before_any_table():
+    # the power walk refuses (h, g) before any q x q table exists: at
+    # q = 4096 one such table alone would hold 32 MiB
+    tracemalloc.start()
+    try:
+        for p, n, h in [(4093, 1, (0, 1)), (2, 12, (1,) + (0,) * 11 + (1,))]:
+            with pytest.raises(ValueError):
+                FieldSpec(p, n, h, 1 if n == 1 else 2)  # 1 has order 1; x^12+1 = (x^3+1)^4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_canonical_fields_match_pinned_digest():

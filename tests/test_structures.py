@@ -63,19 +63,24 @@ def test_structure_validation_rejects_bad_partitions():
 
 
 def test_unit_subgroup_check_runs_once_per_structure():
-    # a ring's G is checked once, when its structure is built; a field's S*,
-    # the d-th powers of the generator its FieldSpec verified, is not checked
-    # again at all
+    # the structures of a carrier size are groups by construction (the d-th
+    # powers of a field's generator, the subgroups enumerate_subgroups
+    # produced), so none is checked; a randomizer the caller supplies is
+    # checked once
     with mock.patch.object(TableCarrier, "is_unit_subgroup", autospec=True,
                            side_effect=TableCarrier.is_unit_subgroup) as check:
         structures = list(iter_carrier_structures(16))
-    rings = [st for st in structures if st.carrier.kind == "ring"]
-    assert 0 < len(rings) < len(structures)
-    assert check.call_count == len(rings)
-    with pytest.raises(ValueError):
-        ring_confusable_sets(RingSpec(8), (1, 3, 5))
-    with pytest.raises(ValueError):
-        ConfusableStructure(RingSpec(8), (1, 3, 5))
+        assert check.call_count == 0
+        rings = [st for st in structures if st.carrier.kind == "ring"]
+        assert 0 < len(rings) < len(structures)
+        for st in rings:
+            ring_confusable_sets(st.carrier, st.randomizer)
+        assert check.call_count == len(rings)
+        with pytest.raises(ValueError):
+            ring_confusable_sets(RingSpec(8), (1, 3, 5))
+        with pytest.raises(ValueError):
+            ConfusableStructure(RingSpec(8), (1, 3, 5))
+        assert check.call_count == len(rings) + 2
 
 
 def _structure_digest(structures) -> str:
