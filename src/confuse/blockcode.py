@@ -110,11 +110,10 @@ def _planes(fs, Y: np.ndarray, ft) -> np.ndarray:
     p, n = fs.p, fs.n
     if n == 1:
         return Y.astype(ft)
-    dt = table_dtype(fs.q)
     inner, cols = Y.shape
     planes = np.empty((n, inner, n, cols), ft)
     for i in range(n):
-        xiY = np.frombuffer(fs.mul_table[p**i], dt)[Y]
+        xiY = fs.mul_table[p**i][Y]
         for d in range(n):
             planes[i, :, d, :] = xiY // p**d % p
     return planes.reshape(n * inner, n * cols)
@@ -152,15 +151,13 @@ def _matmul(fs, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reduce(tables, inv, M: np.ndarray):
-    """Gauss-Jordan on M in place by lookups in the carrier's tables: each
+def _reduce(fs, inv, M: np.ndarray):
+    """Gauss-Jordan on M in place by lookups in the field's tables: each
     column's pivot is the first row at or below the pivot count with a
     nonzero entry, swapped up, scaled to 1 and cleared from every other row.
     Returns (pivots, order): M holds the reduction of the input's rows taken
-    in that order.  tables are the carrier's (add, neg, mul) arrays, inv
-    its inverses (inv[0] unused)."""
-    add, neg, mul = tables
-    q = len(add)
+    in that order.  inv holds the field's inverses (inv[0] unused)."""
+    add, neg, mul, q = fs.add_table, fs.neg_table, fs.mul_table, fs.q
     # add[x, y] = add_flat[x*q + y]: one flat gather beats a 2-D one
     add_flat, flat_index = add.ravel(), table_dtype(q * q)
     rows, cols = M.shape
@@ -205,7 +202,6 @@ def _rref(fs, A: np.ndarray):
     R is unique and the swaps are those of an unblocked pass, so the result
     is too.  Returns (R, T, pivots): R = T*A in RREF.
     """
-    tables = fs.arrays()
     p, n, q = fs.p, fs.n, fs.q
     inv = np.array([0] + [fs.inv(a) for a in range(1, q)])
     dt = table_dtype(q)
@@ -228,9 +224,9 @@ def _rref(fs, A: np.ndarray):
         c1 = min(c0 + _BLOCK, cols)
         # later panels never touch these columns, so M keeps them unreduced
         panel = _residues(M[:, :, c0:c1], p)
-        found, order = _reduce(tables, inv, _join(fs, panel[r : r + _PREFIX], dt))
+        found, order = _reduce(fs, inv, _join(fs, panel[r : r + _PREFIX], dt))
         if len(found) < c1 - c0 and r + _PREFIX < rows:
-            found, order = _reduce(tables, inv, _join(fs, panel[r:], dt))
+            found, order = _reduce(fs, inv, _join(fs, panel[r:], dt))
         if not found:
             continue
         moved = np.flatnonzero(order != np.arange(len(order)))
@@ -240,7 +236,7 @@ def _rref(fs, A: np.ndarray):
         piv = [c0 + c for c in found]
         K = _join(fs, panel[r : r + k][:, :, found], dt)
         KI = np.concatenate([K, np.eye(k, dtype=dt)], axis=1)
-        _reduce(tables, inv, KI)
+        _reduce(fs, inv, KI)
         new_rows = _matmul(fs, KI[:, k:], _join(fs, _residues(M[r : r + k, :, c0:], p), dt))
         planes = _planes(fs, new_rows, ft)
         # digit-wise negation of every row's pivot-column entries
@@ -320,17 +316,17 @@ def _solver(spec: BlockCodeSpec):
     that gives every free coordinate its prior argmax."""
     if "rank" not in spec._state:
         fs = spec.base.expansion.structure.carrier
-        add, neg, mul = fs.arrays()
+        dt = table_dtype(fs.q)
         R, T, pivots = _rref(fs, spec.A)
         rank = len(pivots)
         pivot_set = set(pivots)
         free = [c for c in range(spec.L) if c not in pivot_set]
         k = len(free)
         # null-space basis: one vector per free column
-        V = np.zeros((k, spec.L), dtype=add.dtype)
+        V = np.zeros((k, spec.L), dtype=dt)
         for j, fc in enumerate(free):
             V[j, fc] = 1
-            V[j, pivots] = neg[R[:rank, fc]]
+            V[j, pivots] = fs.neg_table[R[:rank, fc]]
         logp = np.full(fs.q, -1e18)
         for u, p in spec.dist_U.items():
             if p > 0:
@@ -338,14 +334,14 @@ def _solver(spec: BlockCodeSpec):
         if fs.q**k <= COSET_BUDGET:
             # exact ML: the whole coset, first free coordinate most significant
             combos = np.array(
-                list(itertools.product(range(fs.q), repeat=k)), add.dtype
+                list(itertools.product(range(fs.q), repeat=k)), dt
             ).reshape(fs.q**k, k)
         else:
             # greedy typicality: V[j] is 1 at its free slot, so each free
             # coordinate takes the prior argmax and the pivots follow
-            combos = np.full((1, k), np.argmax(logp), add.dtype)
+            combos = np.full((1, k), np.argmax(logp), dt)
         spec._state.update(
-            field=fs, tables=(add, neg, mul), T=T, pivots=pivots, rank=rank,
+            field=fs, T=T, pivots=pivots, rank=rank,
             logp=logp, offsets=_matmul(fs, combos, V),
         )
     return spec._state
@@ -355,9 +351,8 @@ def _encode(spec: BlockCodeSpec, mapped1, mapped2, G, Z):
     """Both parties' codewords, one column per block: A * (G * mapped1 + Z)
     and A * (G * mapped2 - Z), per-position masking read from the carrier's
     tables."""
-    s = _solver(spec)
-    add, neg, mul = s["tables"]
-    fs = s["field"]
+    fs = _solver(spec)["field"]
+    add, neg, mul = fs.add_table, fs.neg_table, fs.mul_table
     return (_matmul(fs, spec.A, add[mul[G, mapped1], Z]),
             _matmul(fs, spec.A, add[mul[G, mapped2], neg[Z]]))
 
@@ -367,10 +362,10 @@ def _decode(spec: BlockCodeSpec, X1, X2):
     codewords: T*(x1 + x2) gives the coset's pivot coordinates, and each
     column takes the candidate u0 + offsets[i] of highest log-prior."""
     s = _solver(spec)
-    add = s["tables"][0]
-    q = len(add)
+    fs = s["field"]
+    add, q = fs.add_table, fs.q
     rank, logp, offsets = s["rank"], s["logp"], s["offsets"]
-    y = _matmul(s["field"], s["T"], add[X1, X2])
+    y = _matmul(fs, s["T"], add[X1, X2])
     if np.any(y[rank:]):
         raise Undecodable("syndrome outside the column space of A")
     # add[u, v] = add_flat[u*q + v]: flat gathers beat 2-D ones
@@ -455,7 +450,8 @@ def run_trials(
     probs = np.array([float(input_dist[x]) for x in pairs])
     probs = probs / probs.sum()
     gammas = np.array(st.randomizer, dtype=np.int64)
-    add, _, mul = _solver(spec)["tables"]
+    fs = _solver(spec)["field"]
+    add, mul = fs.add_table, fs.mul_table
     map1 = np.array([exp.map1[a] for a, _ in pairs], dtype=add.dtype)
     map2 = np.array([exp.map2[b] for _, b in pairs], dtype=add.dtype)
     # U = g*map1[w1] + z + g*map2[w2] - z = g * (map1[w1] + map2[w2]) per pair

@@ -183,7 +183,7 @@ def find_expansion(f: FunctionTable, structure: ConfusableStructure):
             f"table is {f.m1}x{f.m2} but the carrier has only {size} elements"
         )
     m1, m2 = f.m1, f.m2
-    cell = np.array(structure._index)[structure.carrier.add_array()]
+    cell = np.array(structure._index)[structure.carrier.add_table]
     cells = cell.tolist()
     label_cols = [tuple(row[j] for row in f.outputs) for j in range(m2)]
 

@@ -6,20 +6,20 @@ encoding is a bijection with range(q), q = p^n, and reduces to plain integers
 mod p when n = 1.
 
 Every carrier, F_q here and Z_n in rings.py, answers add/sub/neg/mul from
-dense add and mul tables plus a neg vector (TableCarrier).  A field walks
-the powers of its generator once, through a times-g map computed on base-p
-digits; that walk is both its acceptance test and its exp and log tables.
-The add table comes from base-p digits and the mul table from the log
-tables; afterwards the log tables serve only inverses and the d-th-power
-randomizers.
-Everything is immutable after construction, so specs are safe to share
+dense add and mul tables plus a neg vector (TableCarrier), each one
+read-only numpy array in table_dtype(size) that vector code indexes
+directly.  A field walks the powers of its generator once, through a
+times-g map computed on base-p digits; that walk is both its acceptance
+test and its exp and log tables.  The add table comes from base-p digits
+and the mul table from the log tables; afterwards the exp and log tables
+serve only inverses and the d-th-power randomizers.
+Nothing can be written after construction, so specs are safe to share
 across threads.
 """
 
 from __future__ import annotations
 
 import functools
-from array import array
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -106,23 +106,19 @@ def table_dtype(size: int):
     return np.uint8 if size <= 1 << 8 else np.uint16 if size <= 1 << 16 else np.uint32
 
 
-def _row(values: np.ndarray):
-    # bytes or array('H'): one or two bytes per entry, Python ints on lookup
-    return values.tobytes() if values.dtype == np.uint8 else array("H", values.tobytes())
-
-
-def carrier_tables(add: np.ndarray, mul: np.ndarray):
-    """(add_table, neg_table, mul_table) in TableCarrier's storage, from
-    dense numpy add and mul tables of one carrier."""
-    neg = (add == 0).argmax(axis=1).astype(add.dtype)
-    return [_row(r) for r in add], _row(neg), [_row(r) for r in mul]
+def read_only(table: np.ndarray) -> np.ndarray:
+    """table, made read-only in place: carrier tables are built once and
+    shared by every structure over the carrier."""
+    table.flags.writeable = False
+    return table
 
 
 class TableCarrier:
     """Carrier arithmetic read from dense tables built once per carrier.
 
-    Subclasses set add_table and mul_table (one row per element) and
-    neg_table, as made by carrier_tables; every lookup is a Python int.
+    Subclasses set add_table and mul_table (size x size) and neg_table
+    (size), each one read-only numpy array in table_dtype(size).  Vector
+    code indexes them directly; the scalar ops return Python ints.
     """
 
     @property
@@ -143,35 +139,16 @@ class TableCarrier:
         return jsonout.strings(self.names)
 
     def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
+        return self.add_table.item(a, b)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
+        return self.add_table.item(a, self.neg_table.item(b))
 
     def neg(self, a: int) -> int:
-        return self.neg_table[a]
+        return self.neg_table.item(a)
 
     def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def add_array(self) -> np.ndarray:
-        """The add table as a read-only numpy copy, entries in
-        table_dtype(size)."""
-        q = self.size
-        return np.frombuffer(b"".join(self.add_table), table_dtype(q)).reshape(q, q)
-
-    def arrays(self):
-        """(add, neg, mul) as read-only numpy copies, entries in
-        table_dtype(size)."""
-        q = self.size
-        neg = np.frombuffer(bytes(self.neg_table), table_dtype(q))
-        return self.add_array(), neg, self.mul_rows(range(q))
-
-    def mul_rows(self, members) -> np.ndarray:
-        """The mul-table rows of members, one per member, as a read-only
-        numpy copy with entries in table_dtype(size)."""
-        rows = b"".join(self.mul_table[a] for a in members)
-        return np.frombuffer(rows, table_dtype(self.size)).reshape(-1, self.size)
+        return self.mul_table.item(a, b)
 
     def is_unit_subgroup(self, members) -> bool:
         """True when members are distinct units closed under mul.  A
@@ -179,7 +156,7 @@ class TableCarrier:
         s = [int(a) for a in members]
         if not s or len(set(s)) != len(s) or not all(0 <= a < self.size for a in s):
             return False
-        rows = self.mul_rows(s)
+        rows = self.mul_table[s]
         inside = np.zeros(self.size, bool)
         inside[s] = True
         # a is a unit iff 1 is in its row
@@ -194,10 +171,11 @@ class FieldSpec(TableCarrier):
     """A concrete F_{p^n}: irreducible modulus h, primitive element g.
 
     The walk of g's powers refuses an (h, g) before any table is built, and
-    otherwise gives the exponentiation and discrete-log tables of all of
-    F_q^x; they build the mul table and serve exp/dlog/inv.  The add table
-    comes from base-p digits.  At q = 4096 each table has 16,777,216
-    two-byte entries.  Do not mutate anything after construction.
+    otherwise gives exp_table (g^k for k < q - 1) and log_table (the
+    discrete log of each nonzero element; 0 at 0); they build the mul table
+    and serve exp/dlog/inv.  The add table comes from base-p digits.  All
+    are read-only arrays in table_dtype(q); at q = 4096 the add and mul
+    tables have 16,777,216 two-byte entries each.
     """
 
     kind = "field"
@@ -226,9 +204,11 @@ class FieldSpec(TableCarrier):
 
     def _build_tables(self, exp):
         p, n, q = self.p, self.n, self.q
-        self._exp = exp.tolist()
-        self._dlog = {e: k for k, e in enumerate(self._exp)}
         dt = table_dtype(q)
+        log = np.zeros(q, np.intp)
+        log[exp] = np.arange(q - 1)
+        self.exp_table = read_only(exp.astype(dt))
+        self.log_table = read_only(log.astype(dt))
         # add: one base-p digit at a time, each new digit the most significant;
         # row i of digit_add is i, i + 1, ..., a window of two periods mod p
         digit_add = sliding_window_view(np.tile(np.arange(p, dtype=dt), 2), p)[:p]
@@ -236,35 +216,31 @@ class FieldSpec(TableCarrier):
         for k in range(n):
             s = p ** k
             add = (digit_add[:, None, :, None] * s + add[None, :, None, :]).reshape(s * p, s * p)
-        # each table becomes rows before the next is built, so at most one
-        # numpy table lives next to the rows
-        self.neg_table = _row((add == 0).argmax(axis=1).astype(dt))
-        self.add_table = [_row(r) for r in add]
-        del add
+        self.add_table = read_only(add)
+        self.neg_table = read_only((add == 0).argmax(axis=1).astype(dt))
         # mul: g^i * g^j = g^(i+j), so the row of g^i is the window of exp
         # from i on, read at the columns' logs; the row and column of 0 are 0
-        log = np.zeros(q, np.intp)
-        log[exp] = np.arange(q - 1)
-        windows = sliding_window_view(np.tile(np.asarray(exp, dt), 2), q - 1)
+        windows = sliding_window_view(np.tile(self.exp_table, 2), q - 1)
+        mul = np.zeros((q, q), dt)
         block = max(1, (1 << 18) // q)  # rows per gather, so temporaries stay small
-        self.mul_table = [_row(np.zeros(q, dt))]
         for lo in range(1, q, block):
-            rows = windows[log[lo : lo + block]].take(log, axis=1)
+            rows = mul[lo : lo + block]
+            windows[log[lo : lo + block]].take(log, axis=1, out=rows)
             rows[:, 0] = 0
-            self.mul_table += map(_row, rows)
+        self.mul_table = read_only(mul)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        return self._exp[(-self._dlog[a]) % (self.q - 1)]
+        return self.exp_table.item(-self.log_table.item(a) % (self.q - 1))
 
     def dlog(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("discrete log of 0")
-        return self._dlog[a]
+        return self.log_table.item(a)
 
     def exp(self, k: int) -> int:
-        return self._exp[k % (self.q - 1)]
+        return self.exp_table.item(k % (self.q - 1))
 
     # -- presentation ------------------------------------------------------
 
@@ -315,8 +291,9 @@ def field_make(p: int, n: int) -> FieldSpec:
     if n == 1:
         candidates = (((0, 1), g) for g in range(1, p))
     else:
-        # h = x^n + (the polynomial of enc), whose encoding is p^n + enc
-        candidates = ((_enc_to_poly(p**n + enc, p), p) for enc in range(p**n))
+        # h = x^n + (the polynomial of enc), whose encoding is p^n + enc; an
+        # h with h_0 = enc % p = 0 is divisible by x, which is then no unit
+        candidates = ((_enc_to_poly(p**n + enc, p), p) for enc in range(p**n) if enc % p)
     for h, g in candidates:
         try:  # a refused (h, g) fails in the walk, before any table exists
             return FieldSpec(p, n, h, g)

@@ -1,13 +1,13 @@
 """Z_n arithmetic: unit subgroups and subgroup projection.
 
 Z_n computes through the same table-backed arithmetic as the fields
-(fields.TableCarrier).  A RingSpec is the carrier alone, built once per
-modulus like a FieldSpec; a unit subgroup G enters only in the structure
-built over it, and the tables live as long as those structures.  The
-interesting structure lives in the multiplicative group Z_n^x and its
-subgroups.  Subgroups are enumerated by cyclic extension, joining known
-subgroups with cyclic subgroups of prime-power order; at the size bound
-(n <= 512) that is plenty.
+(fields.TableCarrier): read-only numpy add, neg and mul tables.  A RingSpec
+is the carrier alone, built once per modulus like a FieldSpec; a unit
+subgroup G enters only in the structure built over it, and the tables live
+as long as those structures.  The interesting structure lives in the
+multiplicative group Z_n^x and its subgroups.  Subgroups are enumerated by
+cyclic extension, joining known subgroups with cyclic subgroups of
+prime-power order; at the size bound (n <= 512) that is plenty.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import LemmaViolation, SizeBoundExceeded
-from .fields import TableCarrier, carrier_tables, table_dtype
+from .fields import TableCarrier, read_only, table_dtype
 from .rates import factorize
 
 MAX_N = 512
@@ -50,9 +50,9 @@ class RingSpec(TableCarrier):
         self.n = n
         x = np.arange(n)
         dt = table_dtype(n)
-        self.add_table, self.neg_table, self.mul_table = carrier_tables(
-            ((x[:, None] + x) % n).astype(dt), ((x[:, None] * x) % n).astype(dt)
-        )
+        self.add_table = read_only(((x[:, None] + x) % n).astype(dt))
+        self.neg_table = read_only((-x % n).astype(dt))
+        self.mul_table = read_only(((x[:, None] * x) % n).astype(dt))
 
     def render(self, a: int) -> str:
         return str(a)
@@ -66,8 +66,10 @@ class RingSpec(TableCarrier):
 
 def closure_subgroups(table, identity: int, elements) -> list[tuple[int, ...]]:
     """All subgroups of a finite abelian group, given by its operation table
-    and its elements (the identity may be left out), ordered by (size,
-    members).
+    (a carrier's numpy add or mul table) and its elements (the identity may
+    be left out), ordered by (size, members).  Only the rows of the group's
+    elements are read, each through a memoryview, so the walk sees Python
+    ints.
 
     Cyclic extension: a subgroup K > 1 has a subgroup H of prime index p,
     and then K is the join of H and some <z> with z in K of p-power order and
@@ -75,13 +77,15 @@ def closure_subgroups(table, identity: int, elements) -> list[tuple[int, ...]]:
     cyclic subgroup of prime-power order, reach every subgroup.  The group is
     abelian, so each join is the product set of H and {1, z, ..., z^(p-1)}.
     """
+    elements = list(elements)
+    row_of = {x: memoryview(table[x]) for x in [identity, *elements]}
     cyclic = []  # (z, z^p, getter of 1, z, ..., z^(p-1)) per cyclic subgroup of p-power order
     seen = set()  # generators of every cyclic subgroup already walked
     for x in elements:
         if x in seen:
             continue
         powers = [identity]
-        row = table[x]
+        row = row_of[x]
         y = x
         while y != identity:
             powers.append(y)
@@ -97,7 +101,7 @@ def closure_subgroups(table, identity: int, elements) -> list[tuple[int, ...]]:
     queue = [trivial]
     while queue:
         H = queue.pop()
-        rows = [table[h] for h in H]
+        rows = [row_of[h] for h in H]
         for z, zp, coset_reps in cyclic:
             if z in H or zp not in H:
                 continue

@@ -108,9 +108,9 @@ def masked_values(carrier, atoms, mapping, subtract: bool) -> np.ndarray:
     """gamma * mapping[w] + z, or - z when subtract, for every input w and
     atom (gamma, z): an (inputs, atoms) array read from the carrier's add,
     neg and mul tables."""
-    add, neg, mul = carrier.arrays()
     g, z = np.array(atoms, np.intp).T
-    return add[mul[g, np.array(mapping, np.intp)[:, None]], neg[z] if subtract else z]
+    x = carrier.mul_table[g, np.array(mapping, np.intp)[:, None]]
+    return carrier.add_table[x, carrier.neg_table[z] if subtract else z]
 
 
 class _MaskedSumEncoder:
@@ -150,8 +150,8 @@ def optimize_additive_randomness(exp: FeasibleExpansion, all_subsets: bool = Fal
     candidates: list[tuple[int, tuple[int, ...]]] = []  # (tier, support)
     seen = set()
     for H in closure_subgroups(carrier.add_table, 0, range(1, carrier.size)):
-        for c in carrier.elements():
-            coset = tuple(sorted(carrier.add(h, c) for h in H))
+        # column c of H's add rows is the coset H + c
+        for coset in map(tuple, np.sort(carrier.add_table[list(H)], axis=0).T.tolist()):
             if coset not in seen:
                 seen.add(coset)
                 candidates.append((0, coset))
@@ -245,9 +245,9 @@ class _CrtEncoder:
         self.block = 1
         for fs in fields:
             q = fs.q
-            add, _, mul = fs.arrays()
             r = np.arange((q - 1) * q)
-            self.tables.append((q, self.block, add[mul[r // q + 1], (r % q)[:, None]].ravel()))
+            table = fs.add_table[fs.mul_table[r // q + 1], (r % q)[:, None]].ravel()
+            self.tables.append((q, self.block, table))
             self.block *= (q - 1) * q
         self.atoms = range(factorial(m) * self.block)
 

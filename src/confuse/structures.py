@@ -42,7 +42,7 @@ class ConfusableStructure:
         self.provenance = provenance or {}
         self.trivial = trivial
         # the orbit of a is column a of S*'s mul rows; its least member names it
-        least = carrier.mul_rows(sstar).min(axis=0)
+        least = carrier.mul_table[sstar].min(axis=0)
         reps = np.flatnonzero(least == np.arange(carrier.size))
         self._index = np.searchsorted(reps, least).tolist()
         sets = [[] for _ in reps]
@@ -111,7 +111,7 @@ def field_confusable_sets(spec: FieldSpec, d: int) -> ConfusableStructure:
     b = (q - 1) // d
     return ConfusableStructure(
         spec,
-        [spec.exp(j * d) for j in range(b)],
+        spec.exp_table[::d],
         provenance={"kind": "field", "d": d},
         trivial=(d == 1 or b == 1),
         verified=True,  # the d-th powers of the generator whose power walk FieldSpec accepted

@@ -17,12 +17,17 @@ from confuse.blockcode import block_decode, block_encode
 from confuse.fields import field_make
 
 
+def cell_table(structure) -> list[list[int]]:
+    """index_of(a + b) for every pair (a, b), as nested lists read once from
+    the carrier's add table."""
+    return np.array(structure._index)[structure.carrier.add_table].tolist()
+
+
 def brute_force_expansion_exists(f, structure) -> bool:
     """Existence of a feasible embedding by scanning every injective map pair
     and checking whether the cell partition admits an invertible labeling."""
     size = structure.size
-    add = structure.carrier.add
-    index_of = structure._index
+    cells = cell_table(structure)
     for map1 in itertools.permutations(range(size), f.m1):
         for map2 in itertools.permutations(range(size), f.m2):
             set_to_label = {}
@@ -30,7 +35,7 @@ def brute_force_expansion_exists(f, structure) -> bool:
             ok = True
             for i, a in enumerate(map1):
                 for j, b in enumerate(map2):
-                    idx = index_of[add(a, b)]
+                    idx = cells[a][b]
                     label = f.outputs[i][j]
                     if set_to_label.get(idx, label) != label or label_to_set.get(label, idx) != idx:
                         ok = False
@@ -65,16 +70,12 @@ def feasible_partitions(structure, m1: int, m2: int) -> set[tuple[int, ...]]:
     table-independent work hoisted out.
     """
     size = structure.size
-    add = structure.carrier.add
-    index_of = structure._index
+    cells = cell_table(structure)
     out = set()
     for map1 in itertools.permutations(range(size), m1):
+        rows = [cells[a] for a in map1]
         for map2 in itertools.permutations(range(size), m2):
-            cells = []
-            for a in map1:
-                for b in map2:
-                    cells.append(index_of[add(a, b)])
-            out.add(canonical_cell_partition(cells))
+            out.add(canonical_cell_partition([row[b] for row in rows for b in map2]))
     return out
 
 
@@ -84,13 +85,13 @@ def _first_map_pairs(structure, m1: int, m2: int) -> dict:
     injective map pairs in itertools.permutations order (map1 outer), which
     is lexicographic in map1 + map2."""
     size = structure.size
-    add = structure.carrier.add
-    index_of = structure._index
+    cells = cell_table(structure)
     first: dict = {}
     for map1 in itertools.permutations(range(size), m1):
+        rows = [cells[a] for a in map1]
         for map2 in itertools.permutations(range(size), m2):
-            cells = [index_of[add(a, b)] for a in map1 for b in map2]
-            first.setdefault(canonical_cell_partition(cells), (map1, map2))
+            partition = canonical_cell_partition([row[b] for row in rows for b in map2])
+            first.setdefault(partition, (map1, map2))
     return first
 
 

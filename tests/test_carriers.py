@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from confuse.fields import field_make, prime_power
+from confuse.fields import field_make, prime_power, table_dtype
 from confuse.rings import RingSpec
 from confuse.structures import catalog_rings
 from oracles import field_arithmetic, ring_arithmetic
@@ -49,18 +49,41 @@ def test_two_byte_fields_match_oracle_on_a_sample(q):
     rng = random.Random(q)
     pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)]
     _agrees(fs, field_arithmetic(fs.p, fs.n, fs.h), pairs)
-    assert all(a.dtype == np.uint16 for a in fs.arrays())
+    assert all(t.dtype == np.uint16 for t in (fs.add_table, fs.neg_table, fs.mul_table))
 
 
-@pytest.mark.parametrize("carrier", [field_make(2, 3), field_make(7, 1), RingSpec(12)])
-def test_arrays_copy_the_scalar_tables(carrier):
-    add, neg, mul = carrier.arrays()
+def _scalar(got, entry):
+    assert type(got) is int and got == entry, (got, entry)
+
+
+@pytest.mark.parametrize("carrier", [field_make(2, 3), field_make(7, 1), RingSpec(12), field_make(17, 2)],
+                         ids=["F_8", "F_7", "Z_12", "F_289"])
+def test_tables_are_read_only_arrays_behind_the_scalar_ops(carrier):
     size = carrier.size
-    assert add.dtype == neg.dtype == mul.dtype == np.uint8
-    for a in range(size):
-        assert neg[a] == carrier.neg(a)
-        for b in range(size):
-            assert (add[a, b], mul[a, b]) == (carrier.add(a, b), carrier.mul(a, b))
+    tables = {"add_table": (size, size), "neg_table": (size,), "mul_table": (size, size)}
+    if carrier.kind == "field":
+        tables |= {"exp_table": (size - 1,), "log_table": (size,)}
+    for name, shape in tables.items():
+        t = getattr(carrier, name)
+        assert type(t) is np.ndarray and t.dtype == table_dtype(size) and t.shape == shape, name
+        with pytest.raises(ValueError):
+            t[(0,) * t.ndim] = 1
+    add, neg, mul = carrier.add_table, carrier.neg_table, carrier.mul_table
+    rng = random.Random(size)
+    sample = range(size) if size <= 64 else sorted(rng.sample(range(size), 40))
+    for a in sample:
+        _scalar(carrier.neg(a), neg[a])
+        for b in sample:
+            _scalar(carrier.add(a, b), add[a, b])
+            _scalar(carrier.sub(a, b), add[a, neg[b]])
+            _scalar(carrier.mul(a, b), mul[a, b])
+    if carrier.kind == "field":
+        for k in range(size - 1):
+            _scalar(carrier.exp(k), carrier.exp_table[k])
+        for a in range(1, size):
+            _scalar(carrier.dlog(a), carrier.log_table[a])
+            _scalar(carrier.inv(a), carrier.exp_table[-int(carrier.log_table[a]) % (size - 1)])
+            assert carrier.mul(a, carrier.inv(a)) == 1
 
 
 def test_structures_of_one_modulus_share_one_carrier():

@@ -179,8 +179,9 @@ def test_render():
 
 
 def test_largest_field_builds_within_a_memory_bound():
-    # F_4096's add and mul rows hold 32 MiB each; building them must not keep
-    # full numpy copies alongside (133 MiB peak before the rows-first build)
+    # F_4096's add and mul tables hold 32 MiB each; building them must keep
+    # no full-size copies alongside (133 MiB peak when it once did; 65 MiB
+    # with the mul table gathered a block of rows at a time)
     code = (
         "import tracemalloc\n"
         "from confuse.fields import field_make\n"
@@ -208,11 +209,31 @@ def test_refused_field_fails_before_any_table():
     assert peak < 2 * 2**20
 
 
+def test_field_make_walks_no_modulus_divisible_by_x(monkeypatch):
+    # x divides an h with h_0 = 0, so x is no unit mod h and the walk would
+    # refuse it; field_make never builds such a candidate
+    from confuse import fields
+
+    walked = []
+    powers = fields._powers
+
+    def spy(p, n, h, g):
+        walked.append(h)
+        return powers(p, n, h, g)
+
+    monkeypatch.setattr(fields, "_powers", spy)
+    for p, n in [(2, 12), (2, 8), (3, 5), (5, 3), (7, 2), (61, 2)]:
+        walked.clear()
+        fs = field_make(p, n)
+        assert walked[-1] == fs.h and all(h[0] != 0 for h in walked), (p, n)
+
+
 def test_canonical_fields_match_pinned_digest():
     outer = hashlib.sha256()
     for q in PINNED_Q:
         fs = field_make(*prime_power(q))
-        tables = hashlib.sha256(b"".join(t.tobytes() for t in fs.arrays())).hexdigest()
+        arrays = (fs.add_table, fs.neg_table, fs.mul_table)
+        tables = hashlib.sha256(b"".join(t.tobytes() for t in arrays)).hexdigest()
         record = [fs.to_json(), tables, fs.render_h(), [fs.render(a) for a in range(min(q, 50))]]
         outer.update(json.dumps(record).encode())
     assert outer.hexdigest() == PINNED_FIELDS_DIGEST

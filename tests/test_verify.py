@@ -553,9 +553,9 @@ def _crt_pinned_gamma(m: int, factor: int, gamma: int):
     leaves it correct, gamma = 0 sends every residue of that factor to z."""
     scheme = crt_equal_scheme(m)
     q, stride, table = scheme.enc1.tables[factor]
-    add, _, mul = field_make(*scheme.meta["factors"][factor]).arrays()
+    fs = field_make(*scheme.meta["factors"][factor])
     i = np.arange(len(table))
-    scheme.enc1.tables[factor] = (q, stride, add[mul[gamma, i % q], (i // q) % q])
+    scheme.enc1.tables[factor] = (q, stride, fs.add_table[fs.mul_table[gamma, i % q], (i // q) % q])
     return scheme
 
 
