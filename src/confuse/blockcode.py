@@ -284,8 +284,9 @@ def make_block_spec(
     L (the formula may exceed 1 symbol per position at desk scale, where no
     compression is possible).  A is drawn entry-iid uniform from a seeded
     PCG64 stream, or the identity with identity=True, and stored in
-    table_dtype(q).  L below 1, and a given or computed rows outside 1..L,
-    raise ValueError before A is drawn."""
+    table_dtype(q).  L below 1, an epsilon that makes (H_q(U) + epsilon) * L
+    infinite or NaN, and a given or computed rows outside 1..L, raise
+    ValueError before A is drawn."""
     if L < 1:
         raise ValueError(f"L must be at least 1, got {L}")
     exp = _require_field_scheme(base)
@@ -293,6 +294,8 @@ def make_block_spec(
     if input_dist is None:
         input_dist = uniform_input_dist(base)
     report = entropy_of_U(base, input_dist)
+    if not math.isfinite((report.H_qary + epsilon) * L):
+        raise ValueError(f"epsilon must keep (H_q(U) + epsilon) * L finite, got {epsilon}")
     if rows is None:
         rows = L if identity else min(L, math.ceil((report.H_qary + epsilon) * L))
     if not 1 <= rows <= L:
@@ -545,7 +548,7 @@ def block_security_check(base, f: FunctionTable, L_small: int, A: np.ndarray) ->
         weights=None,
         enc1=_BlockEncoder(fs, A, w1_vecs, exp.map1, atoms, vec_atoms, subtract=False),
         enc2=_BlockEncoder(fs, A, w2_vecs, exp.map2, atoms, vec_atoms, subtract=True),
-        dec=lambda x1, x2: 0,
+        dec=lambda c1, c2: np.zeros(np.broadcast(c1, c2).shape, np.int64),  # security only
         rate1=rate,
         rate2=rate,
         kind="block",

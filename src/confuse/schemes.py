@@ -9,14 +9,15 @@ array i, read from arrays: crt-equal's mixed-radix split of an atom index,
 the masked-sum scheme's gather from the carrier's add and mul tables, the
 row-mask baseline's gather from arrays of permutations, masks and outputs,
 and a loaded scheme's stored mixed-radix codes.  Each also takes one atom
-per call, computed from the atom itself, the oracle the tests check the
-batch form against; only caller-supplied callables are tabulated that way.
-The serializer reads its alphabets from the codebooks and each atom's
-codeword from the ids, and the optimized rates are the codebook sizes.
-Supports past MAX_ATOMS_MATERIALIZED atoms are refused before anything is
-tabulated, and the row-mask baseline refuses one before building it.
-crt-equal's encoder also carries the verifier's reduced per-pair support,
-so it is verified without enumerating permutations.
+per call, the oracle the tests check the batch form against.  dec reads
+int64 code arrays (first position most significant) into int64 labels, -1
+where no input pair lands.  The serializer reads its alphabets from the
+codebooks, each atom's codeword from the ids and its decoder rows from one
+dec call; the optimized rates are the codebook sizes.  Supports past
+MAX_ATOMS_MATERIALIZED atoms are refused before anything is tabulated, and
+the row-mask baseline refuses one before building it.  crt-equal's encoder
+also carries the verifier's reduced per-pair support, so it is verified
+without enumerating permutations.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, SizeBoundExceeded, TotalityError, Undecodable
+from .errors import SchemaError, SizeBoundExceeded, TotalityError
 from .expansion import FeasibleExpansion, FunctionTable
 from .fields import field_make, table_dtype
 from .rates import Rate, factorize
 from .rings import closure_subgroups
-from .verify import MAX_ATOMS_MATERIALIZED, MAX_PAIR_SUPPORT, _enc_tables, verify_secure
+from .verify import MAX_ATOMS_MATERIALIZED, MAX_PAIR_SUPPORT, _codewords, _enc_tables, verify_secure
 
 
 @dataclass
@@ -60,7 +61,7 @@ class Scheme:
 
 def scheme_from_expansion(exp: FeasibleExpansion, z_values=None) -> Scheme:
     """X1 = gamma * map1[W1] + z, X2 = gamma * map2[W2] - z; the decoder adds
-    the codewords and reads the confusable-set index.
+    the codewords and reads the label of the sum's confusable set.
 
     gamma is uniform over the structure's randomizer; z is uniform over
     z_values (the whole carrier by default).  With z_values given, the rates
@@ -70,16 +71,14 @@ def scheme_from_expansion(exp: FeasibleExpansion, z_values=None) -> Scheme:
     carrier = st.carrier
     zs = list(carrier.elements()) if z_values is None else sorted(z_values)
     atoms = [(g, z) for g in st.randomizer for z in zs]
-    map1, map2, out_map = exp.map1, exp.map2, dict(exp.out_map)
-    add = carrier.add
+    map1, map2 = exp.map1, exp.map2
     enc1 = _MaskedSumEncoder(carrier, atoms, map1, subtract=False)
     enc2 = _MaskedSumEncoder(carrier, atoms, map2, subtract=True)
+    # each element's label: its confusable set's, or -1 in a set no input pair reaches
+    cell = np.array([exp.out_map.get(st.index_of(a), -1) for a in carrier.elements()], np.int64)
 
-    def dec(x1, x2):
-        index = st.index_of(add(x1[0], x2[0]))
-        if index not in out_map:
-            raise Undecodable(f"the sum lies in confusable set {index}, which no input pair reaches")
-        return out_map[index]
+    def dec(c1, c2):
+        return cell[carrier.add_table[c1, c2]]
 
     full = z_values is None
     rate = Rate.log2(carrier.size)
@@ -180,7 +179,7 @@ def crt_equal_scheme(m: int) -> Scheme:
     Both inputs pass through one shared uniform permutation of {0..m-1}; each
     prime-power factor q of m gets its own field F_q where the residue mod q
     is scaled by a unit gamma and masked by z (the same mask on both sides).
-    The decoder declares equality iff the codeword tuples agree, which the
+    The decoder declares equality iff the codewords agree, which the
     residue decomposition makes exact.
 
     The encoder carries the verifier's reduced per-pair support, so nothing
@@ -203,8 +202,8 @@ def crt_equal_scheme(m: int) -> Scheme:
         )
     encode = _CrtEncoder(m, [field_make(p, k) for p, k in factors])
 
-    def dec(x1, x2):
-        return 1 if x1 == x2 else 0
+    def dec(c1, c2):
+        return np.equal(c1, c2).astype(np.int64)
 
     rate = Rate.log2(m)
     return Scheme(
@@ -369,9 +368,11 @@ def row_mask_baseline(f: FunctionTable) -> Scheme:
     enc2 = _RowMaskEncoder(bob.reshape(f.m2, len(atoms), m1).transpose(0, 2, 1), (k,) * m1,
                            atoms, f.outputs, k, bob=True)
 
-    def dec(x1, x2):
-        pos, mask = x1
-        return (x2[pos] - mask) % k
+    def dec(c1, c2):
+        # Alice's code is pos * k + mask; Bob's slot pos is his digit of
+        # place value k^(m1 - 1 - pos)
+        pos, mask = np.divmod(c1, k)
+        return (c2 // k ** (m1 - 1 - pos) - mask) % k
 
     return Scheme(
         m1=m1,
@@ -460,21 +461,30 @@ class _TableEncoder:
         return tuple(int(s) for s in self.symbols(w, self._index[atom]))
 
 
+def _codes(values, shape: tuple, alphabets: list):
+    """values as the mixed-radix codes over alphabets of an integer array of
+    shape + (len(alphabets),) with every symbol inside its alphabet (bool
+    symbols are ints), read with one np.array; None for any other."""
+    try:
+        arr = np.array(values)
+    except (ValueError, OverflowError):  # ragged rows
+        return None
+    if (arr.shape != shape + (len(alphabets),) or arr.dtype.kind not in "biu"
+            or not ((arr >= 0) & (arr < np.array(alphabets))).all()):
+        return None
+    return np.ravel_multi_index(np.moveaxis(arr, -1, 0).astype(np.int64), alphabets)
+
+
 def _read_codes(table, name: str, m: int, n_atoms: int, alphabets: list) -> np.ndarray:
     """An encoder table's (m, n_atoms) mixed-radix codes.  One np.array
     reads a well-formed table; any other goes through the per-codeword
     checks, which raise the SchemaError or TotalityError it deserves, or
-    accept it (bool symbols are ints)."""
-    try:
-        arr = np.array(table)
-    except (ValueError, OverflowError):  # ragged rows
-        arr = None
-    ok = (arr is not None and arr.shape == (m, n_atoms, len(alphabets)) and arr.dtype.kind == "i"
-          and (arr >= 0).all() and (arr < np.array(alphabets)).all())
-    if not ok:
+    accept it."""
+    codes = _codes(table, (m, n_atoms), alphabets)
+    if codes is None:
         _check_codewords(table, name, m, n_atoms, alphabets)
-        arr = np.array(table, np.int64)
-    return np.ravel_multi_index(np.moveaxis(arr, -1, 0), alphabets)
+        codes = _codes(np.array(table, np.int64), (m, n_atoms), alphabets)
+    return codes
 
 
 def _check_codewords(table, name: str, m: int, n_atoms: int, alphabets: list) -> None:
@@ -491,11 +501,45 @@ def _check_codewords(table, name: str, m: int, n_atoms: int, alphabets: list) ->
                     raise SchemaError(f"{name}[{w}] symbol {s} outside alphabet of size {size}")
 
 
+def _read_dec(rows, alph1: list, alph2: list) -> np.ndarray:
+    """The decoder table, an int64 label per (code1, code2), from dec rows
+    {x1, x2, f} read with one np.array per field.  A row that is not such an
+    object, a codeword outside the alphabets, a label that is not an int64
+    integer, and a second row for one pair raise SchemaError; a pair without
+    a row TotalityError."""
+    if not isinstance(rows, list):
+        raise SchemaError("dec must be a list of {x1, x2, f} rows")
+    n1, n2 = prod(alph1), prod(alph2)
+    # a total decoder has a row per codeword pair; checked before any row is read
+    if n1 * n2 > len(rows):
+        raise TotalityError(f"dec has {len(rows)} rows for {n1 * n2} codeword pairs")
+    try:
+        x1, x2, labels = ([row[k] for row in rows] for k in ("x1", "x2", "f"))
+    except (TypeError, KeyError) as e:
+        raise SchemaError("every dec row must be an object with x1, x2 and f") from e
+    codes1, codes2 = _codes(x1, (len(rows),), alph1), _codes(x2, (len(rows),), alph2)
+    if codes1 is None or codes2 is None:
+        raise SchemaError("every dec row's x1 and x2 must be codewords over the alphabets")
+    if not all(isinstance(v, int) and -(2**63) <= v < 2**63 for v in labels):
+        raise SchemaError("dec outputs must be integers of at most 64 bits")
+    keys = codes1 * n2 + codes2
+    per_pair = np.bincount(keys, minlength=n1 * n2)
+    for bad, error, what in ((per_pair > 1, SchemaError, "duplicate dec row"),
+                             (per_pair == 0, TotalityError, "dec undefined")):
+        if bad.any():
+            c1, c2 = divmod(int(bad.argmax()), n2)
+            raise error(f"{what} for {_codewords([c1], alph1) + _codewords([c2], alph2)}")
+    table = np.empty(n1 * n2, np.int64)
+    table[keys] = labels
+    return table.reshape(n1, n2)
+
+
 def load_custom_scheme(source) -> Scheme:
     """Load a fully tabulated scheme from a JSON file path, file object, or
     already-parsed dict.  Raises SchemaError on malformed input and
     TotalityError when an encoder or decoder table has holes.  Each encoder
-    table is stored as mixed-radix codes over its alphabets."""
+    table is stored as mixed-radix codes over its alphabets, and the
+    decoder as a table over both parties' codes."""
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
             obj = json.load(fh)
@@ -516,15 +560,7 @@ def load_custom_scheme(source) -> Scheme:
     for a in (alph1, alph2):
         if not (isinstance(a, list) and a and all(isinstance(s, int) and s >= 1 for s in a)):
             raise SchemaError("alphabets must be non-empty lists of positive sizes")
-    dec_rows = obj["dec"]
-    if not isinstance(dec_rows, list):
-        raise SchemaError("dec must be a list of {x1, x2, f} rows")
-    # a total decoder has a row per codeword pair; checked before the
-    # alphabets' codes are formed or their pairs enumerated
-    if prod(alph1) * prod(alph2) > len(dec_rows):
-        raise TotalityError(
-            f"dec has {len(dec_rows)} rows for {prod(alph1) * prod(alph2)} codeword pairs"
-        )
+    table = _read_dec(obj["dec"], alph1, alph2)
     support = obj["z_support"]
     if not isinstance(support, list) or not support:
         raise SchemaError("z_support must be a non-empty list")
@@ -545,35 +581,9 @@ def load_custom_scheme(source) -> Scheme:
     codes1 = _read_codes(obj["enc1"], "enc1", m1, len(atoms), alph1)
     codes2 = _read_codes(obj["enc2"], "enc2", m2, len(atoms), alph2)
 
-    dec_map = {}
-    for row in dec_rows:
-        try:
-            key = (tuple(row["x1"]), tuple(row["x2"]))
-            val = row["f"]
-            duplicate = key in dec_map  # a list or object as a symbol is unhashable
-        except (TypeError, KeyError) as e:
-            raise SchemaError(f"bad dec row {row!r}") from e
-        if not isinstance(val, int):
-            raise SchemaError("dec outputs must be integers")
-        if duplicate:
-            raise SchemaError(f"duplicate dec row for {key}")
-        dec_map[key] = val
-    all_x1 = list(itertools.product(*(range(s) for s in alph1)))
-    all_x2 = list(itertools.product(*(range(s) for s in alph2)))
-    for x1 in all_x1:
-        for x2 in all_x2:
-            if (x1, x2) not in dec_map:
-                raise TotalityError(f"dec undefined on {(x1, x2)}")
+    def dec(c1, c2):
+        return table[c1, c2]
 
-    def dec(x1, x2):
-        return dec_map[(x1, x2)]
-
-    rate1 = Rate.zero()
-    for s in alph1:
-        rate1 = rate1 + Rate.log2(s)
-    rate2 = Rate.zero()
-    for s in alph2:
-        rate2 = rate2 + Rate.log2(s)
     uniform = all(w == weights[0] for w in weights) and weights[0] == 1
     return Scheme(
         m1=m1,
@@ -583,8 +593,8 @@ def load_custom_scheme(source) -> Scheme:
         enc1=_TableEncoder(codes1, tuple(alph1), atoms),
         enc2=_TableEncoder(codes2, tuple(alph2), atoms),
         dec=dec,
-        rate1=rate1,
-        rate2=rate2,
+        rate1=sum(map(Rate.log2, alph1), Rate.zero()),
+        rate2=sum(map(Rate.log2, alph2), Rate.zero()),
         kind="custom",
         meta={"name": obj.get("name", "")},
     )
@@ -597,40 +607,40 @@ def serialize_scheme(scheme: Scheme, name: str = "") -> dict:
     so reloaded rates equal the range-based rates of optimized schemes.  The
     alphabets come from the verifier's codebooks and each atom's codeword
     from its id tables, shared with verify_scheme.  The decoder table is
-    total: a codeword pair that dec finds Undecodable, which no input pair
-    yields, is written as output 0.
+    total, from one dec call over every pair of compact codewords: a pair
+    dec labels -1, which no input pair yields, is written as output 0.
     """
     tables = _enc_tables(scheme)
-
-    def remap(book):
-        values = [sorted({cw[i] for cw in book}) for i in range(len(book[0]))]
-        lookup = [{v: j for j, v in enumerate(vals)} for vals in values]
-        return [[lookup[i][s] for i, s in enumerate(cw)] for cw in book], values
-
-    mapped1, values1 = remap(tables.book1)
-    mapped2, values2 = remap(tables.book2)
-    dec_rows = []
-    for idx1 in itertools.product(*(range(len(v)) for v in values1)):
-        raw1 = tuple(values1[i][s] for i, s in enumerate(idx1))
-        for idx2 in itertools.product(*(range(len(v)) for v in values2)):
-            raw2 = tuple(values2[i][s] for i, s in enumerate(idx2))
-            try:
-                label = scheme.dec(raw1, raw2)
-            except Undecodable:
-                label = 0  # no input pair yields this pair, but the table is total
-            dec_rows.append({"x1": list(idx1), "x2": list(idx2), "f": label})
+    mapped1, sizes1, raw1, x1s = _compact(tables.book1, tables.radix1)
+    mapped2, sizes2, raw2, x2s = _compact(tables.book2, tables.radix2)
+    labels = np.maximum(scheme.dec(raw1[:, None], raw2[None, :]), 0).tolist()
+    dec_rows = [{"x1": list(x1), "x2": list(x2), "f": f}
+                for x1, row in zip(x1s, labels) for x2, f in zip(x2s, row)]
     atoms, weights = tables.atoms, tables.weights.tolist()
     return {
         "name": name or scheme.kind,
         "m1": scheme.m1,
         "m2": scheme.m2,
-        "alphabets1": [len(v) for v in values1],
-        "alphabets2": [len(v) for v in values2],
+        "alphabets1": sizes1,
+        "alphabets2": sizes2,
         "z_support": [{"atom": _jsonable_atom(a), "weight": w} for a, w in zip(atoms, weights)],
         "enc1": [[list(mapped1[i]) for i in row] for row in tables.ids1.tolist()],
         "enc2": [[list(mapped2[i]) for i in row] for row in tables.ids2.tolist()],
         "dec": dec_rows,
     }
+
+
+def _compact(book: np.ndarray, radix) -> tuple:
+    """(mapped, sizes, raw, grid): a codebook over radix remapped per position
+    onto the symbols it uses, as 0..s-1: each codeword's compact symbols, the
+    compact alphabets, and every compact codeword (grid) with its code over radix."""
+    digits = np.unravel_index(book, radix)
+    values = [np.flatnonzero(np.bincount(d)) for d in digits]  # np.unique would import numpy.ma
+    sizes = [len(v) for v in values]
+    mapped = np.stack([np.searchsorted(v, d) for v, d in zip(values, digits)], axis=1).tolist()
+    grid = np.unravel_index(np.arange(prod(sizes)), sizes)
+    raw = np.ravel_multi_index([v[d] for v, d in zip(values, grid)], radix)
+    return mapped, sizes, raw, np.stack(grid, axis=1).tolist()
 
 
 def _jsonable_atom(a):

@@ -1,33 +1,35 @@
 """Exact correctness and perfect-security verification by enumeration.
 
-Each scheme is tabulated once (_enc_tables, the only code that runs a
-scheme's encoders over its support) into integer tables: per party an int32
-id table (inputs x atoms) and a codebook of the distinct codewords sorted
-lexicographically, so id order is codeword order, plus one int64 weight per
-atom (all ones when unweighted).
+Between tabulation and output a codeword is only its mixed-radix code over
+its encoder's radix (the alphabet size of each position), first position
+most significant, so code order is codeword order; tuples are rendered
+only for a security witness.  A scheme's dec takes broadcastable int64
+code arrays and returns int64 labels, -1 for a pair it cannot decode.
 
-Every scheme the program builds or loads has encoders with a batch form:
-radix, the alphabet size of each codeword position, and symbols(w, i), input
-w's codeword positions under the atoms at the index array i of enc.atoms,
-the support the encoder was built over.  _intern passes every index of the
-scheme's support at once and reads each input row as mixed-radix codes,
-first position most significant, so code order is codeword order.  Only
-caller-supplied callables, and encoders whose scheme's atoms were replaced
-after construction, are still called once per atom.
+Each scheme is tabulated once (_enc_tables, the only code that runs a
+scheme's encoders over its support) through each encoder's batch form:
+radix, and symbols(w, i), input w's codeword positions under the atoms at
+the index array i of enc.atoms, the support it was built over.  _intern
+reads every scheme atom's index in that support at once (an atom outside
+it raises SchemaError) into per party an int32 id table (inputs x atoms)
+and a codebook, the ascending int64 codes the party takes, plus one int64
+weight per atom.  The tables stay on the scheme while its atoms and
+weights are the objects they were built from.
 
 An input pair's codeword-pair distribution is its ascending int64 outcome
 keys id1 * len(book2) + id2 with exact int64 weight sums, counted once per
 pair: by np.add.at into one int64 cell per possible key when there are at
 most as many keys, len(book1) * len(book2), as support elements, and by
 sorting the elements' keys otherwise, where a dense array would dwarf the
-support.  These per-pair counts are the one interface of the correctness,
-security and leakage passes.  They come from the full tabulation, or from a
-reduced per-pair support when the scheme's shared encoder carries one
-(crt-equal): per input pair, both parties' codes and int64 weights over
-fewer images than atoms, with the same total weight, and a map from an image
-back to the least atom of the full support it stands for, so witnesses are
-those of the full support.  Such a scheme is verified without tabulating;
-the serializer and the optimized rates still read the full tabulation.
+support.  These per-pair counts are the one interface of the correctness
+(one dec call per pair, over its distinct keys), security and leakage
+passes.  They come from the full tabulation, or from a reduced per-pair
+support when the scheme's shared encoder carries one (crt-equal): per
+input pair, both parties' codes and int64 weights over fewer images than
+atoms, with the same total weight, and a map from an image back to the
+least atom of the full support it stands for, so witnesses are those of
+the full support.  Such a scheme is verified without tabulating; the
+serializer and the optimized rates still read the full tabulation.
 Supports past MAX_ATOMS_MATERIALIZED atoms, or whose total weight does not
 fit an int64, raise SizeBoundExceeded before any encoder runs; a reduced
 support's scheme constructor refuses one past MAX_PAIR_SUPPORT images per
@@ -56,12 +58,14 @@ MAX_TOTAL_WEIGHT = 2**63 - 1  # the largest int64 count
 
 class _PairCounts:
     """Per-input-pair outcome counts over a support that gives each input
-    pair one id per party into book1 and book2 and one int64 weight per
-    element: an atom of the full support, or an image of a reduced one.
-    total is the support's total weight, the same for every pair."""
+    pair one id per party into book1 and book2, the ascending codes over
+    radix1 and radix2 the parties take, and one int64 weight per element:
+    an atom of the full support, or an image of a reduced one.  total is
+    the support's total weight, the same for every pair."""
 
-    def __init__(self, book1, book2, total: int):
-        self.book1, self.book2, self.total = book1, book2, total
+    def __init__(self, book1, radix1, book2, radix2, total: int):
+        self.book1, self.radix1, self.book2, self.radix2 = book1, radix1, book2, radix2
+        self.total = total
         self._counts = {}
 
     def keys(self, w1: int, w2: int) -> np.ndarray:
@@ -95,18 +99,22 @@ class _PairCounts:
             self._counts[(w1, w2)] = pair
         return pair
 
-    def outcomes(self, keys: np.ndarray) -> list:
-        """The codeword pairs (c1, c2) that outcome keys stand for."""
+    def codes(self, keys: np.ndarray):
+        """(codes1, codes2): the code pairs that outcome keys stand for."""
         i1, i2 = np.divmod(keys, len(self.book2))
-        book1, book2 = self.book1, self.book2
-        return [(book1[a], book2[b]) for a, b in zip(i1.tolist(), i2.tolist())]
+        return self.book1[i1], self.book2[i2]
+
+    def outcomes(self, keys: np.ndarray) -> list:
+        """The codeword pairs (c1, c2) that outcome keys stand for, as tuples."""
+        codes1, codes2 = self.codes(keys)
+        return list(zip(_codewords(codes1, self.radix1), _codewords(codes2, self.radix2)))
 
 
 class EncTables(_PairCounts):
     """A scheme's encoders over its full support as integer tables."""
 
-    def __init__(self, atoms, weights, ids1, book1, ids2, book2):
-        super().__init__(book1, book2, int(weights.sum()))
+    def __init__(self, atoms, weights, ids1, book1, radix1, ids2, book2, radix2):
+        super().__init__(book1, radix1, book2, radix2, int(weights.sum()))
         self.atoms = atoms
         self.weights = weights
         self.ids1, self.ids2 = ids1, ids2
@@ -114,7 +122,7 @@ class EncTables(_PairCounts):
     def support(self, w1: int, w2: int):
         return self.ids1[w1], self.ids2[w2], self.weights
 
-    def first_failure(self, w1: int, w2: int, bad: list) -> tuple:
+    def first_failure(self, w1: int, w2: int, bad) -> tuple:
         """(atom, key): the first atom in atom order whose outcome key is
         in bad."""
         keys = self.keys(w1, w2)
@@ -131,16 +139,14 @@ class _ReducedTables(_PairCounts):
     full support's total, len(atoms)."""
 
     def __init__(self, enc):
-        book = _codewords(enc.pair_book, enc.radix)
-        super().__init__(book, book, len(enc.atoms))
+        super().__init__(enc.pair_book, enc.radix, enc.pair_book, enc.radix, len(enc.atoms))
         self.enc = enc
 
     def support(self, w1: int, w2: int):
         codes1, codes2, weights = self.enc.pair_support(w1, w2)
-        codes = self.enc.pair_book
-        return np.searchsorted(codes, codes1), np.searchsorted(codes, codes2), weights
+        return np.searchsorted(self.book1, codes1), np.searchsorted(self.book1, codes2), weights
 
-    def first_failure(self, w1: int, w2: int, bad: list) -> tuple:
+    def first_failure(self, w1: int, w2: int, bad) -> tuple:
         """(atom, key): the least full-support atom over every image whose
         outcome key is in bad; not the first such image."""
         keys = self.keys(w1, w2)
@@ -164,48 +170,31 @@ def _pair_tables(scheme) -> _PairCounts:
     return cache
 
 
-class _Ids(dict):
-    """Codeword -> id, a new codeword taking the next id on first lookup."""
-
-    def __missing__(self, codeword):
-        self[codeword] = i = len(self)
-        return i
-
-
 def _intern(enc, m: int, atoms):
-    """(ids, book): enc over inputs x atoms as int32 ids into the sorted
-    distinct codewords.  An encoder with a batch form over these very atoms
-    is read one input row at a time as lexicographic codes, ranked in
-    place; any other is called per atom and each codeword interned as it
-    returns it."""
-    if hasattr(enc, "symbols") and enc.atoms is atoms:
-        return _intern_codes(enc, m, np.arange(len(atoms)))
-    index = _Ids()
-    ids = np.empty((m, len(atoms)), np.int32)
-    for w in range(m):
-        ids[w] = [index[enc(w, a)] for a in atoms]
-    book = sorted(index)
-    rank = np.empty(len(book), np.int32)
-    rank[[index[cw] for cw in book]] = np.arange(len(book), dtype=np.int32)
-    return rank[ids], book
-
-
-def _intern_codes(enc, m: int, atoms: np.ndarray):
-    """_intern's batch path: each row's codewords as mixed-radix codes over
-    enc.radix, first position most significant, so code order is codeword
-    order; ids are the ranks of the codes present."""
+    """(ids, book): enc over inputs x atoms as int32 ids into book, the
+    ascending codes of the codewords it takes.  Each atom is read at its
+    index in enc.atoms, one input row at a time, and each row's codes are
+    ranked in place; an atom outside enc.atoms raises SchemaError."""
+    if atoms is enc.atoms:
+        indices = np.arange(len(atoms))
+    else:
+        index = {a: i for i, a in enumerate(enc.atoms)}
+        try:
+            indices = np.array([index[a] for a in atoms], np.intp)
+        except KeyError as e:
+            raise SchemaError(f"atom {e.args[0]!r} lies outside the encoder's support") from None
     radix = enc.radix
     ids = np.empty((m, len(atoms)), np.int32)
     present = np.zeros(prod(radix), bool)
     for w, row in enumerate(ids):
-        row[...] = np.ravel_multi_index(enc.symbols(w, atoms), radix)
+        row[...] = np.ravel_multi_index(enc.symbols(w, indices), radix)
         present[row] = True
-    codes = np.flatnonzero(present)
+    book = np.flatnonzero(present)
     rank = np.cumsum(present, dtype=np.int32)  # a present code's rank, plus one
     rank -= 1
     for row in ids:
         row[...] = rank[row]
-    return ids, _codewords(codes, radix)
+    return ids, book
 
 
 def _codewords(codes: np.ndarray, radix) -> list:
@@ -215,40 +204,39 @@ def _codewords(codes: np.ndarray, radix) -> list:
 
 
 def _enc_tables(scheme) -> EncTables:
-    """The scheme's EncTables, kept on the scheme (schemes are immutable
-    after construction).  Every encoder is evaluated once per (input, atom),
-    by its batch form when it has one, and a scheme whose enc2 is its enc1
-    over the same inputs is tabulated once; supports past
+    """The scheme's EncTables, kept on the scheme while its atoms and
+    weights are the objects they were built from.  Every encoder is
+    evaluated once per (input, atom) by its batch form, and a scheme whose
+    enc2 is its enc1 over the same inputs is tabulated once; supports past
     MAX_ATOMS_MATERIALIZED, or weighing more than MAX_TOTAL_WEIGHT in all,
     raise SizeBoundExceeded, and a weight below 1 SchemaError, before any
     encoder runs."""
+    atoms, given = scheme.atoms, scheme.weights
     cache = getattr(scheme, "_enc_cache", None)
-    if cache is not None:
-        return cache
-    atoms = scheme.atoms
+    if cache is not None and cache[0] is atoms and cache[1] is given:
+        return cache[2]
     if len(atoms) > MAX_ATOMS_MATERIALIZED:
         raise SizeBoundExceeded(
             f"{len(atoms)} atoms exceed the exact-verification cap of {MAX_ATOMS_MATERIALIZED}"
         )
-    if scheme.weights is not None:
+    if given is not None:
         # positive weights keep every partial sum within the total, and
         # every outcome that occurs at a nonzero count
-        if min(scheme.weights) < 1:
+        if min(given) < 1:
             raise SchemaError("weights must be positive integers")
-        if sum(scheme.weights) > MAX_TOTAL_WEIGHT:
+        if sum(given) > MAX_TOTAL_WEIGHT:
             raise SizeBoundExceeded(
-                f"total weight {sum(scheme.weights)} exceeds the int64 count bound {MAX_TOTAL_WEIGHT}"
+                f"total weight {sum(given)} exceeds the int64 count bound {MAX_TOTAL_WEIGHT}"
             )
-    ids1, book1 = _intern(scheme.enc1, scheme.m1, atoms)
-    if scheme.enc2 is scheme.enc1 and scheme.m2 == scheme.m1:
-        ids2, book2 = ids1, book1
-    else:
-        ids2, book2 = _intern(scheme.enc2, scheme.m2, atoms)
+    enc1, enc2 = scheme.enc1, scheme.enc2
+    ids1, book1 = _intern(enc1, scheme.m1, atoms)
+    ids2, book2 = ((ids1, book1) if enc2 is enc1 and scheme.m2 == scheme.m1
+                   else _intern(enc2, scheme.m2, atoms))
     # built after interning, so it never coexists with an interning scratch
-    weights = (np.ones(len(atoms), np.int64) if scheme.weights is None
-               else np.array(scheme.weights, np.int64))
-    scheme._enc_cache = EncTables(atoms, weights, ids1, book1, ids2, book2)
-    return scheme._enc_cache
+    weights = (np.ones(len(atoms), np.int64) if given is None else np.array(given, np.int64))
+    tables = EncTables(atoms, weights, ids1, book1, enc1.radix, ids2, book2, enc2.radix)
+    scheme._enc_cache = atoms, given, tables
+    return tables
 
 
 def _require_shape(scheme, f) -> None:
@@ -281,24 +269,21 @@ class SecurityResult:
 def verify_correct(scheme, f) -> CorrectnessResult:
     """dec(enc1, enc2) must reproduce f on every input pair and atom.
 
-    dec runs once per distinct outcome key of the scheme, shared by every
-    input pair it occurs in; the witness names the first pair's first atom
-    of the full support with a failing outcome."""
+    dec runs once per input pair, over that pair's distinct outcome keys;
+    the witness names the first pair's first atom of the full support with
+    a failing outcome."""
     _require_shape(scheme, f)
     t = _pair_tables(scheme)
-    dec = scheme.dec
-    decoded = {}  # outcome key -> dec of its codeword pair
     for w1 in range(f.m1):
         for w2 in range(f.m2):
             expected = f.outputs[w1][w2]
-            keys = t.counts(w1, w2)[0].tolist()
-            new = [k for k in keys if k not in decoded]
-            outcomes = t.outcomes(np.array(new, np.int64))
-            decoded.update(zip(new, [dec(c1, c2) for c1, c2 in outcomes]))
-            bad = [k for k in keys if decoded[k] != expected]
-            if bad:
+            keys = t.counts(w1, w2)[0]
+            labels = scheme.dec(*t.codes(keys))
+            bad = keys[labels != expected]
+            if len(bad):
                 atom, key = t.first_failure(w1, w2, bad)
-                return CorrectnessResult(False, (w1, w2, atom, decoded[key], expected))
+                decoded = int(labels[np.searchsorted(keys, key)])
+                return CorrectnessResult(False, (w1, w2, atom, decoded, expected))
     return CorrectnessResult(True)
 
 

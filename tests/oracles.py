@@ -15,6 +15,7 @@ import numpy as np
 
 from confuse.blockcode import block_decode, block_encode
 from confuse.fields import field_make
+from confuse.schemes import load_custom_scheme
 
 
 def cell_table(structure) -> list[list[int]]:
@@ -136,18 +137,46 @@ def all_tables(m1: int, m2: int, max_labels: int):
         yield tuple(tuple(values[i * m2 + j] for j in range(m2)) for i in range(m1))
 
 
+def code(enc, codeword) -> int:
+    """A codeword's mixed-radix code over enc.radix, first position most
+    significant: the form a scheme's dec reads."""
+    return int(np.ravel_multi_index(codeword, enc.radix))
+
+
 def brute_force_first_correctness_failure(scheme, f):
     """First (w1, w2, atom, decoded, expected) where decoding the two
-    encodings misses f, scanning input pairs then atoms in order and calling
-    the encoders and decoder afresh on every atom; None when there is none."""
+    encodings misses f, scanning input pairs then atoms in order, calling
+    the encoders afresh on every atom and the decoder on their codes; None
+    when there is none."""
     for w1 in range(f.m1):
         for w2 in range(f.m2):
             expected = f.outputs[w1][w2]
             for atom in scheme.atoms:
-                got = scheme.dec(scheme.enc1(w1, atom), scheme.enc2(w2, atom))
+                c1 = code(scheme.enc1, scheme.enc1(w1, atom))
+                c2 = code(scheme.enc2, scheme.enc2(w2, atom))
+                got = int(scheme.dec(c1, c2))
                 if got != expected:
                     return (w1, w2, atom, got, expected)
     return None
+
+
+def tabulated_scheme(m1: int, m2: int, atoms, enc1, enc2, dec, weights=None):
+    """A loaded scheme from per-atom callables: enc1(w, atom) and
+    enc2(w, atom) return codeword tuples of non-negative ints, and
+    dec(x1, x2) the label of a codeword pair.  Each encoder is called once
+    per (input, atom) and dec once per pair of the alphabets' codewords,
+    the alphabets being the smallest that hold every symbol; the scheme
+    JSON they fill goes through load_custom_scheme."""
+    tables = [[[list(enc(w, a)) for a in atoms] for w in range(m)] for enc, m in ((enc1, m1), (enc2, m2))]
+    alphabets = [[1 + max(s) for s in zip(*(cw for row in table for cw in row))] for table in tables]
+    codewords = [list(itertools.product(*map(range, alph))) for alph in alphabets]
+    return load_custom_scheme({
+        "m1": m1, "m2": m2, "alphabets1": alphabets[0], "alphabets2": alphabets[1],
+        "z_support": [{"atom": a, "weight": w} for a, w in zip(atoms, weights or [1] * len(atoms))],
+        "enc1": tables[0], "enc2": tables[1],
+        "dec": [{"x1": list(x1), "x2": list(x2), "f": dec(x1, x2)}
+                for x1 in codewords[0] for x2 in codewords[1]],
+    })
 
 
 def pair_counts(scheme, w1: int, w2: int) -> Counter:

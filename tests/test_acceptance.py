@@ -18,6 +18,7 @@ from oracles import (
     all_tables,
     brute_force_expansion_exists,
     canonical_cell_partition,
+    code,
     feasible_partitions,
 )
 
@@ -216,11 +217,12 @@ def test_criterion_9_negative_controls():
 
         good = scheme_from_expansion(GALLERY["equal3"].expansion())
         target = (good.enc1(1, (2, 1)), good.enc2(2, (2, 1)))
+        t1, t2 = code(good.enc1, target[0]), code(good.enc2, target[1])
         real_dec = good.dec
         corrupted = Scheme(
             m1=3, m2=3, atoms=good.atoms, weights=None,
             enc1=good.enc1, enc2=good.enc2,
-            dec=lambda x1, x2: (1 - real_dec(x1, x2)) if (x1, x2) == target else real_dec(x1, x2),
+            dec=lambda c1, c2: real_dec(c1, c2) ^ ((c1 == t1) & (c2 == t2)),
             rate1=good.rate1, rate2=good.rate2, kind="corrupted",
         )
         res_c = verify_correct(corrupted, f3)

@@ -507,6 +507,11 @@ def test_B1_spec_and_solver_memory_is_bounded():
     ({"L": 8, "rows": -2}, "rows must be in 1..L"),
     ({"L": 8, "rows": 9}, "rows must be in 1..L"),
     ({"L": 8, "epsilon": -5}, "rows must be in 1..L"),
+    ({"L": 8, "epsilon": float("inf")}, "epsilon must keep"),
+    ({"L": 8, "epsilon": float("-inf")}, "epsilon must keep"),
+    ({"L": 8, "epsilon": float("nan")}, "epsilon must keep"),
+    ({"L": 8, "epsilon": 1e308}, "epsilon must keep"),
+    ({"L": 8, "epsilon": 1e308, "identity": True}, "epsilon must keep"),
 ])
 def test_make_block_spec_refuses_bad_sizes_before_drawing_A(monkeypatch, kwargs, message):
     def no_draw(*args, **kw):
@@ -596,9 +601,8 @@ def test_unreached_confusable_set_is_undecodable():
     exp = find_expansion(gallery_get("and2").table, field_confusable_sets(field_make(5, 1), 2))
     assert sorted(exp.out_map) == [1, 2]
     scheme = scheme_from_expansion(exp)
-    assert scheme.dec((1,), (0,)) == exp.out_map[1]
-    with pytest.raises(Undecodable):
-        scheme.dec((1,), (4,))
+    assert scheme.dec(1, 0) == exp.out_map[1]
+    assert scheme.dec(1, 4) == -1
     spec = make_block_spec(scheme, L=2, identity=True)
     u, fvec = block_decode(spec, [1, 2], [0, 0])
     assert u.tolist() == [1, 2] and fvec == [exp.out_map[1], exp.out_map[2]]

@@ -496,6 +496,14 @@ def test_blockcode_rows_outside_1_to_L_exits_4(capsys, tmp_path, monkeypatch):
         assert code == 4 and "--rows" in err
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "1e308", "-inf"])
+def test_blockcode_non_finite_epsilon_exits_4(capsys, tmp_path, epsilon):
+    # (H_q(U) + epsilon) * L is not finite: refused before A is drawn
+    table = write_table(tmp_path, "and.json", [[0, 0], [0, 1]])
+    code, _, err = run(capsys, "blockcode", "--table", table, "--L", "8", f"--epsilon={epsilon}")
+    assert code == 4 and "epsilon" in err and "Traceback" not in err
+
+
 def test_blockcode_negative_max_carrier_exits_4(capsys, tmp_path, monkeypatch):
     code, err = _blockcode_refusal(capsys, tmp_path, monkeypatch, "--L", "8", "--max-carrier", "-5")
     assert code == 4 and "--max-carrier" in err

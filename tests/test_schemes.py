@@ -36,7 +36,7 @@ def test_masked_sum_hand_evaluations():
     x1 = scheme.enc1(1, atom)
     x2 = scheme.enc2(2, atom)
     assert x1 == (1,) and x2 == (6,)
-    assert scheme.dec(x1, x2) == 3  # the sum 0 sits in the zero set
+    assert scheme.dec(x1[0], x2[0]) == 3  # the sum 0 sits in the zero set
 
     # selected switch over Z_6: inputs (1,2) with gamma=5, z=0
     sw = gallery_get("selected_switch")
@@ -44,14 +44,14 @@ def test_masked_sum_hand_evaluations():
     x1 = scheme6.enc1(1, (5, 0))
     x2 = scheme6.enc2(2, (5, 0))
     assert x1 == (4,) and x2 == (1,)
-    assert scheme6.dec(x1, x2) == 3  # 5 lands in {1,5}
+    assert scheme6.dec(x1[0], x2[0]) == 3  # 5 lands in {1,5}
 
 
 def test_equal_inputs_always_decode_yes():
     scheme = scheme_from_expansion(gallery_get("equal3").expansion())
     for w in range(3):
         for atom in scheme.atoms:
-            assert scheme.dec(scheme.enc1(w, atom), scheme.enc2(w, atom)) == 1
+            assert scheme.dec(scheme.enc1(w, atom)[0], scheme.enc2(w, atom)[0]) == 1
 
 
 def test_masked_sum_rates_and_verification():
@@ -282,6 +282,52 @@ def test_load_custom_scheme_schema_errors():
     huge["alphabets1"] = [2**40]
     with pytest.raises(TotalityError):
         load_custom_scheme(huge)
+
+
+def _dec_scheme(edit) -> dict:
+    """A 1 x 1 scheme over alphabets [2] and [2] whose decoder labels the
+    pair (a, b) 2a + b, with edit applied to its dec rows."""
+    rows = [{"x1": [a], "x2": [b], "f": 2 * a + b} for a in range(2) for b in range(2)]
+    edit(rows)
+    return {
+        "m1": 1, "m2": 1, "alphabets1": [2], "alphabets2": [2],
+        "z_support": [{"atom": 0}], "enc1": [[[0]]], "enc2": [[[1]]], "dec": rows,
+    }
+
+
+# dec row edit -> the error the loader raises
+DEC_REFUSALS = {
+    "duplicate": (lambda rows: rows.append(dict(rows[0])), SchemaError),
+    "missing_pair": (lambda rows: rows.pop(1), TotalityError),
+    "symbol_outside_alphabet": (lambda rows: rows.append({"x1": [2], "x2": [0], "f": 0}), SchemaError),
+    "negative_symbol": (lambda rows: rows.append({"x1": [0], "x2": [-1], "f": 0}), SchemaError),
+    "non_int_f": (lambda rows: rows[0].update(f=1.5), SchemaError),
+    "f_past_int64": (lambda rows: rows[0].update(f=2**64), SchemaError),
+    "x1_not_a_list": (lambda rows: rows[0].update(x1=0), SchemaError),
+    "every_x1_not_a_list": (lambda rows: [r.update(x1=r["x1"][0]) for r in rows], SchemaError),
+    "wrong_arity": (lambda rows: rows[0].update(x1=[0, 0]), SchemaError),
+    "every_x2_of_wrong_arity": (lambda rows: [r.update(x2=r["x2"] * 2) for r in rows], SchemaError),
+    "list_symbol": (lambda rows: rows[0].update(x2=[[0]]), SchemaError),
+    "string_symbol": (lambda rows: rows[0].update(x2=["0"]), SchemaError),
+    "missing_key": (lambda rows: rows[0].pop("f"), SchemaError),
+    "row_not_an_object": (lambda rows: rows.__setitem__(0, [[0], [0], 0]), SchemaError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEC_REFUSALS))
+def test_loader_refuses_bad_dec_rows(name):
+    edit, error = DEC_REFUSALS[name]
+    with pytest.raises(error) as info:
+        load_custom_scheme(_dec_scheme(edit))
+    assert type(info.value) is error
+
+
+def test_loader_reads_bool_dec_symbols_as_ints():
+    c1, c2 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    for edit in (lambda rows: rows[1].update(x2=[True]),
+                 lambda rows: [r.update(x2=[bool(r["x2"][0])]) for r in rows]):
+        scheme = load_custom_scheme(_dec_scheme(edit))
+        assert scheme.dec(c1, c2).tolist() == [0, 1, 2, 3]
 
 
 def _codewords(symbols):

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -9,7 +11,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import brute_force_first_correctness_failure, crt_equal_encode, pair_counts, sorted_counts
+from oracles import (
+    brute_force_first_correctness_failure,
+    code,
+    crt_equal_encode,
+    pair_counts,
+    sorted_counts,
+    tabulated_scheme,
+)
 
 from confuse import blockcode, verify
 from confuse.blockcode import block_security_check
@@ -30,6 +39,7 @@ from confuse.schemes import (
 from confuse.verify import (
     MAX_ATOMS_MATERIALIZED,
     MAX_TOTAL_WEIGHT,
+    _codewords,
     _enc_tables,
     _pair_tables,
     leakage,
@@ -57,18 +67,15 @@ def _pair_probabilities(scheme, w1, w2):
 
 def test_exact_distribution_equality_up_to_scaling():
     def two_outcomes(weights):
-        return Scheme(
-            m1=1, m2=1, atoms=[0, 1], weights=weights,
-            enc1=lambda w, a: ("xy"[a],), enc2=lambda w, a: (0,),
-            dec=lambda x1, x2: 0, rate1=None, rate2=None, kind="test",
-        )
+        return tabulated_scheme(1, 1, [0, 1], lambda w, a: (a,), lambda w, a: (0,),
+                                lambda x1, x2: 0, weights)
 
     a = _pair_probabilities(two_outcomes([2, 4]), 0, 0)
     b = _pair_probabilities(two_outcomes([3, 6]), 0, 0)
     c = _pair_probabilities(two_outcomes([3, 5]), 0, 0)
     assert a == b
     assert a != c
-    assert a[(("x",), (0,))] == Fraction(1, 3)
+    assert a[((0,), (0,))] == Fraction(1, 3)
     # raw counts are compared because every pair's counts share one total;
     # scaling every weight scales the counts and leaves the verdicts alone
     scheme, table = _weighted_and2()
@@ -115,11 +122,12 @@ def test_verify_correct_and_witness():
     assert verify_correct(scheme, equal_table(3)).ok
 
     target = (scheme.enc1(0, (1, 0)), scheme.enc2(0, (1, 0)))
+    t1, t2 = code(scheme.enc1, target[0]), code(scheme.enc2, target[1])
     real_dec = scheme.dec
     corrupted = Scheme(
         m1=3, m2=3, atoms=scheme.atoms, weights=None,
         enc1=scheme.enc1, enc2=scheme.enc2,
-        dec=lambda x1, x2: (1 - real_dec(x1, x2)) if (x1, x2) == target else real_dec(x1, x2),
+        dec=lambda c1, c2: real_dec(c1, c2) ^ ((c1 == t1) & (c2 == t2)),
         rate1=scheme.rate1, rate2=scheme.rate2, kind="corrupted",
     )
     res = verify_correct(corrupted, equal_table(3))
@@ -131,23 +139,15 @@ def test_verify_correct_and_witness():
 
 def test_verify_trivial_single_cell():
     table = FunctionTable.from_rows([[0]])
-    s = Scheme(
-        m1=1, m2=1, atoms=[0], weights=None,
-        enc1=lambda w, a: (0,), enc2=lambda w, a: (0,),
-        dec=lambda x1, x2: 0, rate1=None, rate2=None, kind="test",
-    )
+    s = tabulated_scheme(1, 1, [0], lambda w, a: (0,), lambda w, a: (0,), lambda x1, x2: 0)
     assert verify_correct(s, table).ok
     assert verify_secure(s, table).ok  # vacuous: one input pair
 
 
 def test_verify_secure_vacuous_when_outputs_distinct():
     t = FunctionTable.from_rows([[0, 1], [2, 3]])
-    s = Scheme(
-        m1=2, m2=2, atoms=[0], weights=None,
-        enc1=lambda w, a: (w,), enc2=lambda w, a: (w,),
-        dec=lambda x1, x2: 2 * x1[0] + x2[0],
-        rate1=None, rate2=None, kind="test",
-    )
+    s = tabulated_scheme(2, 2, [0], lambda w, a: (w,), lambda w, a: (w,),
+                         lambda x1, x2: 2 * x1[0] + x2[0])
     assert verify_secure(s, t).ok  # every group is a singleton
 
 
@@ -237,31 +237,56 @@ def test_report_determinism():
     assert a.to_json() == b.to_json()
 
 
+class _Counted:
+    """A batch encoder that counts under calls[name] the atoms it encodes."""
+
+    def __init__(self, enc, calls: Counter, name: str):
+        self.enc, self.calls, self.name = enc, calls, name
+        self.atoms, self.radix = enc.atoms, enc.radix
+
+    def symbols(self, w, atoms):
+        self.calls[self.name] += len(atoms)
+        return self.enc.symbols(w, atoms)
+
+
 def _counting(scheme):
-    """A copy of the scheme whose encoders and decoder count their calls."""
+    """A copy of the scheme whose encoders count the atoms they encode, and
+    whose decoder its calls ("dec") and the code pairs it decodes
+    ("decoded")."""
     calls = Counter()
 
-    def counted(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return call
+    def dec(c1, c2):
+        calls["dec"] += 1
+        calls["decoded"] += np.broadcast(c1, c2).size
+        return scheme.dec(c1, c2)
 
     copy = dataclasses.replace(
         scheme,
-        enc1=counted("enc1", scheme.enc1),
-        enc2=counted("enc2", scheme.enc2),
-        dec=counted("dec", scheme.dec),
+        enc1=_Counted(scheme.enc1, calls, "enc1"),
+        enc2=_Counted(scheme.enc2, calls, "enc2"),
+        dec=dec,
     )
     return copy, calls
 
 
+class _Constant:
+    """A batch encoder sending the codeword (0,) under every atom."""
+
+    radix = (1,)
+
+    def __init__(self, atoms):
+        self.atoms = atoms
+
+    def symbols(self, w, atoms):
+        return (np.zeros(len(atoms), np.int64),)
+
+
 def _constant_scheme(n_atoms):
+    atoms = range(n_atoms)
     return Scheme(
-        m1=1, m2=1, atoms=range(n_atoms), weights=None,
-        enc1=lambda w, a: (0,), enc2=lambda w, a: (0,),
-        dec=lambda x1, x2: 0, rate1=None, rate2=None, kind="test",
+        m1=1, m2=1, atoms=atoms, weights=None, enc1=_Constant(atoms), enc2=_Constant(atoms),
+        dec=lambda c1, c2: np.zeros(np.broadcast(c1, c2).shape, np.int64),
+        rate1=None, rate2=None, kind="test",
     )
 
 
@@ -328,7 +353,7 @@ def test_atom_cap_is_inclusive_for_lazy_supports():
     table = FunctionTable.from_rows([[0]])
     at_cap, calls = _counting(_constant_scheme(MAX_ATOMS_MATERIALIZED))
     assert verify_scheme(at_cap, table).ok
-    assert calls == {"enc1": MAX_ATOMS_MATERIALIZED, "enc2": MAX_ATOMS_MATERIALIZED, "dec": 1}
+    assert calls == {"enc1": MAX_ATOMS_MATERIALIZED, "enc2": MAX_ATOMS_MATERIALIZED, "dec": 1, "decoded": 1}
     past, calls = _counting(_constant_scheme(MAX_ATOMS_MATERIALIZED + 1))
     with pytest.raises(SizeBoundExceeded):
         verify_scheme(past, table)
@@ -346,10 +371,12 @@ def test_verify_scheme_encodes_each_atom_once(case):
     n = len(scheme.atoms)
     assert calls["enc1"] == scheme.m1 * n
     assert calls["enc2"] == scheme.m2 * n
-    outcomes = set().union(*(pair_counts(scheme, w1, w2) for w1 in range(f.m1) for w2 in range(f.m2)))
+    per_pair = [pair_counts(scheme, w1, w2) for w1 in range(f.m1) for w2 in range(f.m2)]
     if report.correct.ok:
-        # dec runs once per distinct codeword pair of the scheme, not per pair
-        assert calls["dec"] == len(outcomes)
+        # dec runs once per input pair, over that pair's distinct codeword
+        # pairs, not once per atom
+        assert calls["dec"] == f.m1 * f.m2
+        assert calls["decoded"] == sum(map(len, per_pair))
     # the serializer reads the same tables
     serialize_scheme(counted)
     assert (calls["enc1"], calls["enc2"]) == (scheme.m1 * n, scheme.m2 * n)
@@ -384,22 +411,19 @@ def test_optimized_candidate_is_tabulated_once():
 def test_shared_encoder_is_tabulated_once():
     scheme = crt_equal_scheme(4)
     calls = Counter()
-
-    def encode(w, atom):
-        calls["enc"] += 1
-        return scheme.enc1(w, atom)
-
+    encode = _Counted(scheme.enc1, calls, "enc")  # without the reduced support
     shared = dataclasses.replace(scheme, enc1=encode, enc2=encode)
     assert verify_scheme(shared, equal_table(4)).ok
     assert calls["enc"] == scheme.m1 * len(scheme.atoms)
 
 
 def _corrupted(scheme, targets):
+    """The scheme with dec's label raised by one on each code pair (c1, c2)
+    of targets."""
     real_dec = scheme.dec
 
-    def dec(x1, x2):
-        got = real_dec(x1, x2)
-        return got + 1 if (x1, x2) in targets else got
+    def dec(c1, c2):
+        return real_dec(c1, c2) + sum((c1 == a) & (c2 == b) for a, b in targets)
 
     return dataclasses.replace(scheme, dec=dec)
 
@@ -417,7 +441,7 @@ def test_correctness_witness_matches_per_atom_oracle(case):
     corruptions = [()] + [(o,) for o in rng.sample(outcomes, min(len(outcomes), 40))]
     corruptions += [tuple(rng.sample(outcomes, 3)) for _ in range(10)]
     for targets in corruptions:
-        broken = _corrupted(scheme, set(targets))
+        broken = _corrupted(scheme, {(code(scheme.enc1, x1), code(scheme.enc2, x2)) for x1, x2 in targets})
         expected = brute_force_first_correctness_failure(broken, f)
         res = verify_correct(broken, f)
         assert res.ok == (expected is None), targets
@@ -444,8 +468,8 @@ def _block_security_scheme():
 
 def _replaced_atoms():
     """equal3's masked-sum scheme with its atoms replaced after construction
-    by gamma = 2 only: its encoders' batch form indexes the full (gamma, z)
-    grid, so they must be called per atom."""
+    by gamma = 2 only: its encoders are read at those atoms' indices in the
+    full (gamma, z) grid they were built over."""
     scheme = scheme_from_expansion(gallery_get("equal3").expansion())
     scheme.atoms = [(2, z) for z in range(3)]
     return scheme, equal_table(3)
@@ -460,12 +484,13 @@ def test_tables_match_encoders_atom_for_atom(case):
     scheme, _ = case()
     t = _enc_tables(scheme)
     atoms = list(scheme.atoms)
-    for ids, book, enc, m in ((t.ids1, t.book1, scheme.enc1, scheme.m1),
-                              (t.ids2, t.book2, scheme.enc2, scheme.m2)):
-        assert all(a < b for a, b in zip(book, book[1:]))
+    for ids, book, radix, enc, m in ((t.ids1, t.book1, t.radix1, scheme.enc1, scheme.m1),
+                                     (t.ids2, t.book2, t.radix2, scheme.enc2, scheme.m2)):
+        assert book.dtype == np.int64 and np.all(book[1:] > book[:-1]) and radix == enc.radix
         assert ids.dtype == np.int32 and ids.shape == (m, len(atoms))
+        codewords = _codewords(book, radix)
         for w in range(m):
-            assert [book[i] for i in ids[w].tolist()] == [enc(w, a) for a in atoms]
+            assert [codewords[i] for i in ids[w].tolist()] == [enc(w, a) for a in atoms]
     assert t.weights.dtype == np.int64
     assert t.weights.tolist() == (scheme.weights or [1] * len(atoms))
     for w1 in range(scheme.m1):
@@ -486,15 +511,16 @@ def test_crt_equal_tables_match_per_atom_oracle(m):
     assert t.ids2 is t.ids1 and t.book2 is t.book1
     # z alone reaches every symbol of each factor field, so every tuple occurs
     qs = [p**k for p, k in scheme.meta["factors"]]
-    assert t.book1 == list(itertools.product(*map(range, qs)))
-    assert all(type(cw) is tuple and all(type(s) is int for s in cw) for cw in t.book1)
+    book = _codewords(t.book1, t.radix1)
+    assert book == list(itertools.product(*map(range, qs)))
+    assert all(type(cw) is tuple and all(type(s) is int for s in cw) for cw in book)
     n = len(scheme.atoms)
     rng = random.Random(m)
     for w in range(m):
         atoms = range(n) if m < 7 else rng.sample(range(n), 5000)
         for a in atoms:
             expected = crt_equal_encode(m, w, a)
-            assert t.book1[t.ids1[w, a]] == expected, (w, a)
+            assert book[t.ids1[w, a]] == expected, (w, a)
             assert scheme.enc1(w, a) == expected, (w, a)
 
 
@@ -536,7 +562,8 @@ def test_crt_equal_pair_support_matches_the_enumerator(m):
     scheme = crt_equal_scheme(m)
     reduced, full = _pair_tables(scheme), _enc_tables(scheme)
     assert reduced is not full and reduced is _pair_tables(scheme)
-    assert reduced.book1 == full.book1 and reduced.book2 == full.book2
+    assert reduced.book1.dtype == np.int64 and reduced.radix1 == full.radix1
+    assert np.array_equal(reduced.book1, full.book1) and np.array_equal(reduced.book2, full.book2)
     assert reduced.total == full.total == len(scheme.atoms)
     for w1 in range(m):
         for w2 in range(m):
@@ -688,3 +715,62 @@ def test_verify_refuses_a_scheme_of_another_shape_before_tabulating():
     with pytest.raises(SchemaError):
         leakage(scheme, table, uniform_input_dist(table))
     assert not calls
+
+
+def test_tables_follow_replaced_atoms_and_weights():
+    # the tabulation kept on a scheme is reused only while its atoms and
+    # weights are the objects it was built from
+    f = equal_table(3)
+    exp = gallery_get("equal3").expansion()
+    edits = {
+        "weights": lambda s: setattr(s, "weights", [5, 1, 1, 1, 1, 1]),
+        "atoms": lambda s: setattr(s, "atoms", [(1, z) for z in range(3)]),
+    }
+    for edit in edits.values():
+        # scheme_from_expansion with z_values tabulates in its constructor
+        for build in (lambda: scheme_from_expansion(exp), lambda: scheme_from_expansion(exp, [0, 1, 2])):
+            scheme, fresh = build(), build()
+            assert verify_scheme(scheme, f).ok
+            edit(scheme)
+            edit(fresh)
+            assert verify_secure(scheme, f) == verify_secure(fresh, f)
+            assert not verify_secure(scheme, f).ok
+            assert verify_scheme(scheme, f).to_json() == verify_scheme(fresh, f).to_json()
+
+
+def test_replaced_atoms_outside_the_encoders_support_are_refused():
+    scheme = scheme_from_expansion(gallery_get("equal3").expansion())
+    scheme.atoms = [(1, 0), (0, 0)]  # gamma = 0 is no unit
+    with pytest.raises(SchemaError, match=r"atom \(0, 0\) lies outside"):
+        verify_scheme(scheme, equal_table(3))
+
+
+# (codebook pair -> label) over each scheme's codebooks, -1 where the pair
+# decodes to no label, recorded from the decoders that took codeword tuples
+# one pair per call
+DECODER_DIGESTS = {
+    "masked_sum_equal3": "cb72029c5a7eff62",
+    "weighted_and2": "cb72029c5a7eff62",
+    "threshold_baseline": "37ed6adf21b06457",
+    "flipped_dec_baseline": "473799e1aedb3986",
+    "masked_sum_selected_switch": "d1fc01a8704197b6",
+    "baseline_3x2": "e55d4507d7ee22d2",
+    "baseline_3x3": "207514de99b50e6f",
+    "crt_equal4": "18e25e7923ecb051",
+    "optimized_three_label": "08c5203489ba140d",
+    "block_security_scheme": "11861c497175d62c",
+    "replaced_atoms": "cb72029c5a7eff62",
+}
+
+
+@pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: c.__name__.lstrip("_"))
+def test_decoder_matches_pinned_digest(case):
+    scheme, _ = case()
+    t = _enc_tables(scheme)
+    labels = scheme.dec(t.book1[:, None], t.book2[None, :])
+    assert labels.dtype == np.int64 and labels.shape == (len(t.book1), len(t.book2))
+    rows = [[list(c1), list(c2), label]
+            for c1, row in zip(_codewords(t.book1, t.radix1), labels.tolist())
+            for c2, label in zip(_codewords(t.book2, t.radix2), row)]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+    assert digest == DECODER_DIGESTS[case.__name__.lstrip("_")]
