@@ -12,7 +12,9 @@ below 2^24, float64 below 2^53, else SizeBoundExceeded, so every float is
 an exact integer.  _matmul reduces once per product; A's elimination keeps
 [A | I] unreduced and reduces only its current panel and pivot rows.
 run_trials stacks its trials as the columns of one product by A per party
-and one by the row transform T.
+and one by the row transform T, and block_security_check builds each
+party's code table for the generic verifier with one product per input
+vector.
 
 The coset search is exact maximum-likelihood when the coset is small enough
 to enumerate; otherwise a greedy per-coordinate fallback assigns each free
@@ -35,7 +37,7 @@ from .errors import (
 from .expansion import FunctionTable
 from .fields import table_dtype
 from .rates import Rate
-from .schemes import Scheme, masked_values
+from .schemes import Scheme, _TableEncoder, masked_values
 from .verify import SecurityResult, uniform_input_dist, verify_secure
 
 RNG_NAME = "pcg64"  # numpy PCG64 behind SeedSequence(seed)
@@ -485,38 +487,11 @@ def run_trials(
     }
 
 
-class _BlockEncoder:
-    """One party's encoder of the L-block scheme block_security_check
-    verifies, one expression over an atom index or an index array alike.
-    An atom splits in mixed radix into one base-atom index per position,
-    first position most significant (itertools.product order); position
-    i's value is gamma * mapping[w_i] + z (or - z), read from a table over
-    (symbol, base atom), and the codeword is A times the L values.  symbols
-    is the batch form the verifier tabulates with, over indices into atoms
-    (here the indices themselves), radix the alphabet size of each codeword
-    position."""
-
-    def __init__(self, fs, A, w_vecs, mapping, base_atoms, atoms: range, subtract: bool):
-        self.values = masked_values(fs, base_atoms, mapping, subtract)
-        self.fs, self.A, self.atoms = fs, A, atoms
-        self.w_vecs = np.array(w_vecs, dtype=np.intp)
-        self.shape = (len(base_atoms),) * A.shape[1]
-        self.radix = (fs.q,) * A.shape[0]
-
-    def symbols(self, w: int, atoms):
-        """Input w's codeword positions under atoms (an index array)."""
-        per_position = np.array(np.unravel_index(atoms, self.shape))
-        return list(_matmul(self.fs, self.A, self.values[self.w_vecs[w][:, None], per_position]))
-
-    def __call__(self, w: int, atom: int) -> tuple:
-        return tuple(int(s[0]) for s in self.symbols(w, np.array([atom])))
-
-
 def block_security_check(base, f: FunctionTable, L_small: int, A: np.ndarray) -> SecurityResult:
     """Exact security of the compressed L_small-block scheme: vector inputs
-    grouped by their f-vector, full enumeration through the generic verifier.
-    Costs past SECURITY_BUDGET raise BudgetExceeded before anything is
-    enumerated."""
+    grouped by their f-vector, full enumeration through the generic verifier
+    over both parties' code tables.  Costs past SECURITY_BUDGET raise
+    BudgetExceeded before anything is enumerated."""
     exp = _require_field_scheme(base)
     fs = exp.structure.carrier
     A = np.asarray(A, dtype=np.int64)
@@ -540,14 +515,29 @@ def block_security_check(base, f: FunctionTable, L_small: int, A: np.ndarray) ->
             row.append(fvecs.setdefault(fv, len(fvecs)))
         rows.append(row)
     rate = Rate.log2(fs.q).scaled(A.shape[0])
+    radix = (fs.q,) * A.shape[0]
+    place = fs.q ** np.arange(A.shape[0])[::-1]  # a codeword's code, first position most significant
     vec_atoms = range(len(atoms) ** L_small)
+    # atom vector i splits in mixed radix into one base atom per position,
+    # first position most significant (itertools.product order)
+    per_position = np.indices((len(atoms),) * L_small).reshape(L_small, -1)
+
+    def encoder(w_vecs, mapping, subtract: bool) -> _TableEncoder:
+        """A party's code table: input vector w's codeword under atom vector
+        i is A times the per-position values gamma * mapping[w_p] + z (or
+        - z), one _matmul per input vector."""
+        values = masked_values(fs, atoms, mapping, subtract)
+        table = np.array([place @ _matmul(fs, A, values[np.array(wv)[:, None], per_position])
+                          for wv in w_vecs])
+        return _TableEncoder(table, radix, vec_atoms)
+
     vec_scheme = Scheme(
         m1=len(w1_vecs),
         m2=len(w2_vecs),
         atoms=vec_atoms,
         weights=None,
-        enc1=_BlockEncoder(fs, A, w1_vecs, exp.map1, atoms, vec_atoms, subtract=False),
-        enc2=_BlockEncoder(fs, A, w2_vecs, exp.map2, atoms, vec_atoms, subtract=True),
+        enc1=encoder(w1_vecs, exp.map1, subtract=False),
+        enc2=encoder(w2_vecs, exp.map2, subtract=True),
         dec=lambda c1, c2: np.zeros(np.broadcast(c1, c2).shape, np.int64),  # security only
         rate1=rate,
         rate2=rate,

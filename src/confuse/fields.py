@@ -294,9 +294,9 @@ def field_make(p: int, n: int) -> FieldSpec:
         # h = x^n + (the polynomial of enc), whose encoding is p^n + enc; an
         # h with h_0 = enc % p = 0 is divisible by x, which is then no unit
         candidates = ((_enc_to_poly(p**n + enc, p), p) for enc in range(p**n) if enc % p)
+    # the loop returns: F_p has a primitive root, and F_p[x] a primitive h
     for h, g in candidates:
         try:  # a refused (h, g) fails in the walk, before any table exists
             return FieldSpec(p, n, h, g)
         except ValueError:
             pass
-    raise RuntimeError(f"no primitive modulus found for p={p}, n={n}")  # unreachable

@@ -4,13 +4,14 @@ A Scheme packages the shared-randomness support (atoms with integer weights),
 both encoders, the decoder, and exact rates.  Every encoder built or loaded
 here has a batch form for the verifier's _enc_tables: atoms (the support it
 was built over), radix (the alphabet size of each codeword position) and
-symbols(w, i), input w's codeword positions under the atoms at the index
-array i, read from arrays: crt-equal's mixed-radix split of an atom index,
-the masked-sum scheme's gather from the carrier's add and mul tables, the
-row-mask baseline's gather from arrays of permutations, masks and outputs,
-and a loaded scheme's stored mixed-radix codes.  Each also takes one atom
-per call, the oracle the tests check the batch form against.  dec reads
-int64 code arrays (first position most significant) into int64 labels, -1
+codes(w, i), the mixed-radix codes (first position most significant) of
+input w's codewords under the atoms at the index array i.  The masked-sum
+scheme gathers them from the carrier's add and mul tables and crt-equal
+from its table of value codes, both built on first use; the row-mask
+baseline, the block check's vector scheme (blockcode) and a loaded scheme
+are code tables (_TableEncoder), built or read whole.  Each also takes one
+atom per call: the masked-sum and crt-equal encoders compute it, a code
+table looks it up.  dec reads int64 code arrays into int64 labels, -1
 where no input pair lands.  The serializer reads its alphabets from the
 codebooks, each atom's codeword from the ids and its decoder rows from one
 dec call; the optimized rates are the codebook sizes.  Supports past
@@ -114,10 +115,11 @@ def masked_values(carrier, atoms, mapping, subtract: bool) -> np.ndarray:
 
 class _MaskedSumEncoder:
     """One party's masked-sum encoder over atoms (gamma, z): gamma * map[w]
-    + z for Alice, gamma * map[w] - z for Bob.  symbols(w, i) is the batch
+    + z for Alice, gamma * map[w] - z for Bob.  codes(w, i) is the batch
     form over indices into atoms, one gather from masked_values (built on
-    first use, after the verifier's size checks); a call on one atom tuple
-    computes it with the carrier's scalar arithmetic."""
+    first use, after the verifier's size checks): a codeword is one carrier
+    element, its own code.  A call on one atom tuple computes it with the
+    carrier's scalar arithmetic."""
 
     def __init__(self, carrier, atoms, mapping, subtract: bool):
         self.carrier, self.atoms, self.mapping, self.subtract = carrier, atoms, mapping, subtract
@@ -127,8 +129,8 @@ class _MaskedSumEncoder:
     def values(self) -> np.ndarray:
         return masked_values(self.carrier, self.atoms, self.mapping, self.subtract)
 
-    def symbols(self, w: int, atoms):
-        return (self.values[w, atoms],)
+    def codes(self, w: int, atoms):
+        return self.values[w, atoms]
 
     def __call__(self, w: int, atom) -> tuple:
         g, z = atom
@@ -162,11 +164,9 @@ def optimize_additive_randomness(exp: FeasibleExpansion, all_subsets: bool = Fal
                     candidates.append((1, combo))
     # entropy (size) first; subgroup cosets ahead of plain subsets at a tie
     candidates.sort(key=lambda t: (len(t[1]), t[0], t[1]))
-    for _, zs in candidates:
-        scheme = scheme_from_expansion(exp, z_values=zs)
-        if verify_secure(scheme, f).ok:
-            return scheme
-    return scheme_from_expansion(exp)  # unreachable: full support always passes
+    # the last candidate is the whole carrier, which always passes
+    schemes = (scheme_from_expansion(exp, z_values=zs) for _, zs in candidates)
+    return next(s for s in schemes if verify_secure(s, f).ok)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +227,12 @@ class _CrtEncoder:
     (most significant, itertools order) and, per factor q, a digit
     r = (gamma - 1) * q + z (first factor least significant); factor q's
     symbol is gamma * (perm[w] mod q) + z in F_q, read at r * q + perm[w]
-    mod q from a table built from the field's add and mul tables.  symbols
+    mod q from a table built from the field's add and mul tables.  codes
     is the batch form the verifier tabulates with, over indices into atoms
-    (here the indices themselves), radix the alphabet size of each codeword
-    position; the permutations it reads are built on its first call.
+    (here the indices themselves): the code of perm[w] under the atom's
+    digits, read from value_codes; radix is the alphabet size of each
+    codeword position.  The permutations and value codes are built on
+    first use.
 
     pair_support is the verifier's reduced support: the permutation enters
     a pair (w1, w2) only through (perm[w1], perm[w2]), so each input pair's
@@ -254,33 +256,23 @@ class _CrtEncoder:
     def perms(self) -> np.ndarray:
         return np.array(list(itertools.permutations(range(self.m))), np.int8)
 
-    def _symbols(self, values, digits):
-        """Per-factor symbols of the permuted values under digits (atom
-        indices or bare digits: both reduce to the same factor digit)."""
-        out = []
-        for q, stride, table in self.tables:
-            i = digits // stride  # in place from here on: one index array at a time
-            i %= (q - 1) * q
-            i *= q
-            i += values % q
-            out.append(table[i])
-        return out
-
-    def symbols(self, w: int, atoms):
-        """Input w's per-factor symbols under atoms (an index or an index array)."""
-        return self._symbols(self.perms[atoms // self.block, w], atoms)
-
-    def __call__(self, w: int, atom: int) -> tuple:
-        # an intp scalar, so the digit arithmetic never narrows to perms' int8
-        return tuple(int(s) for s in self.symbols(w, np.intp(atom)))
-
     @functools.cached_property
     def value_codes(self) -> np.ndarray:
         """(m, block): the mixed-radix code of the codeword a permuted value
         takes under each digit, first position most significant."""
-        values = np.repeat(np.arange(self.m), self.block)
-        digits = np.tile(np.arange(self.block), self.m)
-        return np.ravel_multi_index(self._symbols(values, digits), self.radix).reshape(self.m, -1)
+        values, digits = np.arange(self.m)[:, None], np.arange(self.block)
+        codes = np.zeros((self.m, self.block), np.int64)
+        for q, stride, table in self.tables:
+            codes *= q
+            codes += table[digits // stride % ((q - 1) * q) * q + values % q]
+        return codes
+
+    def codes(self, w: int, atoms):
+        """Input w's codes under atoms (an index or an index array)."""
+        return self.value_codes[self.perms[atoms // self.block, w], atoms % self.block]
+
+    def __call__(self, w: int, atom: int) -> tuple:
+        return _codewords([self.codes(w, atom)], self.radix)[0]
 
     def _value_pairs(self, w1: int, w2: int):
         """(perm[w1], perm[w2]) over the support: the m pairs (a, a) when
@@ -296,7 +288,7 @@ class _CrtEncoder:
     def pair_book(self) -> np.ndarray:
         """The ascending codes of every codeword the encoder takes: perm[w]
         takes every value, so these are the value codes' distinct ones."""
-        return np.unique(self.value_codes)
+        return np.flatnonzero(np.bincount(self.value_codes.ravel()))  # np.unique imports numpy.ma
 
     def pair_support(self, w1: int, w2: int):
         """(codes1, codes2, weights): both parties' codes and the int64
@@ -340,7 +332,10 @@ def _permutation_rank(perm: list[int]) -> int:
 def row_mask_baseline(f: FunctionTable) -> Scheme:
     """Generic baseline: Bob sends every row's output masked by a per-row
     one-time pad, in an order shuffled by a shared permutation of the rows;
-    Alice sends her row's position and its mask.
+    Alice sends her row's position and its mask.  Under atom (pi, zs) Alice
+    sends (pi[w1], zs[w1]) and Bob the slots with slots[pi[row]] =
+    (outputs[row][w2] + zs[row]) mod k; both encoders are code tables built
+    here.
 
     Rates are (log2 m1 + log2 k, m1 * log2 k) for k output labels.
     """
@@ -354,19 +349,17 @@ def row_mask_baseline(f: FunctionTable) -> Scheme:
     masks = list(itertools.product(range(k), repeat=m1))
     atoms = [(pi, zs) for pi in perms for zs in masks]
     # atom i is (perms[i // len(masks)], masks[i % len(masks)]); each party's
-    # symbols as (inputs, positions, perms, masks), flattened to atoms below,
-    # in the smallest dtype that holds an output plus a mask
-    dt = table_dtype(2 * max(m1, k))
+    # codes as (inputs, perms, masks), flattened to atoms below, in the
+    # smallest dtype that holds a code and an output plus its mask
+    dt = table_dtype(max(2 * k, m1 * k, k**m1))
     P, Z = np.array(perms, dt), np.array(masks, dt)
-    alice = np.empty((m1, 2, len(P), len(Z)), dt)
-    alice[:, 0] = P.T[:, :, None]
-    alice[:, 1] = Z.T[:, None, :]
-    rows = np.argsort(P, axis=1)  # rows[j, s]: the row Bob's slot s holds under perms[j]
-    bob = np.array(f.outputs, dt).T[:, rows][:, :, None] + Z.T[rows].transpose(0, 2, 1)
-    bob %= k
-    enc1 = _RowMaskEncoder(alice.reshape(m1, 2, -1), (m1, k), atoms, f.outputs, k, bob=False)
-    enc2 = _RowMaskEncoder(bob.reshape(f.m2, len(atoms), m1).transpose(0, 2, 1), (k,) * m1,
-                           atoms, f.outputs, k, bob=True)
+    alice = P.T[:, :, None] * k + Z.T[:, None, :]
+    # row r's masked output is Bob's digit of place value k^(m1 - 1 - pi[r])
+    place = (k ** (m1 - 1 - np.arange(m1))).astype(dt)[P]
+    masked = (np.array(f.outputs, dt).T[:, None, :] + Z) % k
+    bob = place @ masked.transpose(0, 2, 1)
+    enc1 = _TableEncoder(alice.reshape(m1, -1), (m1, k), atoms)
+    enc2 = _TableEncoder(bob.reshape(f.m2, -1), (k,) * m1, atoms)
 
     def dec(c1, c2):
         # Alice's code is pos * k + mask; Bob's slot pos is his digit of
@@ -387,31 +380,6 @@ def row_mask_baseline(f: FunctionTable) -> Scheme:
         kind="row_mask_baseline",
         meta={"outputs": [list(r) for r in f.outputs], "labels": k},
     )
-
-
-class _RowMaskEncoder:
-    """One party's row-mask baseline encoder over atoms (pi, zs): Alice
-    sends (pi[w1], zs[w1]), Bob the slots with slots[pi[row]] =
-    (outputs[row][w2] + zs[row]) mod k.  symbols(w, i) is the batch form
-    over indices into atoms, one gather from values, the party's (inputs,
-    positions, atoms) symbol array; a call on one atom tuple computes it
-    row by row."""
-
-    def __init__(self, values: np.ndarray, radix: tuple, atoms, outputs, k: int, bob: bool):
-        self.values, self.radix, self.atoms = values, radix, atoms
-        self.outputs, self.k, self.bob = outputs, k, bob
-
-    def symbols(self, w: int, atoms):
-        return self.values[w][:, atoms]
-
-    def __call__(self, w: int, atom) -> tuple:
-        pi, zs = atom
-        if not self.bob:
-            return (pi[w], zs[w])
-        slots = [0] * len(pi)
-        for row in range(len(pi)):
-            slots[pi[row]] = (self.outputs[row][w] + zs[row]) % self.k
-        return tuple(slots)
 
 
 # ---------------------------------------------------------------------------
@@ -443,22 +411,22 @@ def _hashable(x):
 
 
 class _TableEncoder:
-    """A loaded encoder table: codes[w, i] is the codeword of input w under
-    atom i, as a mixed-radix code over radix (first position most
-    significant), so code order is codeword order.  symbols(w, i) is the
+    """An encoder built or loaded whole: table[w, i] is the codeword of
+    input w under atom i, as a mixed-radix code over radix (first position
+    most significant), so code order is codeword order.  codes(w, i) is the
     batch form over indices into atoms; a call on one atom looks it up."""
 
-    def __init__(self, codes: np.ndarray, radix: tuple, atoms: list):
-        self.codes, self.radix, self.atoms = codes, radix, atoms
+    def __init__(self, table: np.ndarray, radix: tuple, atoms):
+        self.table, self.radix, self.atoms = table, radix, atoms
         self._index = None
 
-    def symbols(self, w: int, atoms):
-        return np.unravel_index(self.codes[w, atoms], self.radix)
+    def codes(self, w: int, atoms):
+        return self.table[w, atoms]
 
     def __call__(self, w: int, atom) -> tuple:
         if self._index is None:
             self._index = {a: i for i, a in enumerate(self.atoms)}
-        return tuple(int(s) for s in self.symbols(w, self._index[atom]))
+        return _codewords([self.table[w, self._index[atom]]], self.radix)[0]
 
 
 def _codes(values, shape: tuple, alphabets: list):
@@ -478,12 +446,11 @@ def _codes(values, shape: tuple, alphabets: list):
 def _read_codes(table, name: str, m: int, n_atoms: int, alphabets: list) -> np.ndarray:
     """An encoder table's (m, n_atoms) mixed-radix codes.  One np.array
     reads a well-formed table; any other goes through the per-codeword
-    checks, which raise the SchemaError or TotalityError it deserves, or
-    accept it."""
+    checks, which raise the SchemaError or TotalityError it deserves: every
+    table they accept is well formed."""
     codes = _codes(table, (m, n_atoms), alphabets)
     if codes is None:
         _check_codewords(table, name, m, n_atoms, alphabets)
-        codes = _codes(np.array(table, np.int64), (m, n_atoms), alphabets)
     return codes
 
 
@@ -505,8 +472,8 @@ def _read_dec(rows, alph1: list, alph2: list) -> np.ndarray:
     """The decoder table, an int64 label per (code1, code2), from dec rows
     {x1, x2, f} read with one np.array per field.  A row that is not such an
     object, a codeword outside the alphabets, a label that is not an int64
-    integer, and a second row for one pair raise SchemaError; a pair without
-    a row TotalityError."""
+    integer, and a second row for one pair raise SchemaError; fewer rows
+    than codeword pairs TotalityError."""
     if not isinstance(rows, list):
         raise SchemaError("dec must be a list of {x1, x2, f} rows")
     n1, n2 = prod(alph1), prod(alph2)
@@ -523,12 +490,11 @@ def _read_dec(rows, alph1: list, alph2: list) -> np.ndarray:
     if not all(isinstance(v, int) and -(2**63) <= v < 2**63 for v in labels):
         raise SchemaError("dec outputs must be integers of at most 64 bits")
     keys = codes1 * n2 + codes2
-    per_pair = np.bincount(keys, minlength=n1 * n2)
-    for bad, error, what in ((per_pair > 1, SchemaError, "duplicate dec row"),
-                             (per_pair == 0, TotalityError, "dec undefined")):
-        if bad.any():
-            c1, c2 = divmod(int(bad.argmax()), n2)
-            raise error(f"{what} for {_codewords([c1], alph1) + _codewords([c2], alph2)}")
+    # at least n1 * n2 rows in range, none repeated: every pair has its row
+    repeated = np.bincount(keys) > 1
+    if repeated.any():
+        c1, c2 = divmod(int(repeated.argmax()), n2)
+        raise SchemaError(f"duplicate dec row for {_codewords([c1], alph1) + _codewords([c2], alph2)}")
     table = np.empty(n1 * n2, np.int64)
     table[keys] = labels
     return table.reshape(n1, n2)

@@ -8,13 +8,14 @@ code arrays and returns int64 labels, -1 for a pair it cannot decode.
 
 Each scheme is tabulated once (_enc_tables, the only code that runs a
 scheme's encoders over its support) through each encoder's batch form:
-radix, and symbols(w, i), input w's codeword positions under the atoms at
-the index array i of enc.atoms, the support it was built over.  _intern
+radix, and codes(w, i), the codes of input w's codewords under the atoms
+at the index array i of enc.atoms, the support it was built over.  _intern
 reads every scheme atom's index in that support at once (an atom outside
-it raises SchemaError) into per party an int32 id table (inputs x atoms)
-and a codebook, the ascending int64 codes the party takes, plus one int64
-weight per atom.  The tables stay on the scheme while its atoms and
-weights are the objects they were built from.
+it raises SchemaError), marks the codes each party takes and ranks them
+into per party an int32 id table (inputs x atoms) and a codebook, the
+ascending int64 codes the party takes, plus one int64 weight per atom.
+The tables stay on the scheme while its atoms and weights are the objects
+they were built from.
 
 An input pair's codeword-pair distribution is its ascending int64 outcome
 keys id1 * len(book2) + id2 with exact int64 weight sums, counted once per
@@ -173,8 +174,8 @@ def _pair_tables(scheme) -> _PairCounts:
 def _intern(enc, m: int, atoms):
     """(ids, book): enc over inputs x atoms as int32 ids into book, the
     ascending codes of the codewords it takes.  Each atom is read at its
-    index in enc.atoms, one input row at a time, and each row's codes are
-    ranked in place; an atom outside enc.atoms raises SchemaError."""
+    index in enc.atoms, one input row of codes at a time, and each row's
+    codes are ranked in place; an atom outside enc.atoms raises SchemaError."""
     if atoms is enc.atoms:
         indices = np.arange(len(atoms))
     else:
@@ -183,11 +184,10 @@ def _intern(enc, m: int, atoms):
             indices = np.array([index[a] for a in atoms], np.intp)
         except KeyError as e:
             raise SchemaError(f"atom {e.args[0]!r} lies outside the encoder's support") from None
-    radix = enc.radix
     ids = np.empty((m, len(atoms)), np.int32)
-    present = np.zeros(prod(radix), bool)
+    present = np.zeros(prod(enc.radix), bool)
     for w, row in enumerate(ids):
-        row[...] = np.ravel_multi_index(enc.symbols(w, indices), radix)
+        row[...] = enc.codes(w, indices)
         present[row] = True
     book = np.flatnonzero(present)
     rank = np.cumsum(present, dtype=np.int32)  # a present code's rank, plus one
@@ -343,14 +343,19 @@ def leakage(scheme, f, input_dist: dict[tuple[int, int], Fraction],
     With every probability n_w / D over one common denominator D and T the
     total weight, the ratio P(w, x | f) / (P(w | f) P(x | f)) is the exact
     integer ratio c_w(x) * n_f / sum_w' n_w' c_w'(x); log2 is applied only to
-    ratios that are not exactly 1, so a secure scheme yields exactly 0.0.
-    exact_zero is secure's verdict, the security comparison over the same
-    counts, made here when secure is not given.
+    ratios that are not exactly 1.  exact_zero is secure's verdict, the
+    security comparison over the same counts, made here when secure is not
+    given.  A secure verdict means every group's counts agree, so every
+    ratio is 1 and the bits are 0.0 without reading a count.
     """
     if any(p < 0 for p in input_dist.values()) or sum(input_dist.values()) != 1:
         raise ValueError("input_dist must be a distribution")
     _require_shape(scheme, f)
     t = _pair_tables(scheme)
+    if secure is None:
+        secure = _compare_groups(t, f)
+    if secure.ok:
+        return LeakageResult(True, 0.0)
     denom = lcm(*(p.denominator for p in input_dist.values()))
     mass_of = {w: p.numerator * (denom // p.denominator) for w, p in input_dist.items() if p > 0}
     scale = denom * t.total
@@ -368,10 +373,7 @@ def leakage(scheme, f, input_dist: dict[tuple[int, int], Fraction],
             for o, c in row.items():
                 if c * n_f != joint[o]:
                     bits += (mass_of[w] * c / scale) * log2(c * n_f / joint[o])
-    # the boolean never consults the float: structural identity decides
-    if secure is None:
-        secure = _compare_groups(t, f)
-    return LeakageResult(secure.ok, bits)
+    return LeakageResult(False, bits)
 
 
 @dataclass

@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -143,17 +144,86 @@ def code(enc, codeword) -> int:
     return int(np.ravel_multi_index(codeword, enc.radix))
 
 
+def row_mask_encoders(outputs, k: int):
+    """row_mask_baseline's encoders, one atom (pi, zs) at a time: Alice
+    sends (pi[w1], zs[w1]), and Bob fills slot pi[row] with
+    (outputs[row][w2] + zs[row]) mod k, row by row."""
+
+    def enc1(w, atom):
+        pi, zs = atom
+        return (pi[w], zs[w])
+
+    def enc2(w, atom):
+        pi, zs = atom
+        slots = [0] * len(pi)
+        for row in range(len(pi)):
+            slots[pi[row]] = (outputs[row][w] + zs[row]) % k
+        return tuple(slots)
+
+    return enc1, enc2
+
+
+def _digits(n: int, base: int, length: int) -> list[int]:
+    """n's length base-`base` digits, first most significant."""
+    out = []
+    for _ in range(length):
+        n, d = divmod(n, base)
+        out.append(d)
+    return out[::-1]
+
+
+def block_encoders(base, f, L: int, A):
+    """block_security_check(base, f, L, A)'s encoders through the field's
+    scalar add, sub and mul, one atom index at a time: the input vector
+    index and the atom index split into one input and one base atom
+    (gamma, z) per position, first position most significant; position
+    p's value is gamma * map[w_p] + z (Bob: - z), and the codeword is A
+    times the L values."""
+    exp = base.expansion
+    fs = exp.structure.carrier
+    atoms = list(base.atoms)
+
+    def encoder(m, mapping, subtract):
+        def enc(w, atom):
+            values = []
+            for wp, a in zip(_digits(w, m, L), _digits(atom, len(atoms), L)):
+                g, z = atoms[a]
+                x = fs.mul(g, mapping[wp])
+                values.append(fs.sub(x, z) if subtract else fs.add(x, z))
+            out = []
+            for row in A:
+                acc = 0
+                for entry, v in zip(row, values):
+                    acc = fs.add(acc, fs.mul(int(entry), v))
+                out.append(acc)
+            return tuple(out)
+
+        return enc
+
+    return encoder(f.m1, exp.map1, False), encoder(f.m2, exp.map2, True)
+
+
+def reference_encoders(scheme):
+    """Per-atom encoders that do not read the scheme's code tables: the
+    row-mask baseline's from its definition, any other scheme's own
+    per-atom calls."""
+    if scheme.kind == "row_mask_baseline":
+        return row_mask_encoders(scheme.meta["outputs"], scheme.meta["labels"])
+    return scheme.enc1, scheme.enc2
+
+
 def brute_force_first_correctness_failure(scheme, f):
     """First (w1, w2, atom, decoded, expected) where decoding the two
     encodings misses f, scanning input pairs then atoms in order, calling
-    the encoders afresh on every atom and the decoder on their codes; None
-    when there is none."""
+    the reference encoders afresh on every atom and the decoder on their
+    codes; None when there is none."""
+    enc1, enc2 = reference_encoders(scheme)
     for w1 in range(f.m1):
         for w2 in range(f.m2):
             expected = f.outputs[w1][w2]
             for atom in scheme.atoms:
-                c1 = code(scheme.enc1, scheme.enc1(w1, atom))
-                c2 = code(scheme.enc2, scheme.enc2(w2, atom))
+                c1 = code(scheme.enc1, enc1(w1, atom))
+                c2 = code(scheme.enc2, enc2(w2, atom))
                 got = int(scheme.dec(c1, c2))
                 if got != expected:
                     return (w1, w2, atom, got, expected)
@@ -179,14 +249,39 @@ def tabulated_scheme(m1: int, m2: int, atoms, enc1, enc2, dec, weights=None):
     })
 
 
-def pair_counts(scheme, w1: int, w2: int) -> Counter:
+def pair_counts(scheme, w1: int, w2: int, encoders=None) -> Counter:
     """Weighted count of each codeword pair (enc1(w1), enc2(w2)) over the
-    support, calling the encoders afresh on every atom."""
+    support, calling the encoders (by default reference_encoders(scheme))
+    afresh on every atom."""
+    enc1, enc2 = encoders or reference_encoders(scheme)
     weights = scheme.weights or [1] * len(scheme.atoms)
     counts = Counter()
     for atom, weight in zip(scheme.atoms, weights):
-        counts[(scheme.enc1(w1, atom), scheme.enc2(w2, atom))] += weight
+        counts[(enc1(w1, atom), enc2(w2, atom))] += weight
     return counts
+
+
+def leakage_bits(scheme, f, input_dist) -> float:
+    """I(codewords; inputs | output) in bits, from exact Fraction
+    probabilities over pair_counts: per output group of positive-mass
+    input pairs, sum of P(w) P(x | w) log2(P(x | w) / P(x | output))."""
+    groups: dict = {}
+    for (w1, w2), p in input_dist.items():
+        if p:
+            groups.setdefault(f.outputs[w1][w2], []).append(((w1, w2), p))
+    bits = 0.0
+    for members in groups.values():
+        cond = {}
+        for w, _ in members:
+            counts = pair_counts(scheme, *w)
+            total = sum(counts.values())
+            cond[w] = {x: Fraction(c, total) for x, c in counts.items()}
+        mass = sum(p for _, p in members)
+        for w, p in members:
+            for x, px in cond[w].items():
+                px_given_f = sum(q * cond[v].get(x, 0) for v, q in members) / mass
+                bits += float(p * px) * math.log2(px / px_given_f)
+    return bits
 
 
 def sorted_counts(tables, w1: int, w2: int):
@@ -363,6 +458,31 @@ def block_trial_errors(spec, trials: int, seed: int, input_dist) -> list[int]:
         u_hat, _ = block_decode(spec, x1, x2)
         out.append(int(u_hat.tolist() != true_u))
     return out
+
+
+def gauss_jordan(arithmetic: dict, q: int, A) -> tuple:
+    """(R, T, pivots) of A over F_q by unblocked Gauss-Jordan on [A | I]
+    through scalar field ops: each column's pivot is the first row at or
+    below the pivot count with a nonzero entry, swapped up, scaled to 1 and
+    cleared from every other row; R = T * A."""
+    mul, sub = arithmetic["mul"], arithmetic["sub"]
+    rows, cols = len(A), len(A[0])
+    M = [[int(v) for v in row] + [int(i == j) for j in range(rows)] for i, row in enumerate(A)]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        i = next((i for i in range(r, rows) if M[i][c]), None)
+        if i is None:
+            continue
+        M[r], M[i] = M[i], M[r]
+        inv = next(x for x in range(1, q) if mul(M[r][c], x) == 1)
+        M[r] = [mul(inv, v) for v in M[r]]
+        for s in range(rows):
+            if s != r and M[s][c]:
+                factor = M[s][c]
+                M[s] = [sub(a, mul(factor, b)) for a, b in zip(M[s], M[r])]
+        pivots.append(c)
+    return [row[:cols] for row in M], [row[cols:] for row in M], pivots
 
 
 def bfs_subgroups(table, identity: int, generators) -> list[tuple[int, ...]]:

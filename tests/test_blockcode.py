@@ -26,12 +26,12 @@ from confuse.errors import (
     BudgetExceeded, LengthMismatch, NotAFieldScheme, SizeBoundExceeded, Undecodable,
 )
 from confuse.expansion import equal_table, find_expansion
-from confuse.fields import field_make
+from confuse.fields import field_make, table_dtype
 from confuse.gallery import get as gallery_get
 from confuse.schemes import crt_equal_scheme, scheme_from_expansion, serialize_scheme
 from confuse.structures import field_confusable_sets
 from confuse.verify import verify_scheme, verify_secure
-from oracles import block_trial_errors, field_arithmetic
+from oracles import block_trial_errors, field_arithmetic, gauss_jordan
 
 
 def _and_scheme():
@@ -223,6 +223,7 @@ def test_block_security_identity_and_wide():
     assert block_security_check(_and_scheme(), and2, 2, eye).ok
     assert block_security_check(_and_scheme(), and2, 2, np.array([[1, 1]])).ok
     assert block_security_check(_and_scheme(), and2, 2, np.array([[2, 1], [0, 1]])).ok
+    assert block_security_check(_and_scheme(), and2, 2, np.zeros((0, 2), int)).ok  # sends nothing
 
 
 def test_block_security_L1_matches_scalar_verifier():
@@ -382,27 +383,46 @@ def test_block_code_returns_int64_arrays_on_every_decode_path():
             assert x1.dtype == x2.dtype == u.dtype == np.int64
 
 
-FIELDS_UP_TO_16 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
+# the fields up to 16, and F_257, whose elements need two bytes and the
+# flat index of _reduce's add table four
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4), (257, 1)]
 # (rows of X, inner, columns of Y): one column, exactly one 64-row block,
 # and a partial third block
 MATMUL_SHAPES = [(5, 9, 1), (64, 7, 3), (130, 11, 2)]
 
 
-@pytest.mark.parametrize("p, n", FIELDS_UP_TO_16)
+@pytest.mark.parametrize("p, n", FIELDS)
 def test_matmul_matches_scalar_field_oracle(p, n):
     fs = field_make(p, n)
     oracle = field_arithmetic(p, n, fs.h)
     rng = np.random.default_rng([p, n])
     for rows, inner, cols in MATMUL_SHAPES:
         X = rng.integers(0, fs.q, size=(rows, inner))
-        Y = rng.integers(0, fs.q, size=(inner, cols)).astype(np.uint8)
+        Y = rng.integers(0, fs.q, size=(inner, cols)).astype(table_dtype(fs.q))
         expected = np.zeros((rows, cols), dtype=np.int64)
         for i, t, j in itertools.product(range(rows), range(inner), range(cols)):
             product = oracle["mul"](int(X[i, t]), int(Y[t, j]))
             expected[i, j] = oracle["add"](int(expected[i, j]), product)
         got = _matmul(fs, X, Y)
-        assert got.dtype == np.uint8
+        assert got.dtype == table_dtype(fs.q)
         assert got.tolist() == expected.tolist()
+
+
+# (rows, columns, columns left zero): one panel, a wide one, and one whose
+# first panel holds 4 pivots, so the rest come from the second
+ORACLE_SHAPES = [(12, 12, 0), (10, 16, 0), (20, 80, 60)]
+
+
+@pytest.mark.parametrize("p, n", [(17, 1), (257, 1)])
+def test_elimination_matches_scalar_oracle_past_q_16(p, n):
+    fs = field_make(p, n)
+    arithmetic = field_arithmetic(p, n, fs.h)
+    for rows, cols, zero in ORACLE_SHAPES:
+        A = np.random.default_rng([p, rows, cols]).integers(0, fs.q, size=(rows, cols))
+        A[:, 4 : 4 + zero] = 0
+        R, T, pivots = blockcode._rref(fs, A)
+        assert R.dtype == T.dtype == table_dtype(fs.q)
+        assert (R.tolist(), T.tolist(), pivots) == gauss_jordan(arithmetic, fs.q, A.tolist())
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (13, 1)])

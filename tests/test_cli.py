@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from importlib import resources
@@ -300,6 +303,16 @@ def test_crt_equal_cli(capsys):
     assert payload["factors"] == [[2, 1], [3, 1]]
     assert payload["atoms"] == 8640
     assert payload["check"]["secure"] is True
+
+
+def test_crt_equal_check_imports_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call; checking crt-equal needs it nowhere
+    code = ("import sys\nfrom confuse.cli import main\n"
+            "assert main(['crt-equal', '--m', '7', '--check']) == 0\n"
+            "sys.exit('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(confuse.fields.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True).returncode == 0
 
 
 @pytest.mark.parametrize("m", range(8, 13))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -198,6 +199,14 @@ def test_baseline_verifies_for_every_small_table(m1, m2):
         assert verify_secure(s, t).ok
 
 
+@pytest.mark.parametrize("k", [129, 256])
+def test_baseline_verifies_with_labels_past_a_byte(k):
+    # one row of k labels: an output plus its mask reaches 2k - 2, past a
+    # uint8 for k > 128, before the mod k
+    t = FunctionTable.from_rows([list(range(k))])
+    assert verify_scheme(row_mask_baseline(t), t).ok
+
+
 def test_baseline_refuses_oversized_support_before_building_it():
     # 7! * 2^7 = 645,120 atoms; building them would take hundreds of MiB
     seven_rows = FunctionTable.from_rows([[r % 2] for r in range(7)])
@@ -363,6 +372,39 @@ def test_loader_array_path_matches_its_loop(name):
     else:
         got = schemes._read_codes(table, "enc1", 2, 3, [3, 2])
         assert got.tolist() == expected.tolist()
+
+
+def _fuzzed_table(rng: random.Random):
+    """A 2 x 3 encoder table over alphabets [3, 2], mostly well formed, each
+    part with a small chance of a wrong type, value, length or nesting."""
+    def pick(good, bad):
+        return rng.choice(bad) if rng.random() < 0.08 else good
+
+    def codeword():
+        cw = [pick(rng.randrange(size), [True, False, 1.0, "0", None, [0], -1, size, 2**63, 2**64])
+              for size in (3, 2)]
+        return pick(cw, [cw[:1], cw + [0], "ab", {}, 0])
+
+    table = [pick([codeword() for _ in range(pick(3, [2, 4]))], ["row", {}]) for _ in range(2)]
+    return pick(table, [table[:1], table + table[:1], {}])
+
+
+def test_the_codeword_checks_accept_exactly_the_tables_one_array_reads():
+    # _read_codes runs the per-codeword checks only on a table the array
+    # read refused, for their errors: they accept no table it refuses
+    rng = random.Random(22)
+    accepted = 0
+    for _ in range(4000):
+        table = _fuzzed_table(rng)
+        codes = schemes._codes(table, (2, 3), [3, 2])
+        try:
+            schemes._check_codewords(table, "enc1", 2, 3, [3, 2])
+        except (SchemaError, TotalityError):
+            assert codes is None, table
+        else:
+            assert codes.tolist() == loop_codes(table, "enc1", 2, 3, [3, 2]).tolist(), table
+            accepted += 1
+    assert 200 < accepted < 3800
 
 
 def test_loader_reads_a_well_formed_table_in_one_array_pass():

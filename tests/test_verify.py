@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 from oracles import (
+    block_encoders,
     brute_force_first_correctness_failure,
     code,
     crt_equal_encode,
+    leakage_bits,
     pair_counts,
+    reference_encoders,
     sorted_counts,
     tabulated_scheme,
 )
@@ -26,6 +29,7 @@ from confuse.errors import SchemaError, SizeBoundExceeded
 from confuse.expansion import FunctionTable, equal_table
 from confuse.fields import field_make
 from confuse.gallery import get as gallery_get
+from confuse.rates import Rate
 from confuse.schemes import (
     Scheme,
     _MaskedSumEncoder,
@@ -39,6 +43,10 @@ from confuse.schemes import (
 from confuse.verify import (
     MAX_ATOMS_MATERIALIZED,
     MAX_TOTAL_WEIGHT,
+    CorrectnessResult,
+    LeakageResult,
+    SecurityResult,
+    VerificationReport,
     _codewords,
     _enc_tables,
     _pair_tables,
@@ -203,6 +211,34 @@ def test_leakage_cross_check_20_random_distributions():
         assert leakage(pinned, f, dist).bits > 0
 
 
+def test_leakage_of_a_secure_verdict_reads_no_counts():
+    scheme, f = _masked_sum_equal3()
+    with mock.patch.object(verify._PairCounts, "counts") as counts:
+        lk = leakage(scheme, f, uniform_input_dist(f), SecurityResult(True))
+    assert not counts.called
+    assert lk == LeakageResult(True, 0.0) and repr(lk.bits) == "0.0"
+
+
+def test_leakage_takes_distributions_with_zero_entries():
+    # README: entries >= 0 summing to 1; a pair of mass 0 drops out of its group
+    f = equal_table(3)
+    dist = {w: Fraction(1, 7) for w in uniform_input_dist(f)}
+    dist[(0, 1)] = dist[(2, 2)] = Fraction(0)
+    assert leakage(scheme_from_expansion(gallery_get("equal3").expansion()), f, dist).bits == 0.0
+    pinned = _pinned_gamma_equal3()
+    lk = leakage(pinned, f, dist)
+    assert not lk.exact_zero
+    assert lk.bits == pytest.approx(leakage_bits(pinned, f, dist), abs=1e-12)
+    assert lk.bits != pytest.approx(leakage(pinned, f, uniform_input_dist(f)).bits)
+
+
+def test_report_ok_needs_both_verdicts():
+    for correct, secure in itertools.product((False, True), repeat=2):
+        report = VerificationReport(CorrectnessResult(correct), SecurityResult(secure),
+                                    LeakageResult(secure, 0.0), (Rate.zero(), Rate.zero()))
+        assert report.ok == (correct and secure)
+
+
 def test_leakage_rejects_non_distribution():
     scheme = scheme_from_expansion(gallery_get("equal3").expansion())
     with pytest.raises(ValueError):
@@ -244,9 +280,9 @@ class _Counted:
         self.enc, self.calls, self.name = enc, calls, name
         self.atoms, self.radix = enc.atoms, enc.radix
 
-    def symbols(self, w, atoms):
+    def codes(self, w, atoms):
         self.calls[self.name] += len(atoms)
-        return self.enc.symbols(w, atoms)
+        return self.enc.codes(w, atoms)
 
 
 def _counting(scheme):
@@ -277,8 +313,8 @@ class _Constant:
     def __init__(self, atoms):
         self.atoms = atoms
 
-    def symbols(self, w, atoms):
-        return (np.zeros(len(atoms), np.int64),)
+    def codes(self, w, atoms):
+        return np.zeros(len(atoms), np.int64)
 
 
 def _constant_scheme(n_atoms):
@@ -387,20 +423,20 @@ def test_optimized_candidate_is_tabulated_once():
     # per input row, and never through the carrier's scalar mul
     exp = gallery_get("equal3").expansion()
     carrier = exp.structure.carrier
-    real_mul, real_symbols = carrier.mul, _MaskedSumEncoder.symbols
+    real_mul, real_codes = carrier.mul, _MaskedSumEncoder.codes
     calls = Counter()
 
     def mul(a, b):
         calls["mul"] += 1
         return real_mul(a, b)
 
-    def symbols(self, w, atoms):
+    def codes(self, w, atoms):
         calls["rows"] += 1
         calls["atoms"] += len(atoms)
-        return real_symbols(self, w, atoms)
+        return real_codes(self, w, atoms)
 
     carrier.mul = mul
-    with mock.patch.object(_MaskedSumEncoder, "symbols", symbols):
+    with mock.patch.object(_MaskedSumEncoder, "codes", codes):
         scheme = scheme_from_expansion(exp, z_values=[0])
         verify_secure(scheme, equal_table(3))
     assert calls["rows"] == scheme.m1 + scheme.m2
@@ -457,12 +493,15 @@ def _optimized_three_label():
     return optimize_additive_randomness(ex.expansion()), ex.table
 
 
+BLOCK_CHECK = (2, [[1, 1]])  # (L, A) of _block_security_scheme
+
+
 def _block_security_scheme():
     """The vector scheme block_security_check hands the verifier, for and2
     at L = 2 with a compressing A."""
     ex = gallery_get("and2")
     with mock.patch.object(blockcode, "verify_secure", wraps=verify_secure) as spy:
-        block_security_check(scheme_from_expansion(ex.expansion()), ex.table, 2, [[1, 1]])
+        block_security_check(scheme_from_expansion(ex.expansion()), ex.table, *BLOCK_CHECK)
     return spy.call_args.args
 
 
@@ -481,16 +520,24 @@ TABLE_CASES = VERIFIER_CASES + [_crt_equal4, _optimized_three_label, _block_secu
 
 @pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: c.__name__.lstrip("_"))
 def test_tables_match_encoders_atom_for_atom(case):
+    # the row-mask baseline and the block check build their encoders as
+    # code tables, so they are checked against the oracles' encoders
     scheme, _ = case()
+    if case is _block_security_scheme:
+        ex = gallery_get("and2")
+        encoders = block_encoders(scheme_from_expansion(ex.expansion()), ex.table, *BLOCK_CHECK)
+    else:
+        encoders = reference_encoders(scheme)
     t = _enc_tables(scheme)
     atoms = list(scheme.atoms)
-    for ids, book, radix, enc, m in ((t.ids1, t.book1, t.radix1, scheme.enc1, scheme.m1),
-                                     (t.ids2, t.book2, t.radix2, scheme.enc2, scheme.m2)):
+    for ids, book, radix, enc, ref, m in (
+            (t.ids1, t.book1, t.radix1, scheme.enc1, encoders[0], scheme.m1),
+            (t.ids2, t.book2, t.radix2, scheme.enc2, encoders[1], scheme.m2)):
         assert book.dtype == np.int64 and np.all(book[1:] > book[:-1]) and radix == enc.radix
         assert ids.dtype == np.int32 and ids.shape == (m, len(atoms))
         codewords = _codewords(book, radix)
         for w in range(m):
-            assert [codewords[i] for i in ids[w].tolist()] == [enc(w, a) for a in atoms]
+            assert [codewords[i] for i in ids[w].tolist()] == [ref(w, a) for a in atoms]
     assert t.weights.dtype == np.int64
     assert t.weights.tolist() == (scheme.weights or [1] * len(atoms))
     for w1 in range(scheme.m1):
@@ -499,7 +546,7 @@ def test_tables_match_encoders_atom_for_atom(case):
             assert keys.dtype == counts.dtype == np.int64
             assert np.all(keys[1:] > keys[:-1])
             got = dict(zip(t.outcomes(keys), counts.tolist()))
-            assert got == pair_counts(scheme, w1, w2)
+            assert got == pair_counts(scheme, w1, w2, encoders)
 
 
 @pytest.mark.parametrize("m", range(2, 8))
