@@ -44,6 +44,7 @@ RNG_NAME = "pcg64"  # numpy PCG64 behind SeedSequence(seed)
 
 COSET_BUDGET = 20_000  # largest coset decoded by exact ML
 SECURITY_BUDGET = 2_000_000  # largest input-vector x atom-vector count enumerated
+SECURITY_CODE_SPACE = 1 << 20  # largest codeword space q^rows the security check tabulates
 
 
 @dataclass
@@ -490,18 +491,31 @@ def run_trials(
 def block_security_check(base, f: FunctionTable, L_small: int, A: np.ndarray) -> SecurityResult:
     """Exact security of the compressed L_small-block scheme: vector inputs
     grouped by their f-vector, full enumeration through the generic verifier
-    over both parties' code tables.  Costs past SECURITY_BUDGET raise
-    BudgetExceeded before anything is enumerated."""
+    over both parties' code tables.  An L_small below 1, an A that is not a
+    matrix of L_small columns, or an entry of A outside 0..q-1 raises
+    ValueError; costs past SECURITY_BUDGET, and codeword spaces of more than
+    SECURITY_CODE_SPACE codes, raise BudgetExceeded; all before any table is
+    built."""
     exp = _require_field_scheme(base)
     fs = exp.structure.carrier
+    if L_small < 1:
+        raise ValueError(f"L must be at least 1, got {L_small}")
     A = np.asarray(A, dtype=np.int64)
-    if A.shape[1] != L_small:
-        raise ValueError("A must have L columns")
+    if A.ndim != 2 or A.shape[1] != L_small:
+        raise ValueError(f"A must be a matrix with L = {L_small} columns, got shape {A.shape}")
+    outside = A[(A < 0) | (A >= fs.q)]
+    if outside.size:
+        raise ValueError(f"entries of A must lie in 0..{fs.q - 1}, got {outside[0]}")
     n_inputs = (f.m1 * f.m2) ** L_small
     atoms = list(base.atoms)
     cost = n_inputs * (len(atoms) ** L_small)
     if cost > SECURITY_BUDGET:
         raise BudgetExceeded(f"enumeration cost {cost} exceeds budget {SECURITY_BUDGET}")
+    codes = fs.q ** A.shape[0]
+    if codes > SECURITY_CODE_SPACE:
+        raise BudgetExceeded(
+            f"{A.shape[0]} rows over F_{fs.q} span {codes} codewords, past the cap of {SECURITY_CODE_SPACE}"
+        )
 
     w1_vecs = list(itertools.product(range(f.m1), repeat=L_small))
     w2_vecs = list(itertools.product(range(f.m2), repeat=L_small))

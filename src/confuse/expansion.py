@@ -176,87 +176,104 @@ def find_expansion(f: FunctionTable, structure: ConfusableStructure):
     value whose new labels would claim a set bound to another label is
     skipped.  Every cut removes only subtrees without a feasible expansion,
     so the hit is unchanged.
+
+    The search keeps its state on one _ExpansionSearch, whose methods
+    recurse through the object, so a call forms no reference cycle: its
+    cell tables and masks are freed by reference counting when it returns,
+    without the cyclic garbage collector.
     """
     size = structure.size
     if f.m1 > size or f.m2 > size:
         raise AlphabetTooLarge(
             f"table is {f.m1}x{f.m2} but the carrier has only {size} elements"
         )
-    m1, m2 = f.m1, f.m2
-    cell = np.array(structure._index)[structure.carrier.add_table]
-    cells = cell.tolist()
-    label_cols = [tuple(row[j] for row in f.outputs) for j in range(m2)]
+    return _ExpansionSearch(f, structure).run()
 
-    # splits[i]: each way the rows 0..i of a label column split into label
-    # classes, as [parent, joined, opened, need].  parent indexes splits[i - 1];
-    # row i joins the class first seen at row `joined`, or, when joined is
-    # None, opens a new class apart from the classes first seen at rows
-    # `opened`; need counts the label columns that split this way.
-    splits: list[list] = [[[None, None, (), m2]]] + [[] for _ in range(1, m1)]
-    leaf_split = []  # leaf_split[j]: index of column j's split in splits[-1]
-    classes = []  # classes[j]: (label, first row) of each label class of column j
-    for labels in label_cols:
-        node, firsts = 0, {labels[0]: 0}
-        for i in range(1, m1):
-            if labels[i] in firsts:
-                key = [node, firsts[labels[i]], ()]
-            else:
-                key = [node, None, tuple(firsts.values())]
-                firsts[labels[i]] = i
-            level = splits[i]
-            node = next((k for k, sp in enumerate(level) if sp[:3] == key), len(level))
-            if node == len(level):
-                level.append(key + [0])
-            level[node][3] += 1
-        leaf_split.append(node)
-        classes.append(tuple(firsts.items()))
-    first_rows = {r for level in splits for _, joined, opened, _ in level
-                  for r in (joined,) + opened if r is not None}
 
-    eq_cache: dict = {}
+class _ExpansionSearch:
+    """One find_expansion call: the table's label splits, the structure's
+    cell tables, and the partial maps and set bindings of the backtracker."""
 
-    def eq(w: int) -> list[int]:
+    def __init__(self, f: FunctionTable, structure: ConfusableStructure):
+        self.structure = structure
+        self.size = size = structure.size
+        self.m1, self.m2 = m1, m2 = f.m1, f.m2
+        self.cell = np.array(structure._index)[structure.carrier.add_table]
+        self.cells = self.cell.tolist()
+        label_cols = [tuple(row[j] for row in f.outputs) for j in range(m2)]
+
+        # splits[i]: each way the rows 0..i of a label column split into label
+        # classes, as [parent, joined, opened, need].  parent indexes splits[i - 1];
+        # row i joins the class first seen at row `joined`, or, when joined is
+        # None, opens a new class apart from the classes first seen at rows
+        # `opened`; need counts the label columns that split this way.
+        splits: list[list] = [[[None, None, (), m2]]] + [[] for _ in range(1, m1)]
+        leaf_split = []  # leaf_split[j]: index of column j's split in splits[-1]
+        classes = []  # classes[j]: (label, first row) of each label class of column j
+        for labels in label_cols:
+            node, firsts = 0, {labels[0]: 0}
+            for i in range(1, m1):
+                if labels[i] in firsts:
+                    key = [node, firsts[labels[i]], ()]
+                else:
+                    key = [node, None, tuple(firsts.values())]
+                    firsts[labels[i]] = i
+                level = splits[i]
+                node = next((k for k, sp in enumerate(level) if sp[:3] == key), len(level))
+                if node == len(level):
+                    level.append(key + [0])
+                level[node][3] += 1
+            leaf_split.append(node)
+            classes.append(tuple(firsts.items()))
+        self.splits, self.leaf_split, self.classes = splits, leaf_split, classes
+        self.first_rows = {r for level in splits for _, joined, opened, _ in level
+                           for r in (joined,) + opened if r is not None}
+
+        self.eq_cache: dict = {}
+        self.set_cache: dict = {}
+        self.orbit_minima = [s[0] for s in structure.sets[1:]]
+        self.map1 = [0] * m1
+        self.map2 = [0] * m2
+        self.eqs: list = [None] * m1  # eq(map1[r]) for each row r that first shows a class
+        self.used1 = set()
+        self.set_to_label = [None] * len(structure.sets)
+        self.label_to_set = [None] * f.output_count
+        # at a full map1: per split of rows 0..m1-1, its mask; per row, its cells
+        # and set_masks
+        self.masks: list[int] = []
+        self.leaf_cells: list = []
+        self.leaf_sets: list = []
+
+    def eq(self, w: int) -> list[int]:
         """eq(v, w) for every v, as int masks over the carrier columns."""
-        row = eq_cache.get(w)
+        row = self.eq_cache.get(w)
         if row is None:
+            cell, size = self.cell, self.size
             packed = np.packbits(cell == cell[w], axis=1, bitorder="little")
             n, raw = packed.shape[1], packed.tobytes()
-            row = eq_cache[w] = [
+            row = self.eq_cache[w] = [
                 int.from_bytes(raw[k:k + n], "little") for k in range(0, size * n, n)
             ]
         return row
 
-    set_cache: dict = {}
-
-    def set_masks(a: int) -> list[int]:
+    def set_masks(self, a: int) -> list[int]:
         """Per confusable set s, the mask of the columns b with a + b in s."""
-        row = set_cache.get(a)
+        row = self.set_cache.get(a)
         if row is None:
-            row = set_cache[a] = [0] * len(structure.sets)
-            for b, idx in enumerate(cells[a]):
+            row = self.set_cache[a] = [0] * len(self.structure.sets)
+            for b, idx in enumerate(self.cells[a]):
                 row[idx] |= 1 << b
         return row
 
-    orbit_minima = [s[0] for s in structure.sets[1:]]
-    map1 = [0] * m1
-    map2 = [0] * m2
-    eqs: list = [None] * m1  # eq(map1[r]) for each row r that first shows a class
-    used1 = set()
-    set_to_label = [None] * len(structure.sets)
-    label_to_set = [None] * f.output_count
-    # at a full map1: per split of rows 0..m1-1, its mask; per row, its cells
-    # and set_masks
-    masks: list[int] = []
-    leaf_cells: list = []
-    leaf_sets: list = []
-
-    def assign2(j: int, free: int) -> bool:
+    def assign2(self, j: int, free: int) -> bool:
         """free: mask of the carrier elements map2 has not used."""
-        if j == m2:
+        if j == self.m2:
             return True
-        mask = masks[leaf_split[j]] & free
+        set_to_label, label_to_set = self.set_to_label, self.label_to_set
+        leaf_cells, leaf_sets = self.leaf_cells, self.leaf_sets
+        mask = self.masks[self.leaf_split[j]] & free
         unbound = []
-        for label, r in classes[j]:
+        for label, r in self.classes[j]:
             idx = label_to_set[label]
             if idx is None:
                 unbound.append((label, leaf_cells[r]))
@@ -275,24 +292,26 @@ def find_expansion(f: FunctionTable, structure: ConfusableStructure):
                 label_to_set[label] = idx
                 added.append(idx)
             else:
-                map2[j] = v
-                if assign2(j + 1, free ^ low):
+                self.map2[j] = v
+                if self.assign2(j + 1, free ^ low):
                     return True
             for idx in added:
                 label_to_set[set_to_label[idx]] = None
                 set_to_label[idx] = None
         return False
 
-    def assign1(i: int, prefix: list) -> bool:
+    def assign1(self, i: int, prefix: list) -> bool:
         """prefix[k]: mask of the columns that split rows 0..i-1 like
         splits[i - 1][k]."""
-        if i == m1:
-            masks[:] = prefix
-            leaf_cells[:] = [cells[a] for a in map1]
-            leaf_sets[:] = map(set_masks, map1)
-            return assign2(0, (1 << size) - 1)
-        level = splits[i]
-        for v in orbit_minima if i == 1 else range(1, size):
+        map1 = self.map1
+        if i == self.m1:
+            self.masks = prefix
+            self.leaf_cells = [self.cells[a] for a in map1]
+            self.leaf_sets = [self.set_masks(a) for a in map1]
+            return self.assign2(0, (1 << self.size) - 1)
+        level = self.splits[i]
+        eqs, used1 = self.eqs, self.used1
+        for v in self.orbit_minima if i == 1 else range(1, self.size):
             if v in used1:
                 continue
             ext = []
@@ -308,20 +327,21 @@ def find_expansion(f: FunctionTable, structure: ConfusableStructure):
                 ext.append(mask)
             else:
                 map1[i] = v
-                if i in first_rows:
-                    eqs[i] = eq(v)
+                if i in self.first_rows:
+                    eqs[i] = self.eq(v)
                 used1.add(v)
-                if assign1(i + 1, ext):
+                if self.assign1(i + 1, ext):
                     return True
                 used1.discard(v)
         return False
 
-    if 0 in first_rows:
-        eqs[0] = eq(0)
-    if assign1(1, [(1 << size) - 1]):
-        out_map = {idx: label for idx, label in enumerate(set_to_label) if label is not None}
-        return FeasibleExpansion(structure, tuple(map1), tuple(map2), out_map)
-    return None
+    def run(self) -> FeasibleExpansion | None:
+        if 0 in self.first_rows:
+            self.eqs[0] = self.eq(0)
+        if not self.assign1(1, [(1 << self.size) - 1]):
+            return None
+        out_map = {idx: label for idx, label in enumerate(self.set_to_label) if label is not None}
+        return FeasibleExpansion(self.structure, tuple(self.map1), tuple(self.map2), out_map)
 
 
 def iter_carrier_structures(max_size: int, kinds=("field", "ring"), min_size: int = 2):

@@ -276,6 +276,53 @@ def test_block_security_budget():
         block_security_check(_and_scheme(), and2, 6, np.eye(6, dtype=int))
 
 
+# and2's scheme is over F_3; read as residues, [[5]] and [[-1]] would
+# verify secure as [[2]] does
+@pytest.mark.parametrize("entry", [5, -1, 3])
+def test_block_security_refuses_entries_outside_the_field(entry):
+    with pytest.raises(ValueError, match=f"entries of A must lie in 0..2, got {entry}"):
+        block_security_check(_and_scheme(), gallery_get("and2").table, 1, np.array([[entry]]))
+
+
+def test_block_security_refuses_L_below_1():
+    with pytest.raises(ValueError, match="L must be at least 1, got 0"):
+        block_security_check(_and_scheme(), gallery_get("and2").table, 0, np.zeros((1, 0), int))
+
+
+def test_block_security_refuses_a_vector_A():
+    with pytest.raises(ValueError, match=r"A must be a matrix with L = 1 columns, got shape \(1,\)"):
+        block_security_check(_and_scheme(), gallery_get("and2").table, 1, np.array([1]))
+
+
+def _ones_over_F3(rows: int):
+    """block_security_check of and2 at L = 1 with A = rows ones over F_3."""
+    return block_security_check(_and_scheme(), gallery_get("and2").table, 1, np.ones((rows, 1), int))
+
+
+def test_block_security_code_space_at_the_cap():
+    # 3^12 = 531,441 codes is within SECURITY_CODE_SPACE: tabulated
+    assert 3**12 <= blockcode.SECURITY_CODE_SPACE < 3**13
+    tracemalloc.start()
+    try:
+        assert _ones_over_F3(12).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def test_block_security_code_space_past_the_cap():
+    # 3^13 codes: refused before any table is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="13 rows over F_3 span 1594323 codewords"):
+            _ones_over_F3(13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # digests of (R, T, pivots) recorded from the two elimination paths this one
 # replaced (integer outer products for prime fields, table lookups otherwise)
 ELIMINATION_DIGESTS = {

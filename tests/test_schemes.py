@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -476,3 +477,24 @@ def test_optimizer_all_subsets_flag():
     assert opt.meta["z_support"] == [0, 1, 2]
     again = optimize_additive_randomness(exp, all_subsets=True)
     assert again.meta["z_support"] == opt.meta["z_support"]
+
+
+def test_optimizer_prefers_a_coset_to_a_plain_subset_of_its_size(monkeypatch):
+    # no table tried here has a plain subset passing at the size of the
+    # least passing coset, so a stand-in verifier passes every support of two
+    # elements of Z_4: the coset {0, 2} must win over {0, 1}, which sorts first
+    def two_elements(scheme, f):
+        return SimpleNamespace(ok=len(scheme.meta["z_support"]) == 2)
+
+    monkeypatch.setattr(schemes, "verify_secure", two_elements)
+    opt = optimize_additive_randomness(gallery_get("three_label_2x2").expansion(), all_subsets=True)
+    assert opt.meta["z_support"] == [0, 2]
+
+
+def test_optimizer_subsets_reach_the_whole_carrier(monkeypatch):
+    # the whole carrier is also its own coset, so the subset range shows only
+    # with the cosets cut down to single points; no proper subset of F_3
+    # passes for equal3, so the range must reach all three elements
+    monkeypatch.setattr(schemes, "closure_subgroups", lambda table, identity, elements: [(identity,)])
+    opt = optimize_additive_randomness(gallery_get("equal3").expansion(), all_subsets=True)
+    assert opt.meta["z_support"] == [0, 1, 2]
