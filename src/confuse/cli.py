@@ -176,7 +176,7 @@ def cmd_solve(args) -> int:
         "manifest": _manifest(args, [args.table]),
         "expansion": exp.to_json(),
         "hits_within_bound": len(hits),
-        "scheme": serialize_scheme(scheme),
+        "scheme": serialize_scheme(scheme) if args.json or args.emit_scheme else None,
         "verification": report.to_json(),
         "converse": {
             "identical_rows": conv.identical_rows,
@@ -293,7 +293,7 @@ def cmd_baseline(args) -> int:
     report = verify_scheme(scheme, f)
     payload = {
         "manifest": _manifest(args, [args.table]),
-        "scheme": serialize_scheme(scheme),
+        "scheme": serialize_scheme(scheme) if args.json or args.emit_scheme else None,
         "verification": report.to_json(),
     }
     lines = [

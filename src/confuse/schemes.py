@@ -1,24 +1,25 @@
 """Concrete scheme constructions.
 
 A Scheme packages the shared-randomness support (atoms with integer weights),
-both encoders, the decoder, and exact rates.  Every encoder built or loaded
-here has a batch form for the verifier's _enc_tables: atoms (the support it
-was built over), radix (the alphabet size of each codeword position) and
-codes(w, i), the mixed-radix codes (first position most significant) of
-input w's codewords under the atoms at the index array i.  The masked-sum
-scheme gathers them from the carrier's add and mul tables and crt-equal
-from its table of value codes, both built on first use; the row-mask
-baseline, the block check's vector scheme (blockcode) and a loaded scheme
-are code tables (_TableEncoder), built or read whole.  Each also takes one
-atom per call: the masked-sum and crt-equal encoders compute it, a code
-table looks it up.  dec reads int64 code arrays into int64 labels, -1
-where no input pair lands.  The serializer reads its alphabets from the
-codebooks, each atom's codeword from the ids and its decoder rows from one
-dec call; the optimized rates are the codebook sizes.  Supports past
-MAX_ATOMS_MATERIALIZED atoms are refused before anything is tabulated, and
-the row-mask baseline refuses one before building it.  crt-equal's encoder
-also carries the verifier's reduced per-pair support, so it is verified
-without enumerating permutations.
+both encoders, the decoder, and exact rates.  Every encoder is a code table
+over the support it was built over, the form the verifier reads: atoms, radix
+(the alphabet size of each codeword position) and table, whose entry [w, i]
+is the mixed-radix code (first position most significant) of input w's
+codeword under atom i.  The masked-sum, row-mask baseline, block check
+(blockcode) and loaded schemes are _TableEncoders: the masked-sum table is
+masked_values, gathered from the carrier's add and mul tables on first read,
+after the verifier's size checks, and the others are built or read whole.
+crt-equal's encoder builds its table on first read from its table of value
+codes, and also carries the verifier's reduced per-pair support, so it is
+verified without enumerating permutations.  dec reads int64 code arrays
+into int64 labels, -1 where no input pair lands.
+
+Codebooks, the distinct codes an encoder takes, are read only where they are
+needed: the serializer's compact alphabets and the optimized rates.  The
+serializer writes each atom as the tuple it is, each codeword in its compact
+symbols and its decoder rows from one dec call.  Supports past
+MAX_ATOMS_MATERIALIZED atoms are refused before any table is read, and the
+row-mask baseline refuses one before building it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .fields import field_make, table_dtype
 from .rates import Rate, factorize
 from .rings import closure_subgroups
 from .verify import MAX_ATOMS_MATERIALIZED, MAX_PAIR_SUPPORT, _codewords, _enc_tables, verify_secure
+
+MAX_ALL_SUBSETS_CARRIER = 13  # largest carrier whose every noise subset is tried
 
 
 @dataclass
@@ -66,15 +69,16 @@ def scheme_from_expansion(exp: FeasibleExpansion, z_values=None) -> Scheme:
 
     gamma is uniform over the structure's randomizer; z is uniform over
     z_values (the whole carrier by default).  With z_values given, the rates
-    count the distinct codewords in the verifier's encoder tables.
+    count the distinct codewords in the encoders' tables.
     """
     st = exp.structure
     carrier = st.carrier
     zs = list(carrier.elements()) if z_values is None else sorted(z_values)
     atoms = [(g, z) for g in st.randomizer for z in zs]
     map1, map2 = exp.map1, exp.map2
-    enc1 = _MaskedSumEncoder(carrier, atoms, map1, subtract=False)
-    enc2 = _MaskedSumEncoder(carrier, atoms, map2, subtract=True)
+    radix = (carrier.size,)  # a codeword is one carrier element, its own code
+    enc1 = _TableEncoder(functools.partial(masked_values, carrier, atoms, map1, False), radix, atoms)
+    enc2 = _TableEncoder(functools.partial(masked_values, carrier, atoms, map2, True), radix, atoms)
     # each element's label: its confusable set's, or -1 in a set no input pair reaches
     cell = np.array([exp.out_map.get(st.index_of(a), -1) for a in carrier.elements()], np.int64)
 
@@ -99,8 +103,8 @@ def scheme_from_expansion(exp: FeasibleExpansion, z_values=None) -> Scheme:
     )
     if not full:
         tables = _enc_tables(scheme)
-        scheme.rate1 = Rate.log2(len(tables.book1))
-        scheme.rate2 = Rate.log2(len(tables.book2))
+        scheme.rate1 = Rate.log2(len(_distinct(tables.codes1)))
+        scheme.rate2 = Rate.log2(len(_distinct(tables.codes2)))
     return scheme
 
 
@@ -113,40 +117,23 @@ def masked_values(carrier, atoms, mapping, subtract: bool) -> np.ndarray:
     return carrier.add_table[x, carrier.neg_table[z] if subtract else z]
 
 
-class _MaskedSumEncoder:
-    """One party's masked-sum encoder over atoms (gamma, z): gamma * map[w]
-    + z for Alice, gamma * map[w] - z for Bob.  codes(w, i) is the batch
-    form over indices into atoms, one gather from masked_values (built on
-    first use, after the verifier's size checks): a codeword is one carrier
-    element, its own code.  A call on one atom tuple computes it with the
-    carrier's scalar arithmetic."""
-
-    def __init__(self, carrier, atoms, mapping, subtract: bool):
-        self.carrier, self.atoms, self.mapping, self.subtract = carrier, atoms, mapping, subtract
-        self.radix = (carrier.size,)
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        return masked_values(self.carrier, self.atoms, self.mapping, self.subtract)
-
-    def codes(self, w: int, atoms):
-        return self.values[w, atoms]
-
-    def __call__(self, w: int, atom) -> tuple:
-        g, z = atom
-        x = self.carrier.mul(g, self.mapping[w])
-        return (self.carrier.sub(x, z) if self.subtract else self.carrier.add(x, z),)
-
-
 def optimize_additive_randomness(exp: FeasibleExpansion, all_subsets: bool = False) -> Scheme:
     """Smallest additive-noise support that still verifies secure.
 
     Candidates are tried in increasing entropy (= size, uniform support)
     order: cosets of additive subgroups first, then, behind the flag, every
     remaining subset.  The full carrier is its own coset, so a passing scheme
-    always exists; rates are recomputed from the encoder ranges.
+    always exists; rates are recomputed from the encoder ranges.  The flag
+    lists all 2^q - 1 subsets before trying one, so a carrier past
+    MAX_ALL_SUBSETS_CARRIER elements raises SizeBoundExceeded with it,
+    before any candidate is built.
     """
     carrier = exp.structure.carrier
+    if all_subsets and carrier.size > MAX_ALL_SUBSETS_CARRIER:
+        raise SizeBoundExceeded(
+            f"--all-subsets on a carrier of {carrier.size} elements would try "
+            f"{2**carrier.size - 1} supports, past the cap of {MAX_ALL_SUBSETS_CARRIER} elements"
+        )
     f = exp.table()
     candidates: list[tuple[int, tuple[int, ...]]] = []  # (tier, support)
     seen = set()
@@ -222,17 +209,15 @@ def crt_equal_scheme(m: int) -> Scheme:
 
 
 class _CrtEncoder:
-    """crt-equal's encoder, one expression over an atom index or an index
-    array alike.  An atom splits in mixed radix into the permutation index
-    (most significant, itertools order) and, per factor q, a digit
-    r = (gamma - 1) * q + z (first factor least significant); factor q's
-    symbol is gamma * (perm[w] mod q) + z in F_q, read at r * q + perm[w]
-    mod q from a table built from the field's add and mul tables.  codes
-    is the batch form the verifier tabulates with, over indices into atoms
-    (here the indices themselves): the code of perm[w] under the atom's
-    digits, read from value_codes; radix is the alphabet size of each
-    codeword position.  The permutations and value codes are built on
-    first use.
+    """crt-equal's encoder.  An atom index splits in mixed radix into the
+    permutation index (most significant, itertools order) and, per factor
+    q, a digit r = (gamma - 1) * q + z (first factor least significant);
+    factor q's symbol is gamma * (perm[w] mod q) + z in F_q, read at
+    r * q + perm[w] mod q from a table built from the field's add and mul
+    tables.  table, the code table the full tabulation reads, holds the
+    code of perm[w] under each atom's digits, read from value_codes; radix
+    is the alphabet size of each codeword position.  The permutations,
+    value codes and table are built on first read.
 
     pair_support is the verifier's reduced support: the permutation enters
     a pair (w1, w2) only through (perm[w1], perm[w2]), so each input pair's
@@ -259,20 +244,20 @@ class _CrtEncoder:
     @functools.cached_property
     def value_codes(self) -> np.ndarray:
         """(m, block): the mixed-radix code of the codeword a permuted value
-        takes under each digit, first position most significant."""
+        takes under each digit, first position most significant, in the
+        smallest dtype that holds the m codes."""
         values, digits = np.arange(self.m)[:, None], np.arange(self.block)
         codes = np.zeros((self.m, self.block), np.int64)
         for q, stride, table in self.tables:
             codes *= q
             codes += table[digits // stride % ((q - 1) * q) * q + values % q]
-        return codes
+        return codes.astype(table_dtype(self.m))
 
-    def codes(self, w: int, atoms):
-        """Input w's codes under atoms (an index or an index array)."""
-        return self.value_codes[self.perms[atoms // self.block, w], atoms % self.block]
-
-    def __call__(self, w: int, atom: int) -> tuple:
-        return _codewords([self.codes(w, atom)], self.radix)[0]
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """(m, atoms): input w's code under atom p * block + d, the value
+        code of perm_p[w] under digit d."""
+        return self.value_codes[self.perms.T].reshape(self.m, -1)
 
     def _value_pairs(self, w1: int, w2: int):
         """(perm[w1], perm[w2]) over the support: the m pairs (a, a) when
@@ -283,12 +268,6 @@ class _CrtEncoder:
             return a, a, factorial(self.m - 1)
         a, b = np.nonzero(~np.eye(self.m, dtype=bool))
         return a, b, factorial(self.m - 2)
-
-    @functools.cached_property
-    def pair_book(self) -> np.ndarray:
-        """The ascending codes of every codeword the encoder takes: perm[w]
-        takes every value, so these are the value codes' distinct ones."""
-        return np.flatnonzero(np.bincount(self.value_codes.ravel()))  # np.unique imports numpy.ma
 
     def pair_support(self, w1: int, w2: int):
         """(codes1, codes2, weights): both parties' codes and the int64
@@ -411,22 +390,21 @@ def _hashable(x):
 
 
 class _TableEncoder:
-    """An encoder built or loaded whole: table[w, i] is the codeword of
-    input w under atom i, as a mixed-radix code over radix (first position
-    most significant), so code order is codeword order.  codes(w, i) is the
-    batch form over indices into atoms; a call on one atom looks it up."""
+    """An encoder as a code table: table[w, i] is the codeword of input w
+    under atom i of atoms, as a mixed-radix code over radix (first position
+    most significant), so code order is codeword order.  The table is given
+    whole, or as a function that builds it on first read."""
 
-    def __init__(self, table: np.ndarray, radix: tuple, atoms):
-        self.table, self.radix, self.atoms = table, radix, atoms
-        self._index = None
+    def __init__(self, table, radix: tuple, atoms):
+        self.radix, self.atoms = radix, atoms
+        if callable(table):
+            self._build = table
+        else:
+            self.table = table
 
-    def codes(self, w: int, atoms):
-        return self.table[w, atoms]
-
-    def __call__(self, w: int, atom) -> tuple:
-        if self._index is None:
-            self._index = {a: i for i, a in enumerate(self.atoms)}
-        return _codewords([self.table[w, self._index[atom]]], self.radix)[0]
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        return self._build()
 
 
 def _codes(values, shape: tuple, alphabets: list):
@@ -571,45 +549,46 @@ def serialize_scheme(scheme: Scheme, name: str = "") -> dict:
 
     Symbols are remapped per codeword position onto compact 0..s-1 alphabets
     so reloaded rates equal the range-based rates of optimized schemes.  The
-    alphabets come from the verifier's codebooks and each atom's codeword
-    from its id tables, shared with verify_scheme.  The decoder table is
-    total, from one dec call over every pair of compact codewords: a pair
-    dec labels -1, which no input pair yields, is written as output 0.
+    alphabets come from the codebooks of the full tabulation, and each
+    atom is written as the tuple it is.  The decoder table is total, from
+    one dec call over every pair of compact codewords: a pair dec labels
+    -1, which no input pair yields, is written as output 0.
     """
     tables = _enc_tables(scheme)
-    mapped1, sizes1, raw1, x1s = _compact(tables.book1, tables.radix1)
-    mapped2, sizes2, raw2, x2s = _compact(tables.book2, tables.radix2)
+    symbols1, sizes1, raw1, x1s = _compact(tables.codes1, tables.radix1)
+    symbols2, sizes2, raw2, x2s = _compact(tables.codes2, tables.radix2)
     labels = np.maximum(scheme.dec(raw1[:, None], raw2[None, :]), 0).tolist()
     dec_rows = [{"x1": list(x1), "x2": list(x2), "f": f}
                 for x1, row in zip(x1s, labels) for x2, f in zip(x2s, row)]
-    atoms, weights = tables.atoms, tables.weights.tolist()
     return {
         "name": name or scheme.kind,
         "m1": scheme.m1,
         "m2": scheme.m2,
         "alphabets1": sizes1,
         "alphabets2": sizes2,
-        "z_support": [{"atom": _jsonable_atom(a), "weight": w} for a, w in zip(atoms, weights)],
-        "enc1": [[list(mapped1[i]) for i in row] for row in tables.ids1.tolist()],
-        "enc2": [[list(mapped2[i]) for i in row] for row in tables.ids2.tolist()],
+        "z_support": [{"atom": a, "weight": w} for a, w in zip(tables.atoms, tables.weights.tolist())],
+        "enc1": symbols1,
+        "enc2": symbols2,
         "dec": dec_rows,
     }
 
 
-def _compact(book: np.ndarray, radix) -> tuple:
-    """(mapped, sizes, raw, grid): a codebook over radix remapped per position
-    onto the symbols it uses, as 0..s-1: each codeword's compact symbols, the
-    compact alphabets, and every compact codeword (grid) with its code over radix."""
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """values' distinct entries, ascending (np.unique would import numpy.ma)."""
+    values = np.sort(values, axis=None)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _compact(codes: np.ndarray, radix) -> tuple:
+    """(symbols, sizes, raw, grid): an (inputs, atoms) code table over radix
+    remapped per position onto the symbols its codebook uses, as 0..s-1:
+    each entry's compact symbols, the compact alphabets, and every compact
+    codeword (grid) with its code over radix."""
+    book = _distinct(codes)
     digits = np.unravel_index(book, radix)
-    values = [np.flatnonzero(np.bincount(d)) for d in digits]  # np.unique would import numpy.ma
+    values = [_distinct(d) for d in digits]
     sizes = [len(v) for v in values]
-    mapped = np.stack([np.searchsorted(v, d) for v, d in zip(values, digits)], axis=1).tolist()
+    mapped = np.stack([np.searchsorted(v, d) for v, d in zip(values, digits)], axis=1)
     grid = np.unravel_index(np.arange(prod(sizes)), sizes)
     raw = np.ravel_multi_index([v[d] for v, d in zip(values, grid)], radix)
-    return mapped, sizes, raw, np.stack(grid, axis=1).tolist()
-
-
-def _jsonable_atom(a):
-    if isinstance(a, tuple):
-        return [_jsonable_atom(v) for v in a]
-    return a
+    return mapped[np.searchsorted(book, codes)].tolist(), sizes, raw, np.stack(grid, axis=1).tolist()

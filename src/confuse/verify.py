@@ -1,40 +1,40 @@
 """Exact correctness and perfect-security verification by enumeration.
 
-Between tabulation and output a codeword is only its mixed-radix code over
-its encoder's radix (the alphabet size of each position), first position
-most significant, so code order is codeword order; tuples are rendered
-only for a security witness.  A scheme's dec takes broadcastable int64
+Every encoder is a code table over the support it was built over, atoms:
+table[w, i] is the codeword of input w under atom i as its mixed-radix code
+over radix (the alphabet size of each position), first position most
+significant, so code order is codeword order; tuples are rendered only for
+a security witness.  A table may be built on first read, so nothing reads
+one before the size checks below.  A scheme's dec takes broadcastable int64
 code arrays and returns int64 labels, -1 for a pair it cannot decode.
 
-Each scheme is tabulated once (_enc_tables, the only code that runs a
-scheme's encoders over its support) through each encoder's batch form:
-radix, and codes(w, i), the codes of input w's codewords under the atoms
-at the index array i of enc.atoms, the support it was built over.  _intern
-reads every scheme atom's index in that support at once (an atom outside
-it raises SchemaError), marks the codes each party takes and ranks them
-into per party an int32 id table (inputs x atoms) and a codebook, the
-ascending int64 codes the party takes, plus one int64 weight per atom.
-The tables stay on the scheme while its atoms and weights are the objects
-they were built from.
+An outcome is keyed by its raw code pair, code1 * prod(radix2) + code2, so
+key order is code-pair order; a scheme whose key space prod(radix1) *
+prod(radix2) passes MAX_TOTAL_WEIGHT, the largest int64, raises
+SizeBoundExceeded before any count is made.  An input pair's codeword-pair
+distribution is its ascending keys with exact int64 weight sums, counted
+once per pair: by np.add.at into one int64 cell per possible key when there
+are at most as many keys as support elements, and by sorting the elements'
+keys otherwise, where a dense array would dwarf the support.  These
+per-pair counts, the one cache a scheme keeps (reused while its atoms and
+weights are the objects they were built from), are the one interface of
+the correctness (one dec call per pair, over its distinct keys), security
+and leakage passes.
 
-An input pair's codeword-pair distribution is its ascending int64 outcome
-keys id1 * len(book2) + id2 with exact int64 weight sums, counted once per
-pair: by np.add.at into one int64 cell per possible key when there are at
-most as many keys, len(book1) * len(book2), as support elements, and by
-sorting the elements' keys otherwise, where a dense array would dwarf the
-support.  These per-pair counts are the one interface of the correctness
-(one dec call per pair, over its distinct keys), security and leakage
-passes.  They come from the full tabulation, or from a reduced per-pair
-support when the scheme's shared encoder carries one (crt-equal): per
-input pair, both parties' codes and int64 weights over fewer images than
-atoms, with the same total weight, and a map from an image back to the
-least atom of the full support it stands for, so witnesses are those of
-the full support.  Such a scheme is verified without tabulating; the
-serializer and the optimized rates still read the full tabulation.
-Supports past MAX_ATOMS_MATERIALIZED atoms, or whose total weight does not
-fit an int64, raise SizeBoundExceeded before any encoder runs; a reduced
-support's scheme constructor refuses one past MAX_PAIR_SUPPORT images per
-input pair.
+The counts come from the full tabulation, _enc_tables: each encoder's
+table read in place, or at the columns of the scheme's atoms when those
+were replaced after it was built (an atom outside the encoder's support
+raises SchemaError), plus one int64 weight per atom.  Or they come from a
+reduced per-pair support when the scheme's shared encoder carries one
+(crt-equal): per input pair, both parties' codes and int64 weights over
+fewer images than atoms, with the same total weight, and a map from an
+image back to the least atom of the full support it stands for, so
+witnesses are those of the full support.  Such a scheme is verified without
+tabulating; the serializer and the optimized rates still read the full
+tabulation.  Supports past MAX_ATOMS_MATERIALIZED atoms, or whose total
+weight does not fit an int64, raise SizeBoundExceeded before any table is
+read; a reduced support's scheme constructor refuses one past
+MAX_PAIR_SUPPORT images per input pair.
 
 All pass/fail decisions run on integer counts over the weighted randomness
 lattice; floats only appear when leakage is rendered in bits.  Witnesses
@@ -54,25 +54,31 @@ from .errors import SchemaError, SizeBoundExceeded
 
 MAX_ATOMS_MATERIALIZED = 300_000
 MAX_PAIR_SUPPORT = 32_768  # images of one input pair's reduced support
-MAX_TOTAL_WEIGHT = 2**63 - 1  # the largest int64 count
+MAX_TOTAL_WEIGHT = 2**63 - 1  # the largest int64: a count or an outcome key
 
 
 class _PairCounts:
     """Per-input-pair outcome counts over a support that gives each input
-    pair one id per party into book1 and book2, the ascending codes over
-    radix1 and radix2 the parties take, and one int64 weight per element:
-    an atom of the full support, or an image of a reduced one.  total is
-    the support's total weight, the same for every pair."""
+    pair, through support(w1, w2), one code per party over radix1 and
+    radix2 and one int64 weight per element: an atom of the full support,
+    or an image of a reduced one.  total is the support's total weight, the
+    same for every pair.  A key space past an int64 raises
+    SizeBoundExceeded here, before any count."""
 
-    def __init__(self, book1, radix1, book2, radix2, total: int):
-        self.book1, self.radix1, self.book2, self.radix2 = book1, radix1, book2, radix2
-        self.total = total
+    def __init__(self, radix1, radix2, total: int):
+        self.radix1, self.radix2, self.total = radix1, radix2, total
+        self.n2 = prod(radix2)
+        self.cells = prod(radix1) * self.n2
+        if self.cells > MAX_TOTAL_WEIGHT:
+            raise SizeBoundExceeded(
+                f"{self.cells} code pairs exceed the int64 key bound {MAX_TOTAL_WEIGHT}"
+            )
         self._counts = {}
 
     def keys(self, w1: int, w2: int) -> np.ndarray:
         """One input pair's outcome key per element, in support order."""
-        ids1, ids2, _ = self.support(w1, w2)
-        return ids1.astype(np.int64) * len(self.book2) + ids2
+        codes1, codes2, _ = self.support(w1, w2)
+        return codes1.astype(np.int64) * self.n2 + codes2
 
     def counts(self, w1: int, w2: int):
         """(keys, counts): one input pair's distinct outcome keys ascending
@@ -81,11 +87,10 @@ class _PairCounts:
         key; past that the elements' keys are sorted and summed per run."""
         pair = self._counts.get((w1, w2))
         if pair is None:
-            ids1, ids2, weights = self.support(w1, w2)
-            keys = ids1.astype(np.int64) * len(self.book2) + ids2
-            cells = len(self.book1) * len(self.book2)
-            if cells <= len(keys):
-                dense = np.zeros(cells, np.int64)
+            codes1, codes2, weights = self.support(w1, w2)
+            keys = codes1.astype(np.int64) * self.n2 + codes2
+            if self.cells <= len(keys):
+                dense = np.zeros(self.cells, np.int64)
                 np.add.at(dense, keys, weights)
                 present = np.flatnonzero(dense)
                 pair = present, dense[present]
@@ -100,28 +105,26 @@ class _PairCounts:
             self._counts[(w1, w2)] = pair
         return pair
 
-    def codes(self, keys: np.ndarray):
-        """(codes1, codes2): the code pairs that outcome keys stand for."""
-        i1, i2 = np.divmod(keys, len(self.book2))
-        return self.book1[i1], self.book2[i2]
-
     def outcomes(self, keys: np.ndarray) -> list:
         """The codeword pairs (c1, c2) that outcome keys stand for, as tuples."""
-        codes1, codes2 = self.codes(keys)
+        codes1, codes2 = np.divmod(keys, self.n2)
         return list(zip(_codewords(codes1, self.radix1), _codewords(codes2, self.radix2)))
 
 
 class EncTables(_PairCounts):
-    """A scheme's encoders over its full support as integer tables."""
+    """A scheme's encoders over its full support: codes1 and codes2, the
+    (inputs, atoms) code tables of each party, and one int64 weight per
+    atom."""
 
-    def __init__(self, atoms, weights, ids1, book1, radix1, ids2, book2, radix2):
-        super().__init__(book1, radix1, book2, radix2, int(weights.sum()))
-        self.atoms = atoms
-        self.weights = weights
-        self.ids1, self.ids2 = ids1, ids2
+    def __init__(self, scheme, weights: np.ndarray):
+        enc1, enc2 = scheme.enc1, scheme.enc2
+        super().__init__(enc1.radix, enc2.radix, int(weights.sum()))
+        self.atoms, self.weights = scheme.atoms, weights
+        self.codes1 = _columns(enc1, self.atoms)
+        self.codes2 = self.codes1 if enc2 is enc1 else _columns(enc2, self.atoms)
 
     def support(self, w1: int, w2: int):
-        return self.ids1[w1], self.ids2[w2], self.weights
+        return self.codes1[w1], self.codes2[w2], self.weights
 
     def first_failure(self, w1: int, w2: int, bad) -> tuple:
         """(atom, key): the first atom in atom order whose outcome key is
@@ -133,19 +136,15 @@ class EncTables(_PairCounts):
 
 class _ReducedTables(_PairCounts):
     """Per-pair counts from a shared encoder's reduced per-pair support:
-    pair_book, the ascending codes of every codeword it takes (its
-    codebook), pair_support(w1, w2), both parties' codes and int64 weights
-    per image, and first_atoms(w1, w2, images), the least full-support atom
-    index each image stands for.  Every pair's weights sum to the unweighted
-    full support's total, len(atoms)."""
+    pair_support(w1, w2), both parties' codes and int64 weights per image,
+    and first_atoms(w1, w2, images), the least full-support atom index each
+    image stands for.  Every pair's weights sum to the unweighted full
+    support's total, len(atoms)."""
 
     def __init__(self, enc):
-        super().__init__(enc.pair_book, enc.radix, enc.pair_book, enc.radix, len(enc.atoms))
+        super().__init__(enc.radix, enc.radix, len(enc.atoms))
         self.enc = enc
-
-    def support(self, w1: int, w2: int):
-        codes1, codes2, weights = self.enc.pair_support(w1, w2)
-        return np.searchsorted(self.book1, codes1), np.searchsorted(self.book1, codes2), weights
+        self.support = enc.pair_support
 
     def first_failure(self, w1: int, w2: int, bad) -> tuple:
         """(atom, key): the least full-support atom over every image whose
@@ -157,44 +156,37 @@ class _ReducedTables(_PairCounts):
 
 
 def _pair_tables(scheme) -> _PairCounts:
-    """The per-pair counts the verifier's passes read, kept on the scheme:
-    the reduced support of a shared encoder that carries one, when the
-    scheme uses it over the encoder's own unweighted atoms, else the full
+    """The per-pair counts the verifier's passes read, kept on the scheme
+    while its atoms and weights are the objects they were built from: the
+    reduced support of a shared encoder that carries one, when the scheme
+    uses it over the encoder's own unweighted atoms, else the full
     tabulation of _enc_tables."""
+    atoms, weights = scheme.atoms, scheme.weights
+    cache = getattr(scheme, "_pair_counts", None)
+    if cache is not None and cache[0] is atoms and cache[1] is weights:
+        return cache[2]
     enc = scheme.enc1
-    if not (hasattr(enc, "pair_support") and scheme.enc2 is enc
-            and scheme.atoms is enc.atoms and scheme.weights is None):
-        return _enc_tables(scheme)
-    cache = getattr(scheme, "_pair_cache", None)
-    if cache is None:
-        cache = scheme._pair_cache = _ReducedTables(enc)
-    return cache
-
-
-def _intern(enc, m: int, atoms):
-    """(ids, book): enc over inputs x atoms as int32 ids into book, the
-    ascending codes of the codewords it takes.  Each atom is read at its
-    index in enc.atoms, one input row of codes at a time, and each row's
-    codes are ranked in place; an atom outside enc.atoms raises SchemaError."""
-    if atoms is enc.atoms:
-        indices = np.arange(len(atoms))
+    if (hasattr(enc, "pair_support") and scheme.enc2 is enc
+            and atoms is enc.atoms and weights is None):
+        tables = _ReducedTables(enc)
     else:
-        index = {a: i for i, a in enumerate(enc.atoms)}
-        try:
-            indices = np.array([index[a] for a in atoms], np.intp)
-        except KeyError as e:
-            raise SchemaError(f"atom {e.args[0]!r} lies outside the encoder's support") from None
-    ids = np.empty((m, len(atoms)), np.int32)
-    present = np.zeros(prod(enc.radix), bool)
-    for w, row in enumerate(ids):
-        row[...] = enc.codes(w, indices)
-        present[row] = True
-    book = np.flatnonzero(present)
-    rank = np.cumsum(present, dtype=np.int32)  # a present code's rank, plus one
-    rank -= 1
-    for row in ids:
-        row[...] = rank[row]
-    return ids, book
+        tables = _enc_tables(scheme)
+    scheme._pair_counts = atoms, weights, tables
+    return tables
+
+
+def _columns(enc, atoms) -> np.ndarray:
+    """enc's code table over atoms: the table itself over enc.atoms, else
+    the column of each atom's index in enc.atoms.  An atom outside enc.atoms
+    raises SchemaError before the table is read."""
+    if atoms is enc.atoms:
+        return enc.table
+    index = {a: i for i, a in enumerate(enc.atoms)}
+    try:
+        columns = [index[a] for a in atoms]
+    except KeyError as e:
+        raise SchemaError(f"atom {e.args[0]!r} lies outside the encoder's support") from None
+    return enc.table[:, columns]
 
 
 def _codewords(codes: np.ndarray, radix) -> list:
@@ -204,17 +196,11 @@ def _codewords(codes: np.ndarray, radix) -> list:
 
 
 def _enc_tables(scheme) -> EncTables:
-    """The scheme's EncTables, kept on the scheme while its atoms and
-    weights are the objects they were built from.  Every encoder is
-    evaluated once per (input, atom) by its batch form, and a scheme whose
-    enc2 is its enc1 over the same inputs is tabulated once; supports past
-    MAX_ATOMS_MATERIALIZED, or weighing more than MAX_TOTAL_WEIGHT in all,
-    raise SizeBoundExceeded, and a weight below 1 SchemaError, before any
-    encoder runs."""
+    """The scheme's full tabulation.  Supports past MAX_ATOMS_MATERIALIZED,
+    or weighing more than MAX_TOTAL_WEIGHT in all, and key spaces past an
+    int64 raise SizeBoundExceeded, and a weight below 1 SchemaError, before
+    any table is read."""
     atoms, given = scheme.atoms, scheme.weights
-    cache = getattr(scheme, "_enc_cache", None)
-    if cache is not None and cache[0] is atoms and cache[1] is given:
-        return cache[2]
     if len(atoms) > MAX_ATOMS_MATERIALIZED:
         raise SizeBoundExceeded(
             f"{len(atoms)} atoms exceed the exact-verification cap of {MAX_ATOMS_MATERIALIZED}"
@@ -228,15 +214,8 @@ def _enc_tables(scheme) -> EncTables:
             raise SizeBoundExceeded(
                 f"total weight {sum(given)} exceeds the int64 count bound {MAX_TOTAL_WEIGHT}"
             )
-    enc1, enc2 = scheme.enc1, scheme.enc2
-    ids1, book1 = _intern(enc1, scheme.m1, atoms)
-    ids2, book2 = ((ids1, book1) if enc2 is enc1 and scheme.m2 == scheme.m1
-                   else _intern(enc2, scheme.m2, atoms))
-    # built after interning, so it never coexists with an interning scratch
-    weights = (np.ones(len(atoms), np.int64) if given is None else np.array(given, np.int64))
-    tables = EncTables(atoms, weights, ids1, book1, enc1.radix, ids2, book2, enc2.radix)
-    scheme._enc_cache = atoms, given, tables
-    return tables
+    weights = np.ones(len(atoms), np.int64) if given is None else np.array(given, np.int64)
+    return EncTables(scheme, weights)
 
 
 def _require_shape(scheme, f) -> None:
@@ -278,7 +257,7 @@ def verify_correct(scheme, f) -> CorrectnessResult:
         for w2 in range(f.m2):
             expected = f.outputs[w1][w2]
             keys = t.counts(w1, w2)[0]
-            labels = scheme.dec(*t.codes(keys))
+            labels = scheme.dec(*np.divmod(keys, t.n2))
             bad = keys[labels != expected]
             if len(bad):
                 atom, key = t.first_failure(w1, w2, bad)

@@ -203,13 +203,56 @@ def block_encoders(base, f, L: int, A):
     return encoder(f.m1, exp.map1, False), encoder(f.m2, exp.map2, True)
 
 
+def masked_sum_encoders(exp):
+    """scheme_from_expansion(exp)'s encoders, one atom (gamma, z) at a time
+    through the carrier's scalar add, sub and mul: gamma * map1[w] + z for
+    Alice, gamma * map2[w] - z for Bob."""
+    carrier = exp.structure.carrier
+
+    def enc1(w, atom):
+        g, z = atom
+        return (carrier.add(carrier.mul(g, exp.map1[w]), z),)
+
+    def enc2(w, atom):
+        g, z = atom
+        return (carrier.sub(carrier.mul(g, exp.map2[w]), z),)
+
+    return enc1, enc2
+
+
+def table_encoders(scheme):
+    """The scheme's own encoders one atom at a time: each code table read
+    at the atom's index in its encoder's support, as a codeword tuple."""
+
+    def lookup(enc):
+        index = {a: i for i, a in enumerate(enc.atoms)}
+
+        def encode(w, atom):
+            return tuple(int(d) for d in np.unravel_index(enc.table[w, index[atom]], enc.radix))
+
+        return encode
+
+    return lookup(scheme.enc1), lookup(scheme.enc2)
+
+
 def reference_encoders(scheme):
-    """Per-atom encoders that do not read the scheme's code tables: the
-    row-mask baseline's from its definition, any other scheme's own
-    per-atom calls."""
+    """Per-atom encoders that do not read the scheme's code tables where
+    the scheme has a definition to compute them from: the row-mask
+    baseline's, the masked-sum scheme's through the carrier's scalar
+    arithmetic and crt-equal's through its fields'.  A loaded scheme's
+    codewords are its data, read through table_encoders."""
     if scheme.kind == "row_mask_baseline":
         return row_mask_encoders(scheme.meta["outputs"], scheme.meta["labels"])
-    return scheme.enc1, scheme.enc2
+    if scheme.expansion is not None:
+        return masked_sum_encoders(scheme.expansion)
+    if scheme.kind == "crt_equal":
+        m = scheme.meta["m"]
+
+        def encode(w, atom):
+            return crt_equal_encode(m, w, atom)
+
+        return encode, encode
+    return table_encoders(scheme)
 
 
 def brute_force_first_correctness_failure(scheme, f):

@@ -20,6 +20,7 @@ from oracles import (
     canonical_cell_partition,
     code,
     feasible_partitions,
+    table_encoders,
 )
 
 from confuse.blockcode import block_security_check, entropy_of_U, make_block_spec, run_trials
@@ -146,14 +147,15 @@ def test_criterion_6_crt_equal_m6():
 
         fields = [field_make(p, k) for p, k in scheme.meta["factors"]]
         expected_support = {(0, 1), (0, 2), (1, 0), (1, 1), (1, 2)}
+        enc1, enc2 = table_encoders(scheme)
         for w1 in range(6):
             for w2 in range(6):
                 if w1 == w2:
                     continue
                 counts = Counter()
                 for atom in scheme.atoms:
-                    x1 = scheme.enc1(w1, atom)
-                    x2 = scheme.enc2(w2, atom)
+                    x1 = enc1(w1, atom)
+                    x2 = enc2(w2, atom)
                     counts[tuple(fs.sub(b, a) for fs, a, b in zip(fields, x1, x2))] += 1
                 assert set(counts) == expected_support, (w1, w2)
                 assert set(counts.values()) == {len(scheme.atoms) // 5}, (w1, w2)
@@ -216,7 +218,8 @@ def test_criterion_9_negative_controls():
         assert leakage(pinned, f3, uniform_input_dist(f3)).bits > 0
 
         good = scheme_from_expansion(GALLERY["equal3"].expansion())
-        target = (good.enc1(1, (2, 1)), good.enc2(2, (2, 1)))
+        enc1, enc2 = table_encoders(good)
+        target = (enc1(1, (2, 1)), enc2(2, (2, 1)))
         t1, t2 = code(good.enc1, target[0]), code(good.enc2, target[1])
         real_dec = good.dec
         corrupted = Scheme(
@@ -228,7 +231,7 @@ def test_criterion_9_negative_controls():
         res_c = verify_correct(corrupted, f3)
         assert not res_c.ok
         w1, w2, atom, got, expected = res_c.witness
-        assert (corrupted.enc1(w1, atom), corrupted.enc2(w2, atom)) == target
+        assert (enc1(w1, atom), enc2(w2, atom)) == target
         assert got != expected
 
 

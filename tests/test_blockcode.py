@@ -31,7 +31,7 @@ from confuse.gallery import get as gallery_get
 from confuse.schemes import crt_equal_scheme, scheme_from_expansion, serialize_scheme
 from confuse.structures import field_confusable_sets
 from confuse.verify import verify_scheme, verify_secure
-from oracles import block_trial_errors, field_arithmetic, gauss_jordan
+from oracles import block_trial_errors, field_arithmetic, gauss_jordan, table_encoders
 
 
 def _and_scheme():
@@ -78,10 +78,11 @@ def test_entropy_of_U_matches_direct_histogram():
     scheme = _and_scheme()
     st = scheme.expansion.structure
     dist = _uniform_bits()
+    enc1, enc2 = table_encoders(scheme)
     histogram = {}
     for (w1, w2), p in dist.items():
         for atom in scheme.atoms:
-            u = st.carrier.add(scheme.enc1(w1, atom)[0], scheme.enc2(w2, atom)[0])
+            u = st.carrier.add(enc1(w1, atom)[0], enc2(w2, atom)[0])
             histogram[u] = histogram.get(u, Fraction(0)) + p * Fraction(1, len(scheme.atoms))
     rep = entropy_of_U(scheme, dist)
     assert histogram == rep.dist_U
@@ -104,15 +105,14 @@ def test_identity_block_code_is_exact():
 def test_scalar_case_matches_single_position():
     spec = make_block_spec(_and_scheme(), L=1, rows=1, identity=True)
     fs = spec.base.expansion.structure.carrier
+    enc1, enc2 = table_encoders(spec.base)
     for w1 in range(2):
         for w2 in range(2):
             for g in (1, 2):
                 for z in range(3):
                     x1, x2 = block_encode(spec, [w1], [w2], [g], [z])
                     u, fvec = block_decode(spec, x1, x2)
-                    direct = fs.add(
-                        spec.base.enc1(w1, (g, z))[0], spec.base.enc2(w2, (g, z))[0]
-                    )
+                    direct = fs.add(enc1(w1, (g, z))[0], enc2(w2, (g, z))[0])
                     assert u[0] == direct
                     assert fvec[0] == gallery_get("and2").table.outputs[w1][w2]
 

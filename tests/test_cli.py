@@ -10,6 +10,7 @@ from importlib import resources
 
 import pytest
 
+import confuse.cli
 import confuse.expansion
 import confuse.fields
 import confuse.rings
@@ -359,6 +360,36 @@ def test_baseline_oversized_support_exits_4(capsys, tmp_path):
     code, _, err = run(capsys, "baseline", "--table", table, "--json")
     assert code == 4
     assert "645120 baseline atoms exceed" in err
+
+
+def test_human_baseline_does_not_serialize(capsys, tmp_path):
+    # a 5 x 5 table with 3 labels: 5! * 3^5 = 29,160 atoms.  Human output
+    # prints rates and verdicts only, so no scheme JSON is built: the code
+    # tables and per-pair counts stay within 16 MiB, where the serialized
+    # scheme's nested lists alone take several times that
+    table = write_table(tmp_path, "five.json", [[(r * c + r) % 3 for c in range(5)] for r in range(5)])
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "baseline", "--table", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "correct: True  secure: True" in out
+    assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("command", ["solve", "baseline"])
+def test_scheme_json_is_built_only_when_written(capsys, tmp_path, equal3_path, command, monkeypatch):
+    calls = []
+    real = confuse.cli.serialize_scheme
+    monkeypatch.setattr(confuse.cli, "serialize_scheme", lambda s: calls.append(s) or real(s))
+    assert run(capsys, command, "--table", equal3_path)[0] == 0
+    assert not calls
+    emitted = tmp_path / "scheme.json"
+    assert run(capsys, command, "--table", equal3_path, "--emit-scheme", str(emitted))[0] == 0
+    code, out, _ = run(capsys, command, "--table", equal3_path, "--json")
+    assert code == 0 and len(calls) == 2
+    assert json.loads(emitted.read_text()) == json.loads(out)["scheme"]
 
 
 def test_blockcode_cli(capsys, tmp_path):

@@ -10,11 +10,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import all_tables, loop_codes
+from oracles import all_tables, loop_codes, table_encoders
 
 from confuse import schemes
 from confuse.errors import SchemaError, SizeBoundExceeded, TotalityError
-from confuse.expansion import FunctionTable, equal_table, find_expansion
+from confuse.expansion import FunctionTable, equal_table, find_expansion, search_expansions
 from confuse.fields import field_make
 from confuse.gallery import get as gallery_get
 from confuse.rates import Rate
@@ -34,26 +34,29 @@ def test_masked_sum_hand_evaluations():
     # 2x3 four-label table over F_7: inputs (1,2) with gamma=1, z=5
     exp = gallery_get("four_label_2x3").expansion()
     scheme = scheme_from_expansion(exp)
+    enc1, enc2 = table_encoders(scheme)
     atom = (1, 5)
-    x1 = scheme.enc1(1, atom)
-    x2 = scheme.enc2(2, atom)
+    x1 = enc1(1, atom)
+    x2 = enc2(2, atom)
     assert x1 == (1,) and x2 == (6,)
     assert scheme.dec(x1[0], x2[0]) == 3  # the sum 0 sits in the zero set
 
     # selected switch over Z_6: inputs (1,2) with gamma=5, z=0
     sw = gallery_get("selected_switch")
     scheme6 = scheme_from_expansion(sw.expansion())
-    x1 = scheme6.enc1(1, (5, 0))
-    x2 = scheme6.enc2(2, (5, 0))
+    enc1, enc2 = table_encoders(scheme6)
+    x1 = enc1(1, (5, 0))
+    x2 = enc2(2, (5, 0))
     assert x1 == (4,) and x2 == (1,)
     assert scheme6.dec(x1[0], x2[0]) == 3  # 5 lands in {1,5}
 
 
 def test_equal_inputs_always_decode_yes():
     scheme = scheme_from_expansion(gallery_get("equal3").expansion())
+    enc1, enc2 = table_encoders(scheme)
     for w in range(3):
         for atom in scheme.atoms:
-            assert scheme.dec(scheme.enc1(w, atom)[0], scheme.enc2(w, atom)[0]) == 1
+            assert scheme.dec(enc1(w, atom)[0], enc2(w, atom)[0]) == 1
 
 
 def test_masked_sum_rates_and_verification():
@@ -173,11 +176,12 @@ def test_crt_equal_difference_tuples_m6():
     scheme = crt_equal_scheme(6)
     fields = [field_make(p, k) for p, k in scheme.meta["factors"]]
     expected = {(0, 1), (0, 2), (1, 0), (1, 1), (1, 2)}
+    enc1, enc2 = table_encoders(scheme)
     for w1, w2 in [(0, 1), (2, 5), (4, 3)]:
         counts = Counter()
         for atom in scheme.atoms:
-            x1 = scheme.enc1(w1, atom)
-            x2 = scheme.enc2(w2, atom)
+            x1 = enc1(w1, atom)
+            x2 = enc2(w2, atom)
             counts[tuple(fs.sub(b, a) for fs, a, b in zip(fields, x1, x2))] += 1
         assert set(counts) == expected
         assert len(set(counts.values())) == 1
@@ -477,6 +481,31 @@ def test_optimizer_all_subsets_flag():
     assert opt.meta["z_support"] == [0, 1, 2]
     again = optimize_additive_randomness(exp, all_subsets=True)
     assert again.meta["z_support"] == opt.meta["z_support"]
+
+
+def test_all_subsets_runs_at_the_carrier_cap_and_refuses_past_it():
+    # every support of a carrier is listed before one is tried: 8,191 at the
+    # cap of 13 elements, and 2^q - 1 past it, so a carrier past the cap is
+    # refused before any candidate is built
+    cap = schemes.MAX_ALL_SUBSETS_CARRIER
+    assert cap == 13
+    hits = {}
+    for st, exp in search_expansions(gallery_get("three_label_2x2").table, 16):
+        hits.setdefault(st.carrier.size, exp)
+    opt = optimize_additive_randomness(hits[cap], all_subsets=True)
+    assert verify_secure(opt, gallery_get("three_label_2x2").table).ok
+    assert len(opt.meta["z_support"]) == 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBoundExceeded, match="16383 supports"):
+            optimize_additive_randomness(hits[cap + 1], all_subsets=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # without the flag the same carrier is tried through its subgroup cosets
+    assert verify_secure(optimize_additive_randomness(hits[cap + 1]),
+                         gallery_get("three_label_2x2").table).ok
 
 
 def test_optimizer_prefers_a_coset_to_a_plain_subset_of_its_size(monkeypatch):

@@ -17,13 +17,14 @@ from oracles import (
     code,
     crt_equal_encode,
     leakage_bits,
+    masked_sum_encoders,
     pair_counts,
     reference_encoders,
     sorted_counts,
     tabulated_scheme,
 )
 
-from confuse import blockcode, verify
+from confuse import blockcode, schemes, verify
 from confuse.blockcode import block_security_check
 from confuse.errors import SchemaError, SizeBoundExceeded
 from confuse.expansion import FunctionTable, equal_table
@@ -32,7 +33,7 @@ from confuse.gallery import get as gallery_get
 from confuse.rates import Rate
 from confuse.schemes import (
     Scheme,
-    _MaskedSumEncoder,
+    _TableEncoder,
     crt_equal_scheme,
     load_custom_scheme,
     optimize_additive_randomness,
@@ -116,11 +117,12 @@ def test_optimized_three_label_paper_distribution():
     exp = gallery_get("three_label_2x2").expansion()
     opt = optimize_additive_randomness(exp)
     carrier = exp.structure.carrier
+    enc1, enc2 = reference_encoders(opt)
     for pair in [(0, 0), (0, 1)]:
         counts = Counter()
         for atom in opt.atoms:
-            x1 = opt.enc1(pair[0], atom)
-            x2 = opt.enc2(pair[1], atom)
+            x1 = enc1(pair[0], atom)
+            x2 = enc2(pair[1], atom)
             counts[(x1[0], carrier.add(x1[0], x2[0]))] += 1
         assert counts == {(1, 1): 1, (3, 1): 1, (3, 3): 1, (1, 3): 1}
 
@@ -129,7 +131,8 @@ def test_verify_correct_and_witness():
     scheme = scheme_from_expansion(gallery_get("equal3").expansion())
     assert verify_correct(scheme, equal_table(3)).ok
 
-    target = (scheme.enc1(0, (1, 0)), scheme.enc2(0, (1, 0)))
+    enc1, enc2 = masked_sum_encoders(scheme.expansion)
+    target = (enc1(0, (1, 0)), enc2(0, (1, 0)))
     t1, t2 = code(scheme.enc1, target[0]), code(scheme.enc2, target[1])
     real_dec = scheme.dec
     corrupted = Scheme(
@@ -141,7 +144,7 @@ def test_verify_correct_and_witness():
     res = verify_correct(corrupted, equal_table(3))
     assert not res.ok
     w1, w2, atom, got, expected = res.witness
-    assert (corrupted.enc1(w1, atom), corrupted.enc2(w2, atom)) == target
+    assert (enc1(w1, atom), enc2(w2, atom)) == target
     assert got != expected
 
 
@@ -252,12 +255,13 @@ def test_masked_sum_codeword_pair_is_uniform_product():
         exp = ex.expansion()
         st = exp.structure
         scheme = scheme_from_expansion(exp)
+        enc1, enc2 = reference_encoders(scheme)
         for w1 in range(ex.table.m1):
             for w2 in range(ex.table.m2):
                 counts = Counter()
                 for atom in scheme.atoms:
-                    x1 = scheme.enc1(w1, atom)
-                    x2 = scheme.enc2(w2, atom)
+                    x1 = enc1(w1, atom)
+                    x2 = enc2(w2, atom)
                     counts[(st.carrier.add(x1[0], x2[0]), x2[0])] += 1
                 label = ex.table.outputs[w1][w2]
                 target_set = next(s for i, s in enumerate(st.sets) if exp.out_map.get(i) == label)
@@ -273,20 +277,20 @@ def test_report_determinism():
     assert a.to_json() == b.to_json()
 
 
-class _Counted:
-    """A batch encoder that counts under calls[name] the atoms it encodes."""
+class _Counted(_TableEncoder):
+    """enc's code table, built on first read, that counts under
+    calls[name] the codes it tabulates."""
 
     def __init__(self, enc, calls: Counter, name: str):
-        self.enc, self.calls, self.name = enc, calls, name
-        self.atoms, self.radix = enc.atoms, enc.radix
+        def build():
+            calls[name] += enc.table.size
+            return enc.table
 
-    def codes(self, w, atoms):
-        self.calls[self.name] += len(atoms)
-        return self.enc.codes(w, atoms)
+        super().__init__(build, enc.radix, enc.atoms)
 
 
 def _counting(scheme):
-    """A copy of the scheme whose encoders count the atoms they encode, and
+    """A copy of the scheme whose encoders count the codes they tabulate, and
     whose decoder its calls ("dec") and the code pairs it decodes
     ("decoded")."""
     calls = Counter()
@@ -305,16 +309,12 @@ def _counting(scheme):
     return copy, calls
 
 
-class _Constant:
-    """A batch encoder sending the codeword (0,) under every atom."""
-
-    radix = (1,)
+class _Constant(_TableEncoder):
+    """A code table sending the codeword (0,) under every atom, built on
+    first read."""
 
     def __init__(self, atoms):
-        self.atoms = atoms
-
-    def codes(self, w, atoms):
-        return np.zeros(len(atoms), np.int64)
+        super().__init__(lambda: np.zeros((1, len(atoms)), np.uint8), (1,), atoms)
 
 
 def _constant_scheme(n_atoms):
@@ -419,35 +419,37 @@ def test_verify_scheme_encodes_each_atom_once(case):
 
 
 def test_optimized_candidate_is_tabulated_once():
-    # the masked-sum encoders are tabulated by their batch form, one call
-    # per input row, and never through the carrier's scalar mul
+    # the masked-sum encoders are tabulated whole, one masked_values table
+    # per party read by both the rates and the verifier, and never through
+    # the carrier's scalar mul
     exp = gallery_get("equal3").expansion()
     carrier = exp.structure.carrier
-    real_mul, real_codes = carrier.mul, _MaskedSumEncoder.codes
+    real_mul, real_values = carrier.mul, schemes.masked_values
     calls = Counter()
 
     def mul(a, b):
         calls["mul"] += 1
         return real_mul(a, b)
 
-    def codes(self, w, atoms):
-        calls["rows"] += 1
-        calls["atoms"] += len(atoms)
-        return real_codes(self, w, atoms)
+    def masked_values(*args):
+        table = real_values(*args)
+        calls["tables"] += 1
+        calls["codes"] += table.size
+        return table
 
     carrier.mul = mul
-    with mock.patch.object(_MaskedSumEncoder, "codes", codes):
+    with mock.patch.object(schemes, "masked_values", masked_values):
         scheme = scheme_from_expansion(exp, z_values=[0])
         verify_secure(scheme, equal_table(3))
-    assert calls["rows"] == scheme.m1 + scheme.m2
-    assert calls["atoms"] == (scheme.m1 + scheme.m2) * len(scheme.atoms)
+    assert calls["tables"] == 2
+    assert calls["codes"] == (scheme.m1 + scheme.m2) * len(scheme.atoms)
     assert calls["mul"] == 0
 
 
 def test_shared_encoder_is_tabulated_once():
     scheme = crt_equal_scheme(4)
     calls = Counter()
-    encode = _Counted(scheme.enc1, calls, "enc")  # without the reduced support
+    encode = _Counted(scheme.enc1, calls, "enc")  # its table, without the reduced support
     shared = dataclasses.replace(scheme, enc1=encode, enc2=encode)
     assert verify_scheme(shared, equal_table(4)).ok
     assert calls["enc"] == scheme.m1 * len(scheme.atoms)
@@ -530,14 +532,12 @@ def test_tables_match_encoders_atom_for_atom(case):
         encoders = reference_encoders(scheme)
     t = _enc_tables(scheme)
     atoms = list(scheme.atoms)
-    for ids, book, radix, enc, ref, m in (
-            (t.ids1, t.book1, t.radix1, scheme.enc1, encoders[0], scheme.m1),
-            (t.ids2, t.book2, t.radix2, scheme.enc2, encoders[1], scheme.m2)):
-        assert book.dtype == np.int64 and np.all(book[1:] > book[:-1]) and radix == enc.radix
-        assert ids.dtype == np.int32 and ids.shape == (m, len(atoms))
-        codewords = _codewords(book, radix)
+    for codes, radix, enc, ref, m in (
+            (t.codes1, t.radix1, scheme.enc1, encoders[0], scheme.m1),
+            (t.codes2, t.radix2, scheme.enc2, encoders[1], scheme.m2)):
+        assert codes.dtype.kind in "iu" and codes.shape == (m, len(atoms)) and radix == enc.radix
         for w in range(m):
-            assert [codewords[i] for i in ids[w].tolist()] == [ref(w, a) for a in atoms]
+            assert _codewords(codes[w], radix) == [ref(w, a) for a in atoms]
     assert t.weights.dtype == np.int64
     assert t.weights.tolist() == (scheme.weights or [1] * len(atoms))
     for w1 in range(scheme.m1):
@@ -551,24 +551,23 @@ def test_tables_match_encoders_atom_for_atom(case):
 
 @pytest.mark.parametrize("m", range(2, 8))
 def test_crt_equal_tables_match_per_atom_oracle(m):
-    # crt-equal is tabulated by its batch form; the oracle walks each atom's
-    # mixed-radix digits and calls the fields' scalar add and mul
+    # crt-equal is tabulated whole from its value codes; the oracle walks
+    # each atom's mixed-radix digits and calls the fields' scalar add and mul
     scheme = crt_equal_scheme(m)
     t = _enc_tables(scheme)
-    assert t.ids2 is t.ids1 and t.book2 is t.book1
+    assert t.codes2 is t.codes1 is scheme.enc1.table
     # z alone reaches every symbol of each factor field, so every tuple occurs
     qs = [p**k for p, k in scheme.meta["factors"]]
-    book = _codewords(t.book1, t.radix1)
+    book = _codewords(np.flatnonzero(np.bincount(t.codes1.ravel())), t.radix1)
     assert book == list(itertools.product(*map(range, qs)))
     assert all(type(cw) is tuple and all(type(s) is int for s in cw) for cw in book)
     n = len(scheme.atoms)
     rng = random.Random(m)
     for w in range(m):
         atoms = range(n) if m < 7 else rng.sample(range(n), 5000)
-        for a in atoms:
-            expected = crt_equal_encode(m, w, a)
-            assert book[t.ids1[w, a]] == expected, (w, a)
-            assert scheme.enc1(w, a) == expected, (w, a)
+        got = _codewords(t.codes1[w, atoms], t.radix1)
+        for a, codeword in zip(atoms, got):
+            assert codeword == crt_equal_encode(m, w, a), (w, a)
 
 
 def _traced_peak(fn):
@@ -582,8 +581,8 @@ def _traced_peak(fn):
 
 
 def test_crt_equal_m7_tabulates_within_a_memory_bound():
-    # the ids alone are 7 x 211,680 int32, 5.7 MiB; no inputs x atoms int64
-    # scratch may sit next to them
+    # the table is 7 x 211,680 one-byte codes, 1.4 MiB; no inputs x atoms
+    # int64 scratch (11.3 MiB) may sit next to it
     scheme = crt_equal_scheme(7)
     assert _traced_peak(lambda: _enc_tables(scheme)) < 11 << 20
 
@@ -609,8 +608,7 @@ def test_crt_equal_pair_support_matches_the_enumerator(m):
     scheme = crt_equal_scheme(m)
     reduced, full = _pair_tables(scheme), _enc_tables(scheme)
     assert reduced is not full and reduced is _pair_tables(scheme)
-    assert reduced.book1.dtype == np.int64 and reduced.radix1 == full.radix1
-    assert np.array_equal(reduced.book1, full.book1) and np.array_equal(reduced.book2, full.book2)
+    assert (reduced.radix1, reduced.radix2, reduced.n2) == (full.radix1, full.radix2, full.n2)
     assert reduced.total == full.total == len(scheme.atoms)
     for w1 in range(m):
         for w2 in range(m):
@@ -640,9 +638,9 @@ def _crt_variants(m: int, rng: random.Random):
         for gamma in (0, 1):
             yield _crt_pinned_gamma(m, factor, gamma)
     scheme = crt_equal_scheme(m)
-    book = _enc_tables(scheme).book1
+    codes = range(m)  # every code over the radix, whose product is m, occurs
     for _ in range(3):
-        yield _corrupted(scheme, {(rng.choice(book), rng.choice(book)) for _ in range(3)})
+        yield _corrupted(scheme, {(rng.choice(codes), rng.choice(codes)) for _ in range(3)})
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -676,6 +674,54 @@ def test_total_weight_past_int64_is_refused_before_encoding():
         else:
             assert verify_scheme(counted, table).ok
             assert _enc_tables(counted).counts(0, 0)[1].tolist() == [2**63 - 1]
+
+
+def _wide_scheme(table1, radix1, table2, radix2):
+    """A scheme of two code tables over their own atoms, decoding to 0."""
+    atoms = range(len(table1[0]))
+    return Scheme(
+        m1=len(table1), m2=len(table2), atoms=atoms, weights=None,
+        enc1=_TableEncoder(np.array(table1, np.uint32), radix1, atoms),
+        enc2=_TableEncoder(np.array(table2, np.uint32), radix2, atoms),
+        dec=lambda c1, c2: np.zeros(np.broadcast(c1, c2).shape, np.int64),
+        rate1=Rate.zero(), rate2=Rate.zero(), kind="test",
+    )
+
+
+def test_key_space_past_int64_is_refused_before_counting():
+    # an outcome key is code1 * prod(radix2) + code2: 2^32 x 2^31 code pairs
+    # need a key of 2^63, one past the int64 range; one code fewer fits
+    table = FunctionTable.from_rows([[0]])
+    top = [[0, 2**32 - 1]]
+    past, calls = _counting(_wide_scheme(top, (2**32,), [[0, 1]], (2**31,)))
+    with mock.patch.object(verify._PairCounts, "counts") as counted:
+        for check in (verify_correct, verify_secure, verify_scheme):
+            with pytest.raises(SizeBoundExceeded, match="int64 key bound"):
+                check(past, table)
+    assert not counted.called and not calls
+    within = _wide_scheme(top, (2**32,), [[0, 2**31 - 2]], (2**31 - 1,))
+    assert verify_scheme(within, table).ok
+    t = _enc_tables(within)
+    keys, counts = t.counts(0, 0)
+    assert keys.tolist() == [0, 2**63 - 2**32 - 1] and counts.tolist() == [1, 1]
+    assert t.outcomes(keys) == [((0,), (0,)), ((2**32 - 1,), (2**31 - 2,))]
+
+
+def test_wide_radix_is_verified_and_serialized_in_small_memory():
+    # a few codes in a radix of 2^24: no array over the radix is allocated,
+    # so the peak stays far below one byte per code of the radix (16 MiB)
+    scheme = _wide_scheme([[0, 5, 2**24 - 1, 7], [5, 0, 7, 2**24 - 1]], (2**24,),
+                          [[0, 0, 1, 1]], (2,))
+    table = FunctionTable.from_rows([[0], [0]])
+    serialized = {}
+
+    def run():
+        assert verify_scheme(scheme, table).ok
+        serialized.update(serialize_scheme(scheme))
+
+    assert _traced_peak(run) < 1 << 20
+    assert serialized["alphabets1"] == [4]
+    assert verify_scheme(load_custom_scheme(serialized), table).ok
 
 
 def test_non_positive_weight_is_refused_before_encoding():
@@ -716,7 +762,7 @@ def _heavy_sorted():
     return _heavy_custom(False)
 
 
-# (case, whether its counts are dense: len(book1) * len(book2) <= atoms)
+# (case, whether its counts are dense: prod(radix1) * prod(radix2) <= atoms)
 COUNT_CASES = [
     (_crt_equal4, True),
     (_baseline_3x2, True),
@@ -733,7 +779,7 @@ COUNT_CASES = [
 def test_dense_and_sorted_counts_agree(case, dense):
     scheme, f = case()
     t = _enc_tables(scheme)
-    assert (len(t.book1) * len(t.book2) <= len(t.atoms)) == dense
+    assert (t.cells <= len(t.atoms)) == dense
     for w1 in range(scheme.m1):
         for w2 in range(scheme.m2):
             keys, counts = t.counts(w1, w2)
@@ -792,9 +838,9 @@ def test_replaced_atoms_outside_the_encoders_support_are_refused():
         verify_scheme(scheme, equal_table(3))
 
 
-# (codebook pair -> label) over each scheme's codebooks, -1 where the pair
-# decodes to no label, recorded from the decoders that took codeword tuples
-# one pair per call
+# (codebook pair -> label) over each scheme's codebooks, the ascending
+# distinct codes of its tables, -1 where the pair decodes to no label,
+# recorded from the decoders that took codeword tuples one pair per call
 DECODER_DIGESTS = {
     "masked_sum_equal3": "cb72029c5a7eff62",
     "weighted_and2": "cb72029c5a7eff62",
@@ -814,10 +860,11 @@ DECODER_DIGESTS = {
 def test_decoder_matches_pinned_digest(case):
     scheme, _ = case()
     t = _enc_tables(scheme)
-    labels = scheme.dec(t.book1[:, None], t.book2[None, :])
-    assert labels.dtype == np.int64 and labels.shape == (len(t.book1), len(t.book2))
+    book1, book2 = (np.unique(codes).astype(np.int64) for codes in (t.codes1, t.codes2))
+    labels = scheme.dec(book1[:, None], book2[None, :])
+    assert labels.dtype == np.int64 and labels.shape == (len(book1), len(book2))
     rows = [[list(c1), list(c2), label]
-            for c1, row in zip(_codewords(t.book1, t.radix1), labels.tolist())
-            for c2, label in zip(_codewords(t.book2, t.radix2), row)]
+            for c1, row in zip(_codewords(book1, t.radix1), labels.tolist())
+            for c2, label in zip(_codewords(book2, t.radix2), row)]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
     assert digest == DECODER_DIGESTS[case.__name__.lstrip("_")]
