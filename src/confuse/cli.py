@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="find an embedding and build the masked-sum scheme")
     p.add_argument("--table", required=True)
     p.add_argument("--max-carrier", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None, help="stop after this many hits")
+    p.add_argument("--limit", type=int, default=None,
+                   help="stop after this many hits; hits_within_bound then counts the hits found before the stop")
     p.add_argument("--fields-only", action="store_true")
     p.add_argument("--optimize-z", action="store_true", help="shrink the additive noise support")
     p.add_argument("--all-subsets", action="store_true",

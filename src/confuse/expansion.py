@@ -10,6 +10,7 @@ independent oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +37,14 @@ class FunctionTable:
         if used != set(range(len(used))):
             raise ValueError(f"labels must be 0..k-1 with every label used, got {sorted(used)}")
 
-    @property
+    @functools.cached_property
     def output_count(self) -> int:
         return 1 + max(v for row in self.outputs for v in row)
+
+    @functools.cached_property
+    def _plan(self) -> "_SearchPlan":
+        """The table's half of every find_expansion over it, built on first use."""
+        return _SearchPlan(self)
 
     @classmethod
     def from_rows(cls, rows) -> "FunctionTable":
@@ -146,6 +152,19 @@ class FeasibleExpansion:
 def find_expansion(f: FunctionTable, structure: ConfusableStructure):
     """Lexicographically-first feasible expansion over this structure, or None.
 
+    A capacity test comes first and returns None with no search.  The cells
+    of one row are distinct sums because map2 is injective, and so are the
+    cells of one column; every cell with a given label lies in that label's
+    set.  So a label needs a set with at least as many elements as its most
+    cells in one row or one column, and out_map gives the labels distinct
+    sets.  By Hall's condition such an assignment exists exactly when the
+    structure has at least as many sets as the table has labels and the
+    needs, largest first, are each at most the set size in the same place
+    of structure.orbit_sizes.  The test rejects only structures without an
+    embedding, so every hit is unchanged.  The table's half of the search
+    (its label splits and needs) is built once per table and reused for
+    every structure.
+
     map1 values are assigned in row order, then map2 in column order; carrier
     elements are tried in ascending encoding, so the first hit is the
     lexicographically-first (map1, map2).  Two symmetries of every structure
@@ -187,20 +206,21 @@ def find_expansion(f: FunctionTable, structure: ConfusableStructure):
         raise AlphabetTooLarge(
             f"table is {f.m1}x{f.m2} but the carrier has only {size} elements"
         )
-    return _ExpansionSearch(f, structure).run()
+    plan = f._plan
+    if plan.rules_out(structure):
+        return None
+    return _ExpansionSearch(plan, structure).run()
 
 
-class _ExpansionSearch:
-    """One find_expansion call: the table's label splits, the structure's
-    cell tables, and the partial maps and set bindings of the backtracker."""
+class _SearchPlan:
+    """What a search needs from the table alone, built once per table: the
+    label splits of the map1 prefix cut, each column's label classes, the
+    rows that first show a class, and the labels' capacity needs."""
 
-    def __init__(self, f: FunctionTable, structure: ConfusableStructure):
-        self.structure = structure
-        self.size = size = structure.size
+    def __init__(self, f: FunctionTable):
         self.m1, self.m2 = m1, m2 = f.m1, f.m2
-        self.cell = np.array(structure._index)[structure.carrier.add_table]
-        self.cells = self.cell.tolist()
-        label_cols = [tuple(row[j] for row in f.outputs) for j in range(m2)]
+        self.output_count = f.output_count
+        label_cols = list(zip(*f.outputs))
 
         # splits[i]: each way the rows 0..i of a label column split into label
         # classes, as [parent, joined, opened, need].  parent indexes splits[i - 1];
@@ -229,6 +249,34 @@ class _ExpansionSearch:
         self.first_rows = {r for level in splits for _, joined, opened, _ in level
                            for r in (joined,) + opened if r is not None}
 
+        # needs: per label, the most cells it takes in one row or one column,
+        # largest first
+        need = [0] * self.output_count
+        for line in f.outputs + tuple(label_cols):
+            for label in set(line):
+                need[label] = max(need[label], line.count(label))
+        self.needs = sorted(need, reverse=True)
+
+    def rules_out(self, structure: ConfusableStructure) -> bool:
+        """The capacity test: True when the structure has fewer sets than
+        the table has labels, or a need exceeds the set size in its place."""
+        sizes = structure.orbit_sizes
+        return len(sizes) < len(self.needs) or any(n > s for n, s in zip(self.needs, sizes))
+
+
+class _ExpansionSearch:
+    """One find_expansion call: the table's plan, the structure's cell
+    tables, and the partial maps and set bindings of the backtracker."""
+
+    def __init__(self, plan: _SearchPlan, structure: ConfusableStructure):
+        self.structure = structure
+        self.size = structure.size
+        self.m1, self.m2 = m1, m2 = plan.m1, plan.m2
+        self.splits, self.leaf_split = plan.splits, plan.leaf_split
+        self.classes, self.first_rows = plan.classes, plan.first_rows
+        self.cell = np.array(structure._index)[structure.carrier.add_table]
+        self.cells = self.cell.tolist()
+
         self.eq_cache: dict = {}
         self.set_cache: dict = {}
         self.orbit_minima = [s[0] for s in structure.sets[1:]]
@@ -237,7 +285,7 @@ class _ExpansionSearch:
         self.eqs: list = [None] * m1  # eq(map1[r]) for each row r that first shows a class
         self.used1 = set()
         self.set_to_label = [None] * len(structure.sets)
-        self.label_to_set = [None] * f.output_count
+        self.label_to_set = [None] * plan.output_count
         # at a full map1: per split of rows 0..m1-1, its mask; per row, its cells
         # and set_masks
         self.masks: list[int] = []

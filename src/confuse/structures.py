@@ -10,6 +10,7 @@ element uniformly onto its orbit: every orbit member is hit |Stab(a)| times.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -53,6 +54,12 @@ class ConfusableStructure:
 
     def index_of(self, element: int) -> int:
         return self._index[element]
+
+    @functools.cached_property
+    def orbit_sizes(self) -> tuple[int, ...]:
+        """The sizes of the confusable sets, largest first; computed on
+        first read, which only the embedding search makes."""
+        return tuple(sorted(map(len, self.sets), reverse=True))
 
     @property
     def size(self) -> int:

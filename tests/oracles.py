@@ -63,21 +63,43 @@ def canonical_cell_partition(cells) -> tuple[int, ...]:
     return tuple(out)
 
 
-def feasible_partitions(structure, m1: int, m2: int) -> set[tuple[int, ...]]:
+def feasible_partitions(structure, m1: int, m2: int, map1_from_zero: bool = False) -> set[tuple[int, ...]]:
     """All cell partitions realizable by injective map pairs over a structure.
 
     A table embeds over the structure iff its label partition of the m1*m2
     cells equals the set-index partition of some map pair, so collecting the
     canonical partitions is the brute-force existence oracle with the
-    table-independent work hoisted out.
+    table-independent work hoisted out.  Every map pair is scanned, a block
+    of map1s at a time with numpy: a pair's partition is the bitmask over
+    the cell pairs (a, b), a < b, that land in one set, and each distinct
+    mask is decoded into its canonical partition at the end.  With
+    map1_from_zero only the map1s with map1[0] = 0 are scanned, which gives
+    the same set: (map1 - c, map2 + c) has the same cell sums as (map1, map2).
     """
     size = structure.size
-    cells = cell_table(structure)
+    cells = np.array(cell_table(structure))
+    maps1 = np.array(list(itertools.permutations(range(size), m1))).reshape(-1, m1)
+    if map1_from_zero:
+        maps1 = maps1[maps1[:, 0] == 0]
+    maps2 = np.array(list(itertools.permutations(range(size), m2))).reshape(-1, m2)
+    k = m1 * m2
+    pairs = [(a, b) for b in range(k) for a in range(b)]
+    block = max(1, (1 << 17) // len(maps2))
+    masks = set()
+    for start in range(0, len(maps1), block):
+        # the cells of every map pair in the block, row by row: (pairs, m1 * m2)
+        sets = cells[maps1[start:start + block]][:, :, maps2].transpose(0, 2, 1, 3).reshape(-1, k)
+        mask = np.zeros(len(sets), np.int64)
+        for bit, (a, b) in enumerate(pairs):
+            mask |= (sets[:, a] == sets[:, b]).astype(np.int64) << bit
+        masks.update(np.unique(mask).tolist())
     out = set()
-    for map1 in itertools.permutations(range(size), m1):
-        rows = [cells[a] for a in map1]
-        for map2 in itertools.permutations(range(size), m2):
-            out.add(canonical_cell_partition([row[b] for row in rows for b in map2]))
+    for mask in masks:
+        labels = list(range(k))
+        for bit, (a, b) in enumerate(pairs):
+            if mask >> bit & 1:
+                labels[b] = labels[a]
+        out.add(canonical_cell_partition(labels))
     return out
 
 

@@ -2,13 +2,21 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_tables, brute_force_expansion_exists, brute_force_first_expansion
+from oracles import (
+    all_tables,
+    brute_force_expansion_exists,
+    brute_force_first_expansion,
+    canonical_cell_partition,
+    feasible_partitions,
+)
 
+from confuse import expansion
 from confuse.errors import AlphabetTooLarge
 from confuse.expansion import (
     FeasibleExpansion,
@@ -20,6 +28,7 @@ from confuse.expansion import (
     search_expansions,
 )
 from confuse.fields import field_make
+from confuse.gallery import GALLERY
 from confuse.rates import Rate
 from confuse.rings import RingSpec
 from confuse.schemes import optimize_additive_randomness, scheme_from_expansion
@@ -111,8 +120,6 @@ def test_search_returns_all_hits_in_order():
 
 @pytest.mark.parametrize("limit", [0, -2])
 def test_search_refuses_a_limit_below_one_before_building_structures(monkeypatch, limit):
-    from confuse import expansion
-
     def no_build(*args, **kwargs):
         raise AssertionError("a structure was built")
 
@@ -244,6 +251,106 @@ def test_backtracker_agrees_with_brute_force_small():
             assert (found is not None) == brute_force_expansion_exists(t, structure)
             if found is not None:
                 found.validate(t)
+
+
+def test_capacity_test_rules_out_only_structures_without_an_embedding():
+    # carriers 8 to 13, fields and rings: every 2x2, 2x3, 2x4 and 3x3 table
+    # with at most 3 labels up to relabeling, plus the gallery tables.
+    # Wherever the capacity test rules a structure out, the brute-force
+    # oracle finds no embedding.  Budget, set before the first run: 20 s.
+    start = time.perf_counter()
+    groups = {}
+    for m1, m2 in ((2, 2), (2, 3), (2, 4), (3, 3)):
+        groups[m1, m2] = [
+            FunctionTable.from_rows(rows)
+            for rows in all_tables(m1, m2, 3)
+            if canonical_cell_partition(sum(rows, ())) == sum(rows, ())
+        ]
+    for ex in GALLERY.values():
+        groups[ex.table.m1, ex.table.m2].append(ex.table)
+    ruled_out = {"field": 0, "ring": 0}
+    small = []
+    for structure in iter_carrier_structures(13, min_size=8):
+        for (m1, m2), tables in groups.items():
+            out = [f for f in tables if f._plan.rules_out(structure)]
+            if not out:
+                continue
+            feasible = feasible_partitions(structure, m1, m2, map1_from_zero=True)
+            for f in out:
+                cells = canonical_cell_partition(sum(f.outputs, ()))
+                assert cells not in feasible, (structure.key(), f.outputs)
+                assert find_expansion(f, structure) is None
+            ruled_out[structure.carrier.kind] += len(out)
+            if structure.size <= 9 and m1 * m2 <= 6:
+                small.extend((f, structure) for f in out)
+    assert min(ruled_out.values()) > 1000
+    # a seeded sample through the other oracle, on the tables as written and
+    # with no translation argument
+    for f, structure in random.Random(27).sample(small, 12):
+        assert not brute_force_expansion_exists(f, structure), (structure.key(), f.outputs)
+    assert time.perf_counter() - start < 20
+
+
+# the nine tables of the solve bench
+SOLVE_BENCH_TABLES = {
+    "s00-2x2k2": [[0, 1], [1, 1]],
+    "s01-2x2k3": [[2, 1], [1, 0]],
+    "s02-2x3k2": [[1, 0, 1], [0, 0, 1]],
+    "s03-2x3k3": [[0, 1, 2], [1, 1, 1]],
+    "s04-3x2k2": [[1, 1], [1, 1], [1, 0]],
+    "s05-3x3k3": [[1, 1, 1], [2, 0, 1], [1, 1, 2]],
+    "s06-2x4k3": [[0, 1, 1, 0], [1, 2, 2, 1]],
+    "s07-2x5k2": [[1, 0, 1, 1, 1], [1, 0, 1, 1, 1]],
+    "s08-2x5k3-none": [[2, 1, 2, 1, 2], [0, 1, 0, 1, 0]],
+}
+
+
+def test_capacity_test_decides_a_pinned_share_of_the_solve_searches(monkeypatch):
+    # up to carrier 16 the nine tables make 636 find_expansion calls with 187
+    # hits; the capacity test answers 335 of them without a search
+    calls, searches = [], []
+    find = expansion.find_expansion
+
+    def counted_find(f, structure):
+        calls.append(structure)
+        return find(f, structure)
+
+    class CountedSearch(expansion._ExpansionSearch):
+        def __init__(self, plan, structure):
+            searches.append(structure)
+            super().__init__(plan, structure)
+
+    monkeypatch.setattr(expansion, "find_expansion", counted_find)
+    monkeypatch.setattr(expansion, "_ExpansionSearch", CountedSearch)
+    hits = sum(len(search_expansions(FunctionTable.from_rows(rows), 16))
+               for rows in SOLVE_BENCH_TABLES.values())
+    assert (len(calls), len(calls) - len(searches), hits) == (636, 335, 187)
+
+
+def test_search_builds_one_plan_per_table(monkeypatch):
+    plans = []
+
+    class CountedPlan(expansion._SearchPlan):
+        def __init__(self, f):
+            plans.append(f)
+            super().__init__(f)
+
+    monkeypatch.setattr(expansion, "_SearchPlan", CountedPlan)
+    f = FunctionTable.from_rows([[0, 1, 2], [1, 1, 0]])
+    hits = {s.key(): e for s, e in search_expansions(f, 16)}
+    structures = list(iter_carrier_structures(16, min_size=3))
+    assert plans == [f] and len(structures) > 60 and hits
+    # find_expansion on its own builds the plan of a table it has not seen and
+    # returns what the search returned for that structure
+    for structure in structures:
+        g = FunctionTable.from_rows(f.outputs)
+        exp = find_expansion(g, structure)
+        want = hits.get(structure.key())
+        assert (exp is None) == (want is None)
+        if exp is not None:
+            assert (exp.map1, exp.map2, exp.out_map) == (want.map1, want.map2, want.out_map)
+        assert plans[-1] is g
+    assert len(plans) == 1 + len(structures)
 
 
 @settings(max_examples=60, deadline=None)
