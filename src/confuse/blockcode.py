@@ -12,9 +12,12 @@ below 2^24, float64 below 2^53, else SizeBoundExceeded, so every float is
 an exact integer.  _matmul reduces once per product; A's elimination keeps
 [A | I] unreduced and reduces only its current panel and pivot rows.
 run_trials stacks its trials as the columns of one product by A per party
-and one by the row transform T, and block_security_check builds each
-party's code table for the generic verifier with one product per input
-vector.
+and one by the row transform T.
+
+block_security_check decides exact security from the law of the sum
+A(gamma o u): at any L and A when the scalar law of gamma * u is a function
+of the label, as for every scheme the block code builds, else by counting
+it over the gamma-vectors, with no enumeration of atom vectors.
 
 The coset search is exact maximum-likelihood when the coset is small enough
 to enumerate; otherwise a greedy per-coordinate fallback assigns each free
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -36,15 +40,12 @@ from .errors import (
 )
 from .expansion import FunctionTable
 from .fields import table_dtype
-from .rates import Rate
-from .schemes import Scheme, _TableEncoder, masked_values
-from .verify import SecurityResult, uniform_input_dist, verify_secure
+from .verify import SecurityResult, uniform_input_dist
 
 RNG_NAME = "pcg64"  # numpy PCG64 behind SeedSequence(seed)
 
 COSET_BUDGET = 20_000  # largest coset decoded by exact ML
-SECURITY_BUDGET = 2_000_000  # largest input-vector x atom-vector count enumerated
-SECURITY_CODE_SPACE = 1 << 20  # largest codeword space q^rows the security check tabulates
+SECURITY_BUDGET = 2_000_000  # largest (m1 * m2 * |Gamma|)^L the security check counts
 
 
 @dataclass
@@ -288,8 +289,8 @@ def make_block_spec(
     compression is possible).  A is drawn entry-iid uniform from a seeded
     PCG64 stream, or the identity with identity=True, and stored in
     table_dtype(q).  L below 1, an epsilon that makes (H_q(U) + epsilon) * L
-    infinite or NaN, and a given or computed rows outside 1..L, raise
-    ValueError before A is drawn."""
+    infinite or NaN, a given or computed rows outside 1..L, and identity
+    with rows other than L raise ValueError before A is drawn."""
     if L < 1:
         raise ValueError(f"L must be at least 1, got {L}")
     exp = _require_field_scheme(base)
@@ -303,9 +304,10 @@ def make_block_spec(
         rows = L if identity else min(L, math.ceil((report.H_qary + epsilon) * L))
     if not 1 <= rows <= L:
         raise ValueError(f"rows must be in 1..L = 1..{L}, got {rows}")
+    if identity and rows != L:
+        raise ValueError(f"the identity matrix has rows = L = {L}, got rows {rows}")
     dt = table_dtype(fs.q)
     if identity:
-        rows = L
         A = np.eye(L, dtype=dt)
     else:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -489,13 +491,18 @@ def run_trials(
 
 
 def block_security_check(base, f: FunctionTable, L_small: int, A: np.ndarray) -> SecurityResult:
-    """Exact security of the compressed L_small-block scheme: vector inputs
-    grouped by their f-vector, full enumeration through the generic verifier
-    over both parties' code tables.  An L_small below 1, an A that is not a
-    matrix of L_small columns, or an entry of A outside 0..q-1 raises
-    ValueError; costs past SECURITY_BUDGET, and codeword spaces of more than
-    SECURITY_CODE_SPACE codes, raise BudgetExceeded; all before any table is
-    built."""
+    """Exact security of the compressed L_small-block scheme.  Over unweighted
+    atoms Gamma x the whole carrier, X1 is uniform on Im A and independent of
+    X1 + X2 = A(gamma o u), u_i = map1[w1_i] + map2[w2_i], so a codeword pair
+    counts [x1 in Im A] * q^(L - rank A) * law(A(gamma o u))(x1 + x2).  When
+    each label's pair sums share one law of gamma * u, that law depends on the
+    f-vector alone: secure at every L and A, with nothing counted.  Otherwise
+    it is counted over the gamma-vectors once per distinct u-vector of each
+    f-vector group, compared in verify_secure's order and with its witness,
+    whose outcome is (0, s), s the least codeword where two laws differ.  An
+    L_small below 1, an A that is not an L_small-column matrix over 0..q-1,
+    and a weighted base or one over other atoms raise ValueError, and a count
+    past SECURITY_BUDGET BudgetExceeded, before anything is counted."""
     exp = _require_field_scheme(base)
     fs = exp.structure.carrier
     if L_small < 1:
@@ -506,55 +513,45 @@ def block_security_check(base, f: FunctionTable, L_small: int, A: np.ndarray) ->
     outside = A[(A < 0) | (A >= fs.q)]
     if outside.size:
         raise ValueError(f"entries of A must lie in 0..{fs.q - 1}, got {outside[0]}")
-    n_inputs = (f.m1 * f.m2) ** L_small
-    atoms = list(base.atoms)
-    cost = n_inputs * (len(atoms) ** L_small)
-    if cost > SECURITY_BUDGET:
-        raise BudgetExceeded(f"enumeration cost {cost} exceeds budget {SECURITY_BUDGET}")
-    codes = fs.q ** A.shape[0]
-    if codes > SECURITY_CODE_SPACE:
-        raise BudgetExceeded(
-            f"{A.shape[0]} rows over F_{fs.q} span {codes} codewords, past the cap of {SECURITY_CODE_SPACE}"
-        )
+    gammas = sorted({g for g, _ in base.atoms})
+    if base.weights is not None or sorted(base.atoms) != list(itertools.product(gammas, range(fs.q))):
+        raise ValueError("block security needs an unweighted base over gamma x the whole carrier")
+    cells: dict = {}  # cells[label][w1]: the w2 with f(w1, w2) = label, ascending
+    for w1, row in enumerate(f.outputs):
+        for w2, label in enumerate(row):
+            cells.setdefault(label, {}).setdefault(w1, []).append(w2)
 
-    w1_vecs = list(itertools.product(range(f.m1), repeat=L_small))
-    w2_vecs = list(itertools.product(range(f.m2), repeat=L_small))
-    # vector function table: one label per distinct f-vector, in first-use order
-    fvecs = {}
-    rows = []
-    for wv1 in w1_vecs:
-        row = []
-        for wv2 in w2_vecs:
-            fv = tuple(f.outputs[a][b] for a, b in zip(wv1, wv2))
-            row.append(fvecs.setdefault(fv, len(fvecs)))
-        rows.append(row)
-    rate = Rate.log2(fs.q).scaled(A.shape[0])
-    radix = (fs.q,) * A.shape[0]
-    place = fs.q ** np.arange(A.shape[0])[::-1]  # a codeword's code, first position most significant
-    vec_atoms = range(len(atoms) ** L_small)
-    # atom vector i splits in mixed radix into one base atom per position,
-    # first position most significant (itertools.product order)
-    per_position = np.indices((len(atoms),) * L_small).reshape(L_small, -1)
+    def sum_of(wv1, wv2) -> tuple:
+        return tuple(fs.add(exp.map1[a], exp.map2[b]) for a, b in zip(wv1, wv2))
 
-    def encoder(w_vecs, mapping, subtract: bool) -> _TableEncoder:
-        """A party's code table: input vector w's codeword under atom vector
-        i is A times the per-position values gamma * mapping[w_p] + z (or
-        - z), one _matmul per input vector."""
-        values = masked_values(fs, atoms, mapping, subtract)
-        table = np.array([place @ _matmul(fs, A, values[np.array(wv)[:, None], per_position])
-                          for wv in w_vecs])
-        return _TableEncoder(table, radix, vec_atoms)
+    sums = {label: sorted({fs.add(exp.map1[a], exp.map2[b]) for a, bs in rows.items() for b in bs})
+            for label, rows in cells.items()}
+    if all(len({tuple(sorted(fs.mul(g, u) for g in gammas)) for u in us}) == 1
+           for us in sums.values()):
+        return SecurityResult(True)
+    if (cost := (f.m1 * f.m2 * len(gammas)) ** L_small) > SECURITY_BUDGET:
+        raise BudgetExceeded(f"counting cost {cost} exceeds budget {SECURITY_BUDGET}")
+    gamma_vecs = np.array(list(itertools.product(gammas, repeat=L_small)), np.int64)
 
-    vec_scheme = Scheme(
-        m1=len(w1_vecs),
-        m2=len(w2_vecs),
-        atoms=vec_atoms,
-        weights=None,
-        enc1=encoder(w1_vecs, exp.map1, subtract=False),
-        enc2=encoder(w2_vecs, exp.map2, subtract=True),
-        dec=lambda c1, c2: np.zeros(np.broadcast(c1, c2).shape, np.int64),  # security only
-        rate1=rate,
-        rate2=rate,
-        kind="block",
-    )
-    return verify_secure(vec_scheme, FunctionTable.from_rows(rows))
+    def law(u) -> Counter:
+        return Counter(map(tuple, _matmul(fs, fs.mul_table[gamma_vecs, u], A.T).tolist()))
+
+    heads: dict = {}  # labels by first cell in row-major order, grouped by its row
+    for label in sorted(cells, key=lambda label: min((a, bs[0]) for a, bs in cells[label].items())):
+        heads.setdefault(min(cells[label]), []).append(label)
+    # the f-vector groups in order of first member, row vector first
+    for rows in itertools.product(list(heads.values()), repeat=L_small):
+        for fv in itertools.product(*rows):
+            members = ((wv1, wv2) for wv1 in itertools.product(*(cells[label] for label in fv))
+                       for wv2 in itertools.product(*(cells[label][a] for label, a in zip(fv, wv1))))
+            first = next(members)
+            ref = law(sum_of(*first))
+            differ = {u for u in itertools.product(*(sums[label] for label in fv)) if law(u) != ref}
+            if not differ:
+                continue
+            pair = next(pair for pair in members if sum_of(*pair) in differ)
+            other = law(sum_of(*pair))
+            s = min(k for k in ref.keys() | other.keys() if ref[k] != other[k])
+            w = [int(np.ravel_multi_index(wv, (m,) * L_small)) for wv, m in zip(first + pair, (f.m1, f.m2) * 2)]
+            return SecurityResult(False, ((w[0], w[1]), (w[2], w[3]), ((0,) * A.shape[0], s)))
+    return SecurityResult(True)

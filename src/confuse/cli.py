@@ -88,13 +88,15 @@ def _load_table(path: str) -> FunctionTable:
 def _load_input_dist(path: str, f: FunctionTable) -> dict:
     """{(w1, w2): probability} from an m1 x m2 JSON matrix, bare or under
     "probs"; strings such as "1/4" are exact.  Anything but m1 rows of m2
-    entries, each >= 0, summing to exactly 1 raises ValueError."""
+    entries, each >= 0 and no boolean, summing to exactly 1 raises ValueError."""
     with open(path) as fh:
         obj = json.load(fh)
     probs = obj.get("probs") if isinstance(obj, dict) else obj
     if not (isinstance(probs, list) and len(probs) == f.m1
             and all(isinstance(row, list) and len(row) == f.m2 for row in probs)):
         raise ValueError(f"input distribution must be {f.m1} rows of {f.m2} entries")
+    if any(type(v) is bool for row in probs for v in row):
+        raise ValueError("input distribution entries must be numbers or strings, not booleans")
     try:
         dist = {
             (w1, w2): Fraction(v) if isinstance(v, str) else Fraction(v).limit_denominator(10**9)

@@ -5,8 +5,8 @@ both encoders, the decoder, and exact rates.  Every encoder is a code table
 over the support it was built over, the form the verifier reads: atoms, radix
 (the alphabet size of each codeword position) and table, whose entry [w, i]
 is the mixed-radix code (first position most significant) of input w's
-codeword under atom i.  The masked-sum, row-mask baseline, block check
-(blockcode) and loaded schemes are _TableEncoders: the masked-sum table is
+codeword under atom i.  The masked-sum, row-mask baseline and loaded
+schemes are _TableEncoders: the masked-sum table is
 masked_values, gathered from the carrier's add and mul tables on first read,
 after the verifier's size checks, and the others are built or read whole.
 crt-equal's encoder builds its table on first read from its table of value

@@ -14,9 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from confuse.blockcode import block_decode, block_encode
+from confuse.blockcode import _matmul, block_decode, block_encode
+from confuse.expansion import FunctionTable
 from confuse.fields import field_make
-from confuse.schemes import load_custom_scheme
+from confuse.rates import Rate
+from confuse.schemes import Scheme, _TableEncoder, load_custom_scheme, masked_values
+from confuse.verify import verify_secure
 
 
 def cell_table(structure) -> list[list[int]]:
@@ -223,6 +226,58 @@ def block_encoders(base, f, L: int, A):
         return enc
 
     return encoder(f.m1, exp.map1, False), encoder(f.m2, exp.map2, True)
+
+
+def block_security_scheme(base, f, L: int, A):
+    """The compressed L-block scheme of base as a plain scheme, with the
+    vector table it is verified against: (m1^L) x (m2^L) input vectors, each
+    labelled by its f-vector in order of first use, over |atoms|^L atom
+    vectors, both indexed in itertools.product order (first position most
+    significant).  Input vector w's codeword under atom vector i is A times
+    the per-position values gamma * map[w_p] + z (Bob: - z), one _matmul per
+    input vector.  The decoder is a stub: the scheme is for security only."""
+    exp = base.expansion
+    fs = exp.structure.carrier
+    A = np.asarray(A, dtype=np.int64)
+    atoms = list(base.atoms)
+    w1_vecs = list(itertools.product(range(f.m1), repeat=L))
+    w2_vecs = list(itertools.product(range(f.m2), repeat=L))
+    fvecs = {}
+    rows = [[fvecs.setdefault(tuple(f.outputs[a][b] for a, b in zip(wv1, wv2)), len(fvecs))
+             for wv2 in w2_vecs] for wv1 in w1_vecs]
+    rate = Rate.log2(fs.q).scaled(A.shape[0])
+    radix = (fs.q,) * A.shape[0]
+    place = fs.q ** np.arange(A.shape[0])[::-1]  # a codeword's code, first position most significant
+    vec_atoms = range(len(atoms) ** L)
+    # atom vector i splits in mixed radix into one base atom per position
+    per_position = np.indices((len(atoms),) * L).reshape(L, -1)
+
+    def encoder(w_vecs, mapping, subtract: bool) -> _TableEncoder:
+        values = masked_values(fs, atoms, mapping, subtract)
+        table = np.array([place @ _matmul(fs, A, values[np.array(wv)[:, None], per_position])
+                          for wv in w_vecs])
+        return _TableEncoder(table, radix, vec_atoms)
+
+    scheme = Scheme(
+        m1=len(w1_vecs),
+        m2=len(w2_vecs),
+        atoms=vec_atoms,
+        weights=None,
+        enc1=encoder(w1_vecs, exp.map1, subtract=False),
+        enc2=encoder(w2_vecs, exp.map2, subtract=True),
+        dec=lambda c1, c2: np.zeros(np.broadcast(c1, c2).shape, np.int64),
+        rate1=rate,
+        rate2=rate,
+        kind="block",
+    )
+    return scheme, FunctionTable.from_rows(rows)
+
+
+def block_security_by_enumeration(base, f, L: int, A):
+    """block_security_check's verdict and witness from the generic verifier
+    over block_security_scheme: every input-vector pair's codeword-pair
+    counts over every atom vector."""
+    return verify_secure(*block_security_scheme(base, f, L, A))
 
 
 def masked_sum_encoders(exp):

@@ -2,6 +2,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -25,13 +29,13 @@ from confuse.blockcode import (
 from confuse.errors import (
     BudgetExceeded, LengthMismatch, NotAFieldScheme, SizeBoundExceeded, Undecodable,
 )
-from confuse.expansion import equal_table, find_expansion
+from confuse.expansion import FunctionTable, equal_table, find_expansion, search_expansions
 from confuse.fields import field_make, table_dtype
-from confuse.gallery import get as gallery_get
+from confuse.gallery import GALLERY, get as gallery_get
 from confuse.schemes import crt_equal_scheme, scheme_from_expansion, serialize_scheme
 from confuse.structures import field_confusable_sets
-from confuse.verify import verify_scheme, verify_secure
-from oracles import block_trial_errors, field_arithmetic, gauss_jordan, table_encoders
+from confuse.verify import SecurityResult, verify_scheme, verify_secure
+from oracles import block_security_by_enumeration, block_trial_errors, field_arithmetic, gauss_jordan, table_encoders
 
 
 def _and_scheme():
@@ -271,9 +275,20 @@ def test_block_security_matches_pinned_results(key):
 
 
 def test_block_security_budget():
+    # and2's own base is certified at any L, with nothing counted
     and2 = gallery_get("and2").table
-    with pytest.raises(BudgetExceeded):
-        block_security_check(_and_scheme(), and2, 6, np.eye(6, dtype=int))
+    assert block_security_check(_and_scheme(), and2, 6, np.eye(6, dtype=int)).ok
+    # gamma pinned: (3 * 3 * 1)^7 = 4,782,969 > SECURITY_BUDGET, refused
+    # before the gamma-vectors or any law is allocated
+    equal3 = gallery_get("equal3").table
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="counting cost 4782969 exceeds budget 2000000"):
+            block_security_check(_pinned_gamma_equal3(), equal3, 7, np.eye(7, dtype=int))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # and2's scheme is over F_3; read as residues, [[5]] and [[-1]] would
@@ -294,33 +309,120 @@ def test_block_security_refuses_a_vector_A():
         block_security_check(_and_scheme(), gallery_get("and2").table, 1, np.array([1]))
 
 
-def _ones_over_F3(rows: int):
-    """block_security_check of and2 at L = 1 with A = rows ones over F_3."""
-    return block_security_check(_and_scheme(), gallery_get("and2").table, 1, np.ones((rows, 1), int))
+def test_block_security_wide_A_is_counted_without_a_code_space_cap():
+    # 13 rows over F_3 span 3^13 codewords; the law of the sum holds one
+    # codeword per gamma-vector, so no codeword space is tabulated
+    res = block_security_check(_pinned_gamma_equal3(), gallery_get("equal3").table, 1,
+                               np.ones((13, 1), int))
+    assert (res.ok, res.witness) == (False, ((0, 1), (0, 2), ((0,) * 13, (1,) * 13)))
 
 
-def test_block_security_code_space_at_the_cap():
-    # 3^12 = 531,441 codes is within SECURITY_CODE_SPACE: tabulated
-    assert 3**12 <= blockcode.SECURITY_CODE_SPACE < 3**13
+def test_block_security_wide_A_is_certified():
     tracemalloc.start()
     try:
-        assert _ones_over_F3(12).ok
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 << 20
-
-
-def test_block_security_code_space_past_the_cap():
-    # 3^13 codes: refused before any table is allocated
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceeded, match="13 rows over F_3 span 1594323 codewords"):
-            _ones_over_F3(13)
+        assert block_security_check(_and_scheme(), gallery_get("and2").table, 1,
+                                    np.ones((4096, 1), int)).ok
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_block_security_of_B1_is_certified_at_L_1024():
+    # the certificate counts nothing: 16 MiB holds the int64 copy of A
+    # (8 MiB) and its range masks
+    A = _b1_spec().A
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        res = block_security_check(_and_scheme(), gallery_get("and2").table, 1024, A)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == SecurityResult(True)
+    assert elapsed < 0.5 and peak < 16 << 20
+
+
+def test_block_security_of_pinned_equal3_is_counted_at_L_6():
+    # (3 * 3 * 1)^6 = 531,441 is within SECURITY_BUDGET.  The first f-vector
+    # group with two laws is the second, and its first two members differ in
+    # the last position.
+    equal3 = gallery_get("equal3").table
+    start = time.perf_counter()
+    res = block_security_check(_pinned_gamma_equal3(), equal3, 6, np.eye(6, dtype=int))
+    assert time.perf_counter() - start < 2.0
+    assert (res.ok, res.witness) == (False, ((0, 1), (0, 2), ((0,) * 6, (0, 0, 0, 0, 0, 1))))
+    # a zero A sends one codeword whatever the inputs: every group is
+    # counted and all agree
+    start = time.perf_counter()
+    assert block_security_check(_pinned_gamma_equal3(), equal3, 6, np.zeros((1, 6), int)).ok
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("edit", ["z_restricted", "weighted", "duplicated"])
+def test_block_security_refuses_other_bases(edit):
+    scheme = scheme_from_expansion(gallery_get("and2").expansion())
+    if edit == "z_restricted":
+        scheme.atoms = [(g, 0) for g in scheme.expansion.structure.randomizer]
+    elif edit == "weighted":
+        scheme.weights = [1] * len(scheme.atoms)
+    else:
+        scheme.atoms = list(scheme.atoms) + [scheme.atoms[0]]
+    with pytest.raises(ValueError, match="unweighted base over gamma x the whole carrier"):
+        block_security_check(scheme, gallery_get("and2").table, 2, np.eye(2, dtype=int))
+
+
+def _grid_bases():
+    """Up to three field hits to carrier 9 per gallery table, each as its
+    masked-sum base and with gamma pinned to 1."""
+    for name, ex in sorted(GALLERY.items()):
+        for _, exp in search_expansions(ex.table, 9, ("field",), limit=3):
+            scheme = scheme_from_expansion(exp)
+            pinned = scheme_from_expansion(exp)
+            pinned.atoms = [(1, z) for z in range(exp.structure.carrier.q)]
+            yield name, ex.table, scheme
+            yield name, ex.table, pinned
+
+
+def test_block_security_matches_the_enumeration_oracle():
+    # every case the enumeration serves within (m1 * m2 * |atoms|)^L <=
+    # SECURITY_BUDGET, insecure ones included
+    rng = np.random.default_rng(20261020)
+    start = time.perf_counter()
+    cases = insecure = 0
+    for name, f, base in _grid_bases():
+        q = base.expansion.structure.carrier.q
+        for L in (1, 2, 3):
+            if (f.m1 * f.m2 * len(base.atoms)) ** L > blockcode.SECURITY_BUDGET:
+                continue
+            matrices = [np.eye(L, dtype=int), np.ones((1, L), int), np.zeros((1, L), int)]
+            matrices += [rng.integers(0, q, size=(int(rng.integers(1, L + 2)), L)) for _ in range(2)]
+            for A in matrices:
+                res = block_security_check(base, f, L, A)
+                expected = block_security_by_enumeration(base, f, L, A)
+                assert (res.ok, res.witness) == (expected.ok, expected.witness), (name, q, L, A)
+                cases += 1
+                insecure += not res.ok
+    assert time.perf_counter() - start < 20
+    assert (cases, insecure) == (465, 189)
+
+
+def test_block_security_of_a_base_under_another_table_is_counted():
+    # and2's base read against XOR: its pair sums no longer share one law
+    # per label, so the verdict comes from the count, as the oracle's does
+    xor = FunctionTable.from_rows([[0, 1], [1, 0]])
+    for L, A in ((1, np.eye(1, dtype=int)), (2, np.eye(2, dtype=int)), (2, np.array([[1, 2]]))):
+        res = block_security_check(_and_scheme(), xor, L, A)
+        expected = block_security_by_enumeration(_and_scheme(), xor, L, A)
+        assert not res.ok and (res.ok, res.witness) == (expected.ok, expected.witness)
+
+
+def test_block_code_imports_nothing_from_schemes():
+    code = "import sys, confuse.blockcode; sys.exit('confuse.schemes' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(blockcode.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # digests of (R, T, pivots) recorded from the two elimination paths this one
@@ -579,12 +681,14 @@ def test_B1_spec_and_solver_memory_is_bounded():
     ({"L": 8, "epsilon": float("nan")}, "epsilon must keep"),
     ({"L": 8, "epsilon": 1e308}, "epsilon must keep"),
     ({"L": 8, "epsilon": 1e308, "identity": True}, "epsilon must keep"),
+    ({"L": 8, "rows": 3, "identity": True}, "identity matrix has rows = L = 8, got rows 3"),
 ])
 def test_make_block_spec_refuses_bad_sizes_before_drawing_A(monkeypatch, kwargs, message):
     def no_draw(*args, **kw):
         raise AssertionError("A was drawn")
 
     monkeypatch.setattr(np.random, "PCG64", no_draw)
+    monkeypatch.setattr(np, "eye", no_draw)
     with pytest.raises(ValueError, match=message):
         make_block_spec(_and_scheme(), **kwargs)
 

@@ -405,6 +405,16 @@ def test_blockcode_cli(capsys, tmp_path):
     assert payload["manifest"]["seed"] == 7
 
 
+def test_blockcode_identity_takes_rows_L_only(capsys, tmp_path):
+    table = write_table(tmp_path, "and.json", [[0, 0], [0, 1]])
+    code, out, err = run(capsys, "blockcode", "--table", table, "--L", "8", "--rows", "3",
+                         "--identity", "--json")
+    assert code == 4 and out == "" and "identity matrix has rows = L = 8, got rows 3" in err
+    code, out, _ = run(capsys, "blockcode", "--table", table, "--L", "8", "--rows", "8",
+                       "--identity", "--trials", "5")
+    assert code == 0 and "rows=8" in out
+
+
 def test_identical_runs_identical_output_modulo_timestamp(capsys, tmp_path, equal3_path):
     def canon(txt):
         payload = json.loads(txt)
@@ -433,6 +443,7 @@ def test_no_subcommand_accepts_jobs():
     [["1/2", "1/2"], ["1/2", "1/2"]],  # sums to 2
     [["1/2", "-1/4"], ["1/2", "1/4"]],  # a negative entry
     [[None, "1/2"], ["1/4", "1/4"]],  # an entry that is no number
+    [[True, False], [False, False]],  # booleans, which Fraction reads as 1 and 0
 ])
 def test_malformed_input_dist_exits_4(capsys, tmp_path, probs):
     table = write_table(tmp_path, "and.json", [[0, 0], [0, 1]])

@@ -13,6 +13,7 @@ import pytest
 
 from oracles import (
     block_encoders,
+    block_security_scheme,
     brute_force_first_correctness_failure,
     code,
     crt_equal_encode,
@@ -24,8 +25,7 @@ from oracles import (
     tabulated_scheme,
 )
 
-from confuse import blockcode, schemes, verify
-from confuse.blockcode import block_security_check
+from confuse import schemes, verify
 from confuse.errors import SchemaError, SizeBoundExceeded
 from confuse.expansion import FunctionTable, equal_table
 from confuse.fields import field_make
@@ -499,12 +499,11 @@ BLOCK_CHECK = (2, [[1, 1]])  # (L, A) of _block_security_scheme
 
 
 def _block_security_scheme():
-    """The vector scheme block_security_check hands the verifier, for and2
-    at L = 2 with a compressing A."""
+    """The compressed block scheme of and2 at L = 2 with a compressing A, as
+    the enumeration oracle builds it: a plain scheme whose codewords span
+    several positions."""
     ex = gallery_get("and2")
-    with mock.patch.object(blockcode, "verify_secure", wraps=verify_secure) as spy:
-        block_security_check(scheme_from_expansion(ex.expansion()), ex.table, *BLOCK_CHECK)
-    return spy.call_args.args
+    return block_security_scheme(scheme_from_expansion(ex.expansion()), ex.table, *BLOCK_CHECK)
 
 
 def _replaced_atoms():
@@ -522,8 +521,8 @@ TABLE_CASES = VERIFIER_CASES + [_crt_equal4, _optimized_three_label, _block_secu
 
 @pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: c.__name__.lstrip("_"))
 def test_tables_match_encoders_atom_for_atom(case):
-    # the row-mask baseline and the block check build their encoders as
-    # code tables, so they are checked against the oracles' encoders
+    # the row-mask baseline and the block oracle's scheme build their
+    # encoders as code tables, so they are checked against scalar encoders
     scheme, _ = case()
     if case is _block_security_scheme:
         ex = gallery_get("and2")
