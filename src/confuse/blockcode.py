@@ -10,7 +10,8 @@ only when needed (delayed modular reduction, as in FFLAS-FFPACK).  Each
 computation bounds its largest sum before converting anything: float32
 below 2^24, float64 below 2^53, else SizeBoundExceeded, so every float is
 an exact integer.  _matmul reduces once per product; A's elimination keeps
-[A | I] unreduced and reduces only its current panel and pivot rows.
+[A | T] unreduced, T the row transform stored in place, and reduces only
+its current panel and pivot rows.
 run_trials stacks its trials as the columns of one product by A per party
 and one by the row transform T.
 
@@ -156,19 +157,24 @@ def _matmul(fs, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _reduce(fs, inv, M: np.ndarray):
-    """Gauss-Jordan on M in place by lookups in the field's tables: each
-    column's pivot is the first row at or below the pivot count with a
-    nonzero entry, swapped up, scaled to 1 and cleared from every other row.
-    Returns (pivots, order): M holds the reduction of the input's rows taken
-    in that order.  inv holds the field's inverses (inv[0] unused)."""
+    """Gauss-Jordan on the left half of M = [P | 0], both halves w wide, in
+    place by lookups in the field's tables: each column's pivot is the first
+    row at or below the pivot count with a nonzero entry, swapped up, given
+    a 1 in column w + j as pivot j, scaled to 1 and cleared from every other
+    row.  Pivot rows are only ever combined with pivot rows, so the right
+    half of the top k rows ends as K^-1, K the pivot columns of those rows
+    of P; a row operation stops at column w + j, past which every row is
+    still zero.  Returns (pivots, order): M holds the reduction of the
+    input's rows taken in that order.  inv holds the field's inverses
+    (inv[0] unused)."""
     add, neg, mul, q = fs.add_table, fs.neg_table, fs.mul_table, fs.q
     # add[x, y] = add_flat[x*q + y]: one flat gather beats a 2-D one
     add_flat, flat_index = add.ravel(), table_dtype(q * q)
-    rows, cols = M.shape
+    rows, w = M.shape[0], M.shape[1] // 2
     order = np.arange(rows)
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in range(w):
         if r == rows:
             break
         nz = np.flatnonzero(M[r:, c])
@@ -179,13 +185,15 @@ def _reduce(fs, inv, M: np.ndarray):
             M[[r, i]] = M[[i, r]]
             order[[r, i]] = order[[i, r]]
         # columns left of c are already clear in the pivot row
-        M[r, c:] = mul[inv[M[r, c]], M[r, c:]]
+        active = slice(c, w + r + 1)
+        M[r, w + r] = 1
+        M[r, active] = mul[inv[M[r, c]], M[r, active]]
         others = np.flatnonzero(M[:, c])
         others = others[others != r]
-        sums = M[others, c:].astype(flat_index)
+        sums = M[others, active].astype(flat_index)
         sums *= q
-        sums += mul[:, M[r, c:]][neg[M[others, c]]]
-        M[others, c:] = add_flat.take(sums)
+        sums += mul[:, M[r, active]][neg[M[others, c]]]
+        M[others, active] = add_flat.take(sums)
         pivots.append(c)
         r += 1
     return pivots, order
@@ -194,67 +202,77 @@ def _reduce(fs, inv, M: np.ndarray):
 def _rref(fs, A: np.ndarray):
     """Reduced row echelon form of A over F_q with the row transform tracked.
 
-    Blocked Gauss-Jordan on [A | I], held as unreduced float digit planes,
-    one 64-column panel at a time.  _reduce finds the panel's pivots on its
-    first 128 rows at or below the pivot count, on all of them only when
-    those yield too few (a pivot is the first nonzero row, the same in
-    both), and inverts the pivot block K on [K | I].  The new pivot rows are
-    K^-1 times their rows; every row adds minus its pivot-column entries
-    times them, unreduced.  A panel with k pivots adds at most
-    k * n * (p-1)^2 to an entry, so the bound rank * n * (p-1)^2 + p is
-    checked before M is allocated, and M is reduced once at the end.
-    R is unique and the swaps are those of an unblocked pass, so the result
-    is too.  Returns (R, T, pivots): R = T*A in RREF.
+    Blocked Gauss-Jordan on [A | T], held as unreduced float digit planes,
+    one 64-column panel at a time.  T's columns are indexed by row position:
+    a row gets its identity 1 when it becomes a pivot row (the rest at the
+    end), so with r pivot rows found every row of T is zero past column r,
+    and perm records which row of A each position holds.  _reduce finds the
+    panel's k pivots and K^-1 on its first 128 rows at or below the pivot
+    count, on all of them only when those yield too few (a pivot is the
+    first nonzero row, the same in both).  The new pivot rows are K^-1
+    times their rows; every row adds minus its pivot-column entries times
+    them, unreduced, over columns c0 to cols + r + k only.  A panel with k
+    pivots adds at most k * n * (p-1)^2 to an entry, so the bound
+    rank * n * (p-1)^2 + p is checked before M is allocated, and M is
+    reduced once at the end.  R is unique and the swaps are those of an
+    unblocked pass, so the result is too.  Returns (R, T, pivots): R = T*A
+    in RREF, T's columns in A's row order.
     """
     p, n, q = fs.p, fs.n, fs.q
     inv = np.array([0] + [fs.inv(a) for a in range(1, q)])
     dt = table_dtype(q)
     rows, cols = A.shape
-    width = cols + rows
     ft = _exact_dtype(
         min(rows, cols) * n * (p - 1) ** 2 + p,
         f"eliminating a {rows} x {cols} matrix over F_{q}",
     )
-    # M[s, d, j] is digit d of entry (s, j) of [A | I], unreduced
-    M = np.zeros((rows, n, width), ft)
+    # M[s, d, j] is digit d of entry (s, j) of [A | T], unreduced
+    M = np.zeros((rows, n, cols + rows), ft)
     for d in range(n):
         M[:, d, :cols] = A // p**d % p
-    M[np.arange(rows), 0, cols + np.arange(rows)] = 1
+    perm = np.arange(rows)
     pivots = []
     r = 0
     for c0 in range(0, cols, _BLOCK):
         if r == rows:
             break
-        c1 = min(c0 + _BLOCK, cols)
+        w = min(_BLOCK, cols - c0)
         # later panels never touch these columns, so M keeps them unreduced
-        panel = _residues(M[:, :, c0:c1], p)
-        found, order = _reduce(fs, inv, _join(fs, panel[r : r + _PREFIX], dt))
-        if len(found) < c1 - c0 and r + _PREFIX < rows:
-            found, order = _reduce(fs, inv, _join(fs, panel[r:], dt))
+        panel = _residues(M[:, :, c0 : c0 + w], p)
+        for search in (panel[r : r + _PREFIX], panel[r:]):
+            P = _join(fs, search, dt)
+            S = np.concatenate([P, np.zeros_like(P)], axis=1)
+            found, order = _reduce(fs, inv, S)
+            if len(found) == w or r + _PREFIX >= rows:
+                break
         if not found:
             continue
         moved = np.flatnonzero(order != np.arange(len(order)))
         M[r + moved] = M[r + order[moved]]
         panel[r + moved] = panel[r + order[moved]]
+        perm[r + moved] = perm[r + order[moved]]
         k = len(found)
-        piv = [c0 + c for c in found]
-        K = _join(fs, panel[r : r + k][:, :, found], dt)
-        KI = np.concatenate([K, np.eye(k, dtype=dt)], axis=1)
-        _reduce(fs, inv, KI)
-        new_rows = _matmul(fs, KI[:, k:], _join(fs, _residues(M[r : r + k, :, c0:], p), dt))
+        hi = cols + r + k
+        M[r + np.arange(k), 0, cols + r + np.arange(k)] = 1
+        Kinv = S[:k, w : w + k]
+        new_rows = _matmul(fs, Kinv, _join(fs, _residues(M[r : r + k, :, c0:hi], p), dt))
         planes = _planes(fs, new_rows, ft)
         # digit-wise negation of every row's pivot-column entries
         negF = ((p - panel[:, :, found]) % p).reshape(rows, n * k).astype(ft)
         for s in range(0, rows, _BLOCK):
             sums = negF[s : s + _BLOCK] @ planes
-            M[s : s + _BLOCK, :, c0:] += sums.reshape(len(sums), n, width - c0)
-        M[r : r + k, :, c0:] = planes[:k].reshape(k, n, width - c0)
-        pivots += piv
+            M[s : s + _BLOCK, :, c0:hi] += sums.reshape(len(sums), n, hi - c0)
+        M[r : r + k, :, c0:hi] = planes[:k].reshape(k, n, hi - c0)
+        pivots += [c0 + c for c in found]
         r += k
-    out = np.empty((rows, width), dt)
+    M[np.arange(r, rows), 0, cols + np.arange(r, rows)] = 1
+    R = np.empty((rows, cols), dt)
+    T = np.empty((rows, rows), dt)
     for s in range(0, rows, _BLOCK):
-        out[s : s + _BLOCK] = _join(fs, _residues(M[s : s + _BLOCK], p), dt)
-    return out[:, :cols], out[:, cols:], pivots
+        # one statement, so no block of digits outlives its rows
+        R[s : s + _BLOCK], T[s : s + _BLOCK, perm] = np.hsplit(
+            _join(fs, _residues(M[s : s + _BLOCK], p), dt), [cols])
+    return R, T, pivots
 
 
 @dataclass
@@ -507,12 +525,13 @@ def block_security_check(base, f: FunctionTable, L_small: int, A: np.ndarray) ->
     fs = exp.structure.carrier
     if L_small < 1:
         raise ValueError(f"L must be at least 1, got {L_small}")
-    A = np.asarray(A, dtype=np.int64)
+    A = np.asarray(A)
     if A.ndim != 2 or A.shape[1] != L_small:
         raise ValueError(f"A must be a matrix with L = {L_small} columns, got shape {A.shape}")
-    outside = A[(A < 0) | (A >= fs.q)]
-    if outside.size:
-        raise ValueError(f"entries of A must lie in 0..{fs.q - 1}, got {outside[0]}")
+    if A.dtype.kind not in "iu":
+        raise ValueError(f"entries of A must lie in 0..{fs.q - 1}, got dtype {A.dtype}")
+    if A.size and (A.min() < 0 or A.max() >= fs.q):
+        raise ValueError(f"entries of A must lie in 0..{fs.q - 1}, got {A[(A < 0) | (A >= fs.q)][0]}")
     gammas = sorted({g for g, _ in base.atoms})
     if base.weights is not None or sorted(base.atoms) != list(itertools.product(gammas, range(fs.q))):
         raise ValueError("block security needs an unweighted base over gamma x the whole carrier")

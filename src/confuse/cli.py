@@ -103,7 +103,7 @@ def _load_input_dist(path: str, f: FunctionTable) -> dict:
             for w1, row in enumerate(probs)
             for w2, v in enumerate(row)
         }
-    except (TypeError, OverflowError, ZeroDivisionError) as e:  # null, lists, objects, inf, "1/0"
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as e:  # null, lists, objects, "abc", inf, "1/0"
         raise ValueError(f"input distribution entries must be finite numbers or strings: {e}") from None
     if any(v < 0 for v in dist.values()) or sum(dist.values()) != 1:
         raise ValueError("input distribution entries must be >= 0 and sum to exactly 1")

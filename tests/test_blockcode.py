@@ -299,6 +299,13 @@ def test_block_security_refuses_entries_outside_the_field(entry):
         block_security_check(_and_scheme(), gallery_get("and2").table, 1, np.array([[entry]]))
 
 
+@pytest.mark.parametrize("A", [np.array([[1.7]]), np.array([[1.0]]), np.array([[True]])])
+def test_block_security_refuses_an_A_that_is_not_integer(A):
+    # read as int64, [[1.7]] was [[1]] and verified secure
+    with pytest.raises(ValueError, match=f"entries of A must lie in 0..2, got dtype {A.dtype}"):
+        block_security_check(_and_scheme(), gallery_get("and2").table, 1, A)
+
+
 def test_block_security_refuses_L_below_1():
     with pytest.raises(ValueError, match="L must be at least 1, got 0"):
         block_security_check(_and_scheme(), gallery_get("and2").table, 0, np.zeros((1, 0), int))
@@ -329,8 +336,8 @@ def test_block_security_wide_A_is_certified():
 
 
 def test_block_security_of_B1_is_certified_at_L_1024():
-    # the certificate counts nothing: 16 MiB holds the int64 copy of A
-    # (8 MiB) and its range masks
+    # the certificate counts nothing and A's range is read from its own
+    # uint8 dtype: no copy of A (1 MiB) or mask of it is made
     A = _b1_spec().A
     tracemalloc.start()
     try:
@@ -341,7 +348,7 @@ def test_block_security_of_B1_is_certified_at_L_1024():
     finally:
         tracemalloc.stop()
     assert res == SecurityResult(True)
-    assert elapsed < 0.5 and peak < 16 << 20
+    assert elapsed < 0.5 and peak < 1 << 20
 
 
 def test_block_security_of_pinned_equal3_is_counted_at_L_6():
@@ -505,20 +512,38 @@ def test_pivot_search_falls_back_to_the_whole_panel(monkeypatch):
     searched = []
     reduce = blockcode._reduce
 
-    def spy(tables, inv, M):
+    def spy(fs, inv, M):
         searched.append(M.shape)
-        return reduce(tables, inv, M)
+        return reduce(fs, inv, M)
 
     monkeypatch.setattr(blockcode, "_reduce", spy)
     A = np.random.default_rng([3, 300, 200]).integers(0, 3, size=(300, 200), dtype=np.int64)
     blockcode._rref(field_make(3, 1), A)
-    # the first panel's 128-row prefix holds its 64 pivots, then [K | I]
-    assert searched[:2] == [(128, 64), (64, 128)]
-    # 28 nonzero rows in the prefix: the search reruns on all 300 rows
+    # one search per panel on its 128-row prefix and a zero block as wide
+    # as the panel, which returns K^-1 with the pivots
+    assert searched == [(128, 128), (128, 128), (128, 128), (108, 16)]
+    # 28 nonzero rows in the prefix: the search reruns on all 300 rows,
+    # still only twice as wide as the panel
     A[:100, :64] = 0
     searched.clear()
     blockcode._rref(field_make(3, 1), A)
-    assert searched[:2] == [(128, 64), (300, 64)]
+    assert searched == [(128, 128), (300, 128), (128, 128), (128, 128), (108, 16)]
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (2, 2), (257, 1)])
+def test_pivot_search_returns_the_inverse_pivot_block(p, n):
+    # a repeated row and a zero column, so rows are skipped and swapped
+    fs = field_make(p, n)
+    P = np.random.default_rng([p, n]).integers(0, fs.q, size=(20, 16)).astype(table_dtype(fs.q))
+    P[5] = P[2]
+    P[:, 3] = 0
+    S = np.concatenate([P, np.zeros_like(P)], axis=1)
+    inv = np.array([0] + [fs.inv(a) for a in range(1, fs.q)])
+    found, order = blockcode._reduce(fs, inv, S)
+    k = len(found)
+    K = P[order[:k]][:, found]
+    assert k == 15 and _matmul(fs, K, S[:k, 16 : 16 + k]).tolist() == np.eye(k, dtype=int).tolist()
+    assert not S[:, 16 + k :].any()
 
 
 def test_block_code_returns_int64_arrays_on_every_decode_path():
@@ -557,18 +582,30 @@ def test_matmul_matches_scalar_field_oracle(p, n):
         assert got.tolist() == expected.tolist()
 
 
-# (rows, columns, columns left zero): one panel, a wide one, and one whose
-# first panel holds 4 pivots, so the rest come from the second
-ORACLE_SHAPES = [(12, 12, 0), (10, 16, 0), (20, 80, 60)]
+def _oracle_matrices(q):
+    """Matrices over F_q on which T depends on the swap order: one panel, a
+    wide one, one whose first panel holds 4 pivots so the rest come from
+    the second, a tall rank-deficient one of 12 distinct rows repeated, and
+    one whose first 128 rows are zero, so the first panel's search falls
+    back to all 140 rows."""
+    for rows, cols, zero in ((12, 12, 0), (10, 16, 0), (20, 80, 60)):
+        A = np.random.default_rng([q, rows, cols]).integers(0, q, size=(rows, cols))
+        A[:, 4 : 4 + zero] = 0
+        yield A
+    rng = np.random.default_rng([q, 150])
+    yield rng.integers(0, q, size=(12, 20))[rng.integers(0, 12, size=150)]
+    A = rng.integers(0, q, size=(140, 8))
+    A[:128] = 0
+    yield A
 
 
-@pytest.mark.parametrize("p, n", [(17, 1), (257, 1)])
+# q = 17 and 257 are past the fields the pinned digests cover; q = 3, 4
+# and 9 are the bench's fields and an extension of odd characteristic
+@pytest.mark.parametrize("p, n", [(17, 1), (257, 1), (3, 1), (2, 2), (3, 2)])
 def test_elimination_matches_scalar_oracle_past_q_16(p, n):
     fs = field_make(p, n)
     arithmetic = field_arithmetic(p, n, fs.h)
-    for rows, cols, zero in ORACLE_SHAPES:
-        A = np.random.default_rng([p, rows, cols]).integers(0, fs.q, size=(rows, cols))
-        A[:, 4 : 4 + zero] = 0
+    for A in _oracle_matrices(fs.q):
         R, T, pivots = blockcode._rref(fs, A)
         assert R.dtype == T.dtype == table_dtype(fs.q)
         assert (R.tolist(), T.tolist(), pivots) == gauss_jordan(arithmetic, fs.q, A.tolist())

@@ -444,6 +444,7 @@ def test_no_subcommand_accepts_jobs():
     [["1/2", "-1/4"], ["1/2", "1/4"]],  # a negative entry
     [[None, "1/2"], ["1/4", "1/4"]],  # an entry that is no number
     [[True, False], [False, False]],  # booleans, which Fraction reads as 1 and 0
+    [["abc", "1/4"], ["1/4", "1/4"]],  # a string that is no fraction
 ])
 def test_malformed_input_dist_exits_4(capsys, tmp_path, probs):
     table = write_table(tmp_path, "and.json", [[0, 0], [0, 1]])
