@@ -28,10 +28,11 @@ its error only matters at block lengths where exact search is off the table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -277,20 +278,64 @@ def _rref(fs, A: np.ndarray):
 
 @dataclass
 class BlockCodeSpec:
+    """A length-L block code: the field scheme at each position, A, and the
+    input distribution it was built for with its EntropyReport, which set
+    the rows, the decoder's prior (entropy.dist_U) and run_trials' inputs."""
+
     base: object  # masked-sum field Scheme
     L: int
     rows: int
     A: np.ndarray
-    seed: int | None
-    dist_U: dict[int, Fraction]
-    _state: dict = dc_field(default_factory=dict)
+    input_dist: dict[tuple[int, int], Fraction]
+    entropy: EntropyReport
+
+    @property
+    def field(self):
+        return self.base.expansion.structure.carrier
 
     @property
     def q(self) -> int:
-        return self.base.expansion.structure.carrier.q
+        return self.field.q
 
     def rate_bits_per_input(self) -> float:
         return self.rows * math.log2(self.q) / self.L
+
+    @functools.cached_property
+    def _solver(self) -> dict:
+        """The decoding state, built on first use: the row transform T of
+        A's elimination, the pivots, the rank, the log-prior and the coset
+        offsets.  Every candidate for U is u0 + offsets[i], u0 the solution
+        that is 0 on the free coordinates: offsets are all combinations of
+        the null-space basis when the coset has at most COSET_BUDGET
+        members, else the one greedy shift that gives every free coordinate
+        its prior argmax."""
+        fs = self.field
+        dt = table_dtype(fs.q)
+        R, T, pivots = _rref(fs, self.A)
+        rank = len(pivots)
+        pivot_set = set(pivots)
+        free = [c for c in range(self.L) if c not in pivot_set]
+        k = len(free)
+        # null-space basis: one vector per free column
+        V = np.zeros((k, self.L), dtype=dt)
+        for j, fc in enumerate(free):
+            V[j, fc] = 1
+            V[j, pivots] = fs.neg_table[R[:rank, fc]]
+        logp = np.full(fs.q, -1e18)
+        for u, p in self.entropy.dist_U.items():
+            if p > 0:
+                logp[u] = math.log2(p)
+        if fs.q**k <= COSET_BUDGET:
+            # exact ML: the whole coset, first free coordinate most significant
+            combos = np.array(
+                list(itertools.product(range(fs.q), repeat=k)), dt
+            ).reshape(fs.q**k, k)
+        else:
+            # greedy typicality: V[j] is 1 at its free slot, so each free
+            # coordinate takes the prior argmax and the pivots follow
+            combos = np.full((1, k), np.argmax(logp), dt)
+        return {"T": T, "pivots": pivots, "rank": rank, "logp": logp,
+                "offsets": _matmul(fs, combos, V)}
 
 
 def make_block_spec(
@@ -302,19 +347,20 @@ def make_block_spec(
     rows: int | None = None,
     identity: bool = False,
 ) -> BlockCodeSpec:
-    """Build the L-length spec: rows = ceil((H_q(U) + epsilon) * L), capped at
-    L (the formula may exceed 1 symbol per position at desk scale, where no
-    compression is possible).  A is drawn entry-iid uniform from a seeded
-    PCG64 stream, or the identity with identity=True, and stored in
-    table_dtype(q).  L below 1, an epsilon that makes (H_q(U) + epsilon) * L
-    infinite or NaN, a given or computed rows outside 1..L, and identity
-    with rows other than L raise ValueError before A is drawn."""
+    """Build the L-length spec, which keeps a copy of input_dist (uniform by
+    default) and its EntropyReport: rows = ceil((H_q(U) + epsilon) * L),
+    capped at L (the formula may exceed 1 symbol per position at desk
+    scale, where no compression is possible).  A is drawn entry-iid uniform
+    from a seeded PCG64 stream, or the identity with identity=True, and
+    stored in table_dtype(q).  L below 1, an epsilon that makes
+    (H_q(U) + epsilon) * L infinite or NaN, a given or computed rows outside
+    1..L, and identity with rows other than L raise ValueError before A is
+    drawn."""
     if L < 1:
         raise ValueError(f"L must be at least 1, got {L}")
     exp = _require_field_scheme(base)
     fs = exp.structure.carrier
-    if input_dist is None:
-        input_dist = uniform_input_dist(base)
+    input_dist = uniform_input_dist(base) if input_dist is None else dict(input_dist)
     report = entropy_of_U(base, input_dist)
     if not math.isfinite((report.H_qary + epsilon) * L):
         raise ValueError(f"epsilon must keep (H_q(U) + epsilon) * L finite, got {epsilon}")
@@ -330,54 +376,14 @@ def make_block_spec(
     else:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         A = rng.integers(0, fs.q, size=(rows, L), dtype=np.int64).astype(dt)
-    return BlockCodeSpec(base, L, rows, A, seed, report.dist_U)
-
-
-def _solver(spec: BlockCodeSpec):
-    """The spec's decoding state, built once: the row transform T of A's
-    elimination, the pivots, the log-prior and the coset offsets.  Every
-    candidate for U is u0 + offsets[i], u0 the solution that is 0 on the free
-    coordinates: offsets are all combinations of the null-space basis when
-    the coset has at most COSET_BUDGET members, else the one greedy shift
-    that gives every free coordinate its prior argmax."""
-    if "rank" not in spec._state:
-        fs = spec.base.expansion.structure.carrier
-        dt = table_dtype(fs.q)
-        R, T, pivots = _rref(fs, spec.A)
-        rank = len(pivots)
-        pivot_set = set(pivots)
-        free = [c for c in range(spec.L) if c not in pivot_set]
-        k = len(free)
-        # null-space basis: one vector per free column
-        V = np.zeros((k, spec.L), dtype=dt)
-        for j, fc in enumerate(free):
-            V[j, fc] = 1
-            V[j, pivots] = fs.neg_table[R[:rank, fc]]
-        logp = np.full(fs.q, -1e18)
-        for u, p in spec.dist_U.items():
-            if p > 0:
-                logp[u] = math.log2(p)
-        if fs.q**k <= COSET_BUDGET:
-            # exact ML: the whole coset, first free coordinate most significant
-            combos = np.array(
-                list(itertools.product(range(fs.q), repeat=k)), dt
-            ).reshape(fs.q**k, k)
-        else:
-            # greedy typicality: V[j] is 1 at its free slot, so each free
-            # coordinate takes the prior argmax and the pivots follow
-            combos = np.full((1, k), np.argmax(logp), dt)
-        spec._state.update(
-            field=fs, T=T, pivots=pivots, rank=rank,
-            logp=logp, offsets=_matmul(fs, combos, V),
-        )
-    return spec._state
+    return BlockCodeSpec(base, L, rows, A, input_dist, report)
 
 
 def _encode(spec: BlockCodeSpec, mapped1, mapped2, G, Z):
     """Both parties' codewords, one column per block: A * (G * mapped1 + Z)
     and A * (G * mapped2 - Z), per-position masking read from the carrier's
     tables."""
-    fs = _solver(spec)["field"]
+    fs = spec.field
     add, neg, mul = fs.add_table, fs.neg_table, fs.mul_table
     return (_matmul(fs, spec.A, add[mul[G, mapped1], Z]),
             _matmul(fs, spec.A, add[mul[G, mapped2], neg[Z]]))
@@ -387,8 +393,8 @@ def _decode(spec: BlockCodeSpec, X1, X2):
     """The most probable U with A*U = x1 + x2 for each column of received
     codewords: T*(x1 + x2) gives the coset's pivot coordinates, and each
     column takes the candidate u0 + offsets[i] of highest log-prior."""
-    s = _solver(spec)
-    fs = s["field"]
+    s = spec._solver
+    fs = spec.field
     add, q = fs.add_table, fs.q
     rank, logp, offsets = s["rank"], s["logp"], s["offsets"]
     y = _matmul(fs, s["T"], add[X1, X2])
@@ -453,30 +459,21 @@ def block_decode(spec: BlockCodeSpec, x1_vec, x2_vec):
     return u_hat, f_vec
 
 
-def run_trials(
-    spec: BlockCodeSpec,
-    trials: int,
-    seed: int = 0,
-    input_dist: dict[tuple[int, int], Fraction] | None = None,
-) -> dict:
-    """Monte Carlo decode-error estimate; trial t is keyed by SeedSequence
-    (seed, trial) so results are reproducible and order-independent.
-    Trials run TRIAL_CHUNK at a time as the columns of one encode and one
-    decode; the solver is built even for zero trials.  A negative trial
-    count raises ValueError."""
+def run_trials(spec: BlockCodeSpec, trials: int, seed: int = 0) -> dict:
+    """Monte Carlo decode-error estimate over input pairs drawn from
+    spec.input_dist; trial t is keyed by SeedSequence (seed, trial) so
+    results are reproducible and order-independent.  Trials run TRIAL_CHUNK
+    at a time as the columns of one encode and one decode; the solver is
+    built even for zero trials.  A negative trial count raises ValueError."""
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
-    base = spec.base
-    exp = base.expansion
-    st = exp.structure
-    q = st.carrier.q
-    if input_dist is None:
-        input_dist = uniform_input_dist(base)
-    pairs = sorted(input_dist)
-    probs = np.array([float(input_dist[x]) for x in pairs])
+    exp = spec.base.expansion
+    fs = spec.field
+    pairs = sorted(spec.input_dist)
+    probs = np.array([float(spec.input_dist[x]) for x in pairs])
     probs = probs / probs.sum()
-    gammas = np.array(st.randomizer, dtype=np.int64)
-    fs = _solver(spec)["field"]
+    gammas = np.array(exp.structure.randomizer, dtype=np.int64)
+    spec._solver  # built even for zero trials
     add, mul = fs.add_table, fs.mul_table
     map1 = np.array([exp.map1[a] for a, _ in pairs], dtype=add.dtype)
     map2 = np.array([exp.map2[b] for _, b in pairs], dtype=add.dtype)
@@ -492,7 +489,7 @@ def run_trials(
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, t))))
             idx[:, j] = rng.choice(len(pairs), size=spec.L, p=probs)
             G[:, j] = gammas[rng.integers(0, len(gammas), size=spec.L)]
-            Z[:, j] = rng.integers(0, q, size=spec.L, dtype=np.int64)
+            Z[:, j] = rng.integers(0, fs.q, size=spec.L, dtype=np.int64)
         X1, X2 = _encode(spec, map1[idx], map2[idx], G, Z)
         wrong = _decode(spec, X1, X2) != mul[G, pair_sums[idx]]
         errors += int(np.count_nonzero(wrong.any(axis=0)))

@@ -29,7 +29,7 @@ from .schemes import (
     serialize_scheme,
 )
 from .structures import catalog_fields, catalog_rings, diff_against_reference, load_reference
-from .verify import uniform_input_dist, verify_scheme
+from .verify import verify_scheme
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -165,6 +165,8 @@ def cmd_solve(args) -> int:
     bound = _max_carrier(args)
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be at least 1, got {args.limit}")
+    if args.all_subsets and not args.optimize_z:
+        raise ValueError("--all-subsets only applies with --optimize-z")
     f = _load_table(args.table)
     kinds = ("field",) if args.fields_only else ("field", "ring")
     hits = _search_or_fail(f, bound, kinds, limit=args.limit)
@@ -221,7 +223,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_blockcode(args) -> int:
-    from .blockcode import entropy_of_U, make_block_spec, run_trials
+    from .blockcode import make_block_spec, run_trials
 
     if args.L < 1:
         raise ValueError(f"--L must be at least 1, got {args.L}")
@@ -233,13 +235,13 @@ def cmd_blockcode(args) -> int:
     f = _load_table(args.table)
     hits = _search_or_fail(f, bound, ("field",), limit=1)
     scheme = scheme_from_expansion(hits[0][1])
-    dist = _load_input_dist(args.input_dist, f) if args.input_dist else uniform_input_dist(f)
-    ent = entropy_of_U(scheme, dist)
+    dist = _load_input_dist(args.input_dist, f) if args.input_dist else None
     spec = make_block_spec(
         scheme, args.L, epsilon=args.epsilon, seed=args.seed,
         input_dist=dist, rows=args.rows, identity=args.identity,
     )
-    result = run_trials(spec, args.trials, seed=args.seed, input_dist=dist)
+    result = run_trials(spec, args.trials, seed=args.seed)
+    ent = spec.entropy
     payload = {
         "manifest": _manifest(args, [args.table], seed=args.seed),
         "H_bits": ent.H_bits,

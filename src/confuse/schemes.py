@@ -49,8 +49,8 @@ class Scheme:
     m2: int
     atoms: Sequence
     weights: Sequence[int] | None
-    enc1: Callable
-    enc2: Callable
+    enc1: _TableEncoder | _CrtEncoder  # a code table: atoms, radix and table
+    enc2: _TableEncoder | _CrtEncoder
     dec: Callable
     rate1: Rate
     rate2: Rate
@@ -450,8 +450,8 @@ def _read_dec(rows, alph1: list, alph2: list) -> np.ndarray:
     """The decoder table, an int64 label per (code1, code2), from dec rows
     {x1, x2, f} read with one np.array per field.  A row that is not such an
     object, a codeword outside the alphabets, a label that is not an int64
-    integer, and a second row for one pair raise SchemaError; fewer rows
-    than codeword pairs TotalityError."""
+    integer (a boolean is not), and a second row for one pair raise
+    SchemaError; fewer rows than codeword pairs TotalityError."""
     if not isinstance(rows, list):
         raise SchemaError("dec must be a list of {x1, x2, f} rows")
     n1, n2 = prod(alph1), prod(alph2)
@@ -465,7 +465,7 @@ def _read_dec(rows, alph1: list, alph2: list) -> np.ndarray:
     codes1, codes2 = _codes(x1, (len(rows),), alph1), _codes(x2, (len(rows),), alph2)
     if codes1 is None or codes2 is None:
         raise SchemaError("every dec row's x1 and x2 must be codewords over the alphabets")
-    if not all(isinstance(v, int) and -(2**63) <= v < 2**63 for v in labels):
+    if not all(type(v) is int and -(2**63) <= v < 2**63 for v in labels):
         raise SchemaError("dec outputs must be integers of at most 64 bits")
     keys = codes1 * n2 + codes2
     # at least n1 * n2 rows in range, none repeated: every pair has its row
@@ -480,7 +480,8 @@ def _read_dec(rows, alph1: list, alph2: list) -> np.ndarray:
 
 def load_custom_scheme(source) -> Scheme:
     """Load a fully tabulated scheme from a JSON file path, file object, or
-    already-parsed dict.  Raises SchemaError on malformed input and
+    already-parsed dict.  Raises SchemaError on malformed input (a boolean
+    is no integer as m1, m2, an alphabet size, a weight or a dec label) and
     TotalityError when an encoder or decoder table has holes.  Each encoder
     table is stored as mixed-radix codes over its alphabets, and the
     decoder as a table over both parties' codes."""
@@ -498,11 +499,11 @@ def load_custom_scheme(source) -> Scheme:
         if key not in obj:
             raise SchemaError(f"missing key {key!r}")
     m1, m2 = obj["m1"], obj["m2"]
-    if not (isinstance(m1, int) and isinstance(m2, int) and m1 >= 1 and m2 >= 1):
+    if not (type(m1) is int and type(m2) is int and m1 >= 1 and m2 >= 1):
         raise SchemaError("m1/m2 must be positive integers")
     alph1, alph2 = obj["alphabets1"], obj["alphabets2"]
     for a in (alph1, alph2):
-        if not (isinstance(a, list) and a and all(isinstance(s, int) and s >= 1 for s in a)):
+        if not (isinstance(a, list) and a and all(type(s) is int and s >= 1 for s in a)):
             raise SchemaError("alphabets must be non-empty lists of positive sizes")
     table = _read_dec(obj["dec"], alph1, alph2)
     support = obj["z_support"]
@@ -514,7 +515,7 @@ def load_custom_scheme(source) -> Scheme:
         if not isinstance(row, dict) or "atom" not in row:
             raise SchemaError("each z_support row needs an 'atom'")
         wt = row.get("weight", 1)
-        if not isinstance(wt, int) or wt <= 0:
+        if type(wt) is not int or wt <= 0:
             raise SchemaError("weights must be positive integers")
         raw_atoms.append(row["atom"])
         weights.append(wt)

@@ -18,7 +18,6 @@ from confuse.blockcode import (
     TRIAL_CHUNK,
     _decode,
     _matmul,
-    _solver,
     block_decode,
     block_encode,
     block_security_check,
@@ -145,12 +144,11 @@ def test_length_mismatch():
 
 def test_undecodable_on_inconsistent_syndrome():
     from confuse.blockcode import BlockCodeSpec
-    from fractions import Fraction as F
 
+    dist = _uniform_bits()
     spec = BlockCodeSpec(
-        base=_and_scheme(), L=1, rows=2,
-        A=np.array([[1], [2]]), seed=None,
-        dist_U={0: F(1, 4), 1: F(3, 8), 2: F(3, 8)},
+        base=_and_scheme(), L=1, rows=2, A=np.array([[1], [2]]),
+        input_dist=dist, entropy=entropy_of_U(_and_scheme(), dist),
     )
     # (1, 1) is not of the form (u, 2u) mod 3
     with pytest.raises(Undecodable):
@@ -163,8 +161,8 @@ def test_point_mass_prior_resolves_underdetermined_systems():
     scheme = scheme_from_expansion(gallery_get("equal3").expansion())
     dist = {(0, 0): Fraction(1)}
     spec = make_block_spec(scheme, L=6, rows=5, seed=2, input_dist=dist)
-    assert spec.dist_U == {0: Fraction(1)}
-    res = run_trials(spec, 40, seed=3, input_dist=dist)
+    assert spec.entropy.dist_U == {0: Fraction(1)}
+    res = run_trials(spec, 40, seed=3)
     assert res["errors"] == 0
 
 
@@ -210,14 +208,14 @@ def test_extension_field_block_code():
     rep = entropy_of_U(scheme, dist)
     assert rep.dist_U == {u: Fraction(1, 4) for u in range(4)}
     spec = make_block_spec(scheme, L=6, identity=True, input_dist=dist)
-    res = run_trials(spec, 30, seed=9, input_dist=dist)
+    res = run_trials(spec, 30, seed=9)
     assert res["errors"] == 0
     full_rank_seed = next(
         s for s in range(50)
-        if _solver(make_block_spec(scheme, L=6, rows=6, seed=s, input_dist=dist))["rank"] == 6
+        if make_block_spec(scheme, L=6, rows=6, seed=s, input_dist=dist)._solver["rank"] == 6
     )
     random_spec = make_block_spec(scheme, L=6, rows=6, seed=full_rank_seed, input_dist=dist)
-    res2 = run_trials(random_spec, 30, seed=9, input_dist=dist)
+    res2 = run_trials(random_spec, 30, seed=9)
     assert res2["errors"] == 0
 
 
@@ -649,7 +647,7 @@ def test_matmul_is_exact_on_both_sides_of_the_float32_bound(monkeypatch, inner, 
 def _coset_spec(input_dist=None):
     # and2 at L = 256 with 247 rows of full rank: 3^9 = 19,683 coset candidates
     spec = make_block_spec(_and_scheme(), L=256, rows=247, seed=3, input_dist=input_dist)
-    s = _solver(spec)
+    s = spec._solver
     assert s["rank"] == 247 and len(s["offsets"]) == 19_683 <= COSET_BUDGET
     return spec
 
@@ -687,7 +685,7 @@ def test_blocked_coset_scoring_keeps_the_first_maximum(monkeypatch, flat_prior):
 
 def test_solver_keeps_T_in_the_table_dtype():
     spec = make_block_spec(_and_scheme(), L=1024, rows=1024, seed=0)
-    T = _solver(spec)["T"]
+    T = spec._solver["T"]
     assert T.dtype == np.uint8 and T.shape == (1024, 1024) and T.nbytes == 1 << 20
 
 
@@ -698,11 +696,11 @@ def test_B1_spec_and_solver_memory_is_bounded():
     tracemalloc.start()
     try:
         spec = _b1_spec()
-        _solver(spec)
+        spec._solver
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert spec.A.dtype == np.uint8 and _solver(spec)["rank"] == 1024
+    assert spec.A.dtype == np.uint8 and spec._solver["rank"] == 1024
     assert peak < 14 << 20
 
 
@@ -734,7 +732,42 @@ def test_run_trials_refuses_a_negative_trial_count():
     spec = make_block_spec(_and_scheme(), L=8, identity=True)
     with pytest.raises(ValueError, match="trials must be at least 0"):
         run_trials(spec, -3)
+    assert "_solver" not in vars(spec)
     assert run_trials(spec, 0)["trials"] == 0
+    assert "_solver" in vars(spec)  # built even for zero trials
+
+
+def test_block_encode_needs_no_elimination(monkeypatch):
+    # encoding reads only A and the carrier: a fresh spec encodes without
+    # eliminating A, and gives the codewords it gives once the solver exists
+    spec = make_block_spec(_and_scheme(), L=64, rows=60, seed=4)
+    rng = np.random.default_rng(1)
+    w1, w2 = rng.integers(0, 2, size=(2, spec.L)).tolist()
+    g = rng.integers(1, 3, size=spec.L).tolist()
+    z = rng.integers(0, 3, size=spec.L).tolist()
+    rref = blockcode._rref
+
+    def no_rref(*args):
+        raise AssertionError("block_encode eliminated A")
+
+    monkeypatch.setattr(blockcode, "_rref", no_rref)
+    fresh = block_encode(spec, w1, w2, g, z)
+    assert "_solver" not in vars(spec)
+    monkeypatch.setattr(blockcode, "_rref", rref)
+    spec._solver
+    built = block_encode(spec, w1, w2, g, z)
+    assert [x.tolist() for x in fresh] == [x.tolist() for x in built]
+
+
+def test_spec_keeps_the_distribution_it_was_built_for():
+    skew = dict(TRIAL_DISTS["and2"])
+    spec = make_block_spec(_and_scheme(), L=12, rows=9, seed=21, input_dist=skew)
+    skew[(0, 0)] = Fraction(0)  # the caller's dict is not the spec's
+    assert spec.input_dist == TRIAL_DISTS["and2"]
+    assert spec.entropy == entropy_of_U(_and_scheme(), TRIAL_DISTS["and2"])
+    uniform = make_block_spec(_and_scheme(), L=12, rows=9, seed=21)
+    assert uniform.input_dist == _uniform_bits()
+    assert uniform.entropy.dist_U == {0: Fraction(1, 4), 1: Fraction(3, 8), 2: Fraction(3, 8)}
 
 
 _P1 = [Fraction(9, 10), Fraction(1, 10)]
@@ -776,7 +809,7 @@ def _f4_equal_scheme():
 @pytest.mark.parametrize("kind", sorted(TRIAL_SPECS))
 def test_run_trials_equal_per_trial_round_trips(name, kind):
     spec = _trial_spec(name, kind)
-    s = _solver(spec)
+    s = spec._solver
     k = spec.L - s["rank"]
     if kind == "identity":
         assert k == 0
@@ -789,7 +822,7 @@ def test_run_trials_equal_per_trial_round_trips(name, kind):
     per_trial = block_trial_errors(spec, 150, 5, TRIAL_DISTS[name])
     # trial counts on both sides of every chunk boundary
     for trials in (1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 2 * TRIAL_CHUNK + 3, 150):
-        res = run_trials(spec, trials, seed=5, input_dist=TRIAL_DISTS[name])
+        res = run_trials(spec, trials, seed=5)
         assert res["errors"] == sum(per_trial[:trials]), trials
 
 
@@ -797,7 +830,7 @@ def test_run_trials_match_pinned_digest():
     out = []
     for name in TRIAL_DISTS:
         for kind in TRIAL_SPECS:
-            res = run_trials(_trial_spec(name, kind), 150, seed=5, input_dist=TRIAL_DISTS[name])
+            res = run_trials(_trial_spec(name, kind), 150, seed=5)
             out.append([name, kind, res])
     blob = json.dumps(out, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == TRIAL_GRID_DIGEST

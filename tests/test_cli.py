@@ -16,6 +16,8 @@ import confuse.fields
 import confuse.rings
 import confuse.structures
 from confuse.cli import build_parser, main
+from confuse.errors import SchemaError
+from confuse.schemes import load_custom_scheme
 
 
 def run(capsys, *argv):
@@ -405,6 +407,24 @@ def test_blockcode_cli(capsys, tmp_path):
     assert payload["manifest"]["seed"] == 7
 
 
+def test_blockcode_computes_the_entropy_of_U_once(capsys, tmp_path, monkeypatch):
+    import confuse.blockcode
+
+    calls = []
+    entropy_of_U = confuse.blockcode.entropy_of_U
+
+    def spy(*args):
+        calls.append(args)
+        return entropy_of_U(*args)
+
+    monkeypatch.setattr(confuse.blockcode, "entropy_of_U", spy)
+    table = write_table(tmp_path, "and.json", [[0, 0], [0, 1]])
+    code, out, _ = run(capsys, "blockcode", "--table", table, "--L", "16",
+                       "--trials", "3", "--json")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["dist_U"] == {"0": "1/4", "1": "3/8", "2": "3/8"}
+
+
 def test_blockcode_identity_takes_rows_L_only(capsys, tmp_path):
     table = write_table(tmp_path, "and.json", [[0, 0], [0, 1]])
     code, out, err = run(capsys, "blockcode", "--table", table, "--L", "8", "--rows", "3",
@@ -527,6 +547,32 @@ def test_verify_object_atom_exits_4(capsys, tmp_path):
     assert code == 4 and "object" in err
 
 
+# JSON true/false where the loader needs an integer -> the refusal it names
+BOOLEAN_SCHEME_FIELDS = {
+    "m1": (lambda d: d.update(m1=True), "m1/m2 must be positive integers"),
+    "m2": (lambda d: d.update(m2=True), "m1/m2 must be positive integers"),
+    "alphabet_size": (lambda d: d["alphabets1"].__setitem__(0, True), "alphabets must be"),
+    "weight": (lambda d: [row.update(weight=True) for row in d["z_support"]], "weights must be"),
+    "dec_label": (lambda d: [row.update(f=bool(row["f"])) for row in d["dec"]], "dec outputs must be"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOLEAN_SCHEME_FIELDS))
+def test_boolean_scheme_fields_are_refused(capsys, tmp_path, name):
+    # a boolean is not an integer: with every weight true, or every dec
+    # label true/false, the threshold baseline would otherwise verify
+    edit, message = BOOLEAN_SCHEME_FIELDS[name]
+    data = json.loads((resources.files("confuse.data") / "baseline_threshold_2x3.json").read_text())
+    edit(data)
+    with pytest.raises(SchemaError, match=message):
+        load_custom_scheme(json.loads(json.dumps(data)))
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(data))
+    table = write_table(tmp_path, "threshold.json", [[0, 0, 1], [0, 1, 1]])
+    code, out, err = run(capsys, "verify", "--scheme", str(path), "--table", table)
+    assert code == 4 and out == "" and message in err
+
+
 def _blockcode_refusal(capsys, tmp_path, monkeypatch, *flags):
     """Exit code and stderr of blockcode on the AND table; the table loader
     is removed, so a refusal must come before anything is read."""
@@ -586,6 +632,11 @@ def test_solve_negative_limit_exits_4(capsys, equal3_path, monkeypatch):
 def test_solve_negative_max_carrier_exits_4(capsys, equal3_path, monkeypatch):
     code, err = _solve_refusal(capsys, equal3_path, monkeypatch, "--max-carrier", "-5")
     assert code == 4 and "--max-carrier" in err
+
+
+def test_solve_all_subsets_without_optimize_z_exits_4(capsys, equal3_path, monkeypatch):
+    code, err = _solve_refusal(capsys, equal3_path, monkeypatch, "--all-subsets")
+    assert code == 4 and "--all-subsets" in err and "--optimize-z" in err
 
 
 def test_solve_limit_1_reports_one_hit(capsys, equal3_path):
